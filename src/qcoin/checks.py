@@ -90,8 +90,7 @@ def _check_circuit_vs_superposition(grid, step_counts, inject_fault: bool) -> Ch
                 worst = max(worst, float(np.abs(amps - ideal.amplitudes).max()))
                 dist, _ = arrival_time_distribution(state)
                 enum = future_distribution(coin, start, steps)
-                for bits, p in enum.probabilities.items():
-                    worst = max(worst, abs(dist.probabilities[bits] - p))
+                worst = max(worst, float(np.abs(dist.bins - enum.bins).max()))
     return CheckResult.from_deviation("circuit_vs_superposition", worst, TOL.exact)
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
-from .encoding import arrival_time_ns, bits_to_index, index_to_bits
+from .constants import FIRST_DELAY_NS, TOL
+from .encoding import bits_to_index, index_to_bits, lexicographic_bins
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights
 from .quantum import DensityMatrix2, causal_state
@@ -75,18 +75,11 @@ class PhotonState:
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
             )
 
-    def bin_probability(self, bits: str) -> float:
-        row = self.amplitudes[bits_to_index(bits)]
-        return float((row.real**2 + row.imag**2).sum())
-
     def to_json_dict(self) -> dict:
-        bins = {}
-        for b in range(2**self.steps_applied):
-            row = self.amplitudes[b]
-            bins[str(b)] = {
-                "H": [float(row[H].real), float(row[H].imag)],
-                "V": [float(row[V].real), float(row[V].imag)],
-            }
+        bins = {
+            str(b): {"H": [row[H].real, row[H].imag], "V": [row[V].real, row[V].imag]}
+            for b, row in enumerate(self.amplitudes.tolist())
+        }
         return {
             "steps": self.steps_applied,
             "success_probability": self.success_probability,
@@ -153,24 +146,22 @@ def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonSt
     return state
 
 
-def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, dict[str, float]]:
-    """Outcome probabilities (both polarizations of each bin) and arrival times in ns."""
+def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
+    """Outcome probabilities (both polarizations of a bin) and arrival times in ns, per bin."""
     steps = state.steps_applied
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    probs = {}
-    times = {}
-    for b in range(2**steps):
-        bits = index_to_bits(b, steps)
-        probs[bits] = state.bin_probability(bits)
-        times[bits] = arrival_time_ns(bits)
-    return OutcomeDistribution(steps, probs), times
+    amps = state.amplitudes
+    probs = (amps.real**2 + amps.imag**2).sum(axis=1)
+    # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
+    return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
 def arrival_time_csv_rows(state: PhotonState) -> list[tuple[str, float, float]]:
     """(bitstring, time_ns, probability) rows, ordered by bitstring."""
     dist, times = arrival_time_distribution(state)
-    return [(bits, times[bits], p) for bits, p in sorted(dist.probabilities.items())]
+    return [(index_to_bits(b, dist.steps), float(times[b]), float(dist.bins[b]))
+            for b in lexicographic_bins(dist.steps)]
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
@@ -179,10 +170,16 @@ def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
     Noise-free equivalent of the tomographic reconstruction at one arrival
     time; always the projector onto the causal state of the final outcome.
     """
-    p = state.bin_probability(bits)
+    return _bin_polarization(state, bits_to_index(bits))
+
+
+def _bin_polarization(state: PhotonState, index: int) -> DensityMatrix2:
+    row = state.amplitudes[index]
+    p = float((row.real**2 + row.imag**2).sum())
     if p <= TOL.empty_bin:
+        bits = index_to_bits(index, state.steps_applied)
         raise EmptyBin(f"bin for {bits!r} carries probability {p!r}")
-    row = state.amplitudes[bits_to_index(bits)] / math.sqrt(p)
+    row = row / math.sqrt(p)
     return DensityMatrix2(np.outer(row, row.conj()))
 
 
@@ -203,10 +200,8 @@ def reconstruct_memory_density(
             continue
         state = run_circuit(coin, start, steps)
         dist, _ = arrival_time_distribution(state)
-        for bits, p in dist.probabilities.items():
-            if p <= TOL.empty_bin:
-                continue
-            rho += weight * p * conditional_polarization(state, bits).matrix
+        for b in np.flatnonzero(dist.bins > TOL.empty_bin):
+            rho += weight * dist.bins[b] * _bin_polarization(state, b).matrix
     return DensityMatrix2(rho)
 
 

@@ -226,11 +226,11 @@ def cmd_futures(config: dict, out_dir: Path) -> int:
         series = []
         for m in m_values:
             dist = future_distribution(PerturbedCoin(stay_heads, m), start, steps)
-            total = sum(dist.probabilities.values())
+            total = float(dist.bins.sum())
             if abs(total - 1.0) > TOL.prob_sum:
                 print(f"normalization failure at m={m}: sum={total!r}", file=sys.stderr)
                 return EXIT_CHECK
-            items = sorted(dist.probabilities.items())
+            items = list(dist.probabilities.items())  # in bitstring order
             for bits, p in items:
                 rows.append([start.name, _float_str(m), bits, _float_str(p)])
             series.append((list(range(len(items))), [p for _, p in items], f"m={m:g}"))
@@ -472,14 +472,11 @@ def cmd_counts(config: dict, out_dir: Path, seed_override: int | None = None) ->
     theory = future_distribution(proc.coin, start, steps)
     fidelity = classical_fidelity(empirical, theory)
 
-    rows = []
-    for bits in sorted(counts):
-        rows.append([
-            bits,
-            str(counts[bits]),
-            _float_str(empirical.probabilities[bits]),
-            _float_str(theory.probabilities[bits]),
-        ])
+    empirical_by_bits, theory_by_bits = empirical.probabilities, theory.probabilities
+    rows = [
+        [bits, str(counts[bits]), _float_str(empirical_by_bits[bits]), _float_str(theory_by_bits[bits])]
+        for bits in sorted(counts)
+    ]
     write_csv(out_dir / "counts.csv", "counts", digest,
               ["bitstring", "count", "empirical_probability", "theory_probability"], rows)
     write_json(out_dir / "counts_report.json", {

@@ -5,6 +5,10 @@ leftmost.  Its time-bin index is sum_k x_k * 2^(k-1), i.e. the first
 outcome is the least-significant bit of the bin index.
 """
 
+import functools
+
+import numpy as np
+
 from .constants import block_delay_ns
 from .errors import InvalidParameter
 
@@ -18,6 +22,16 @@ def validate_bits(bits: str) -> str:
 def all_bitstrings(steps: int) -> list[str]:
     """All 2**steps outcome strings in lexicographic order."""
     return [format(i, f"0{steps}b") for i in range(2**steps)]
+
+
+@functools.lru_cache(maxsize=None)
+def lexicographic_bins(steps: int) -> np.ndarray:
+    """Bin indices of `all_bitstrings(steps)`, in the same (lexicographic) order; read-only."""
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(steps):
+        order = np.concatenate([2 * order, 2 * order + 1])
+    order.flags.writeable = False
+    return order
 
 
 def bits_to_index(bits: str) -> int:

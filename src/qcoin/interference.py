@@ -46,10 +46,11 @@ def _overlap_squared(psi, phi) -> float:
     num = complex(np.vdot(a, b))
     if abs(num.imag) > TOL.imag_residue:
         raise InternalError(f"state overlap has imaginary residue {num.imag!r}")
-    norm_a = float(np.vdot(a, a).real)
-    norm_b = float(np.vdot(b, b).real)
-    v = (num.real * num.real) / (norm_a * norm_b)
-    if v > 1.0 + 1e-9:
+    norms = float(np.vdot(a, a).real) * float(np.vdot(b, b).real)
+    if norms == 0.0:
+        raise InvalidParameter("cannot normalize the overlap of a zero-norm state")
+    v = (num.real * num.real) / norms
+    if v > 1.0 + TOL.state_norm:
         raise InternalError(f"squared overlap {v!r} exceeds 1 beyond rounding")
     return min(v, 1.0)
 

@@ -1,8 +1,13 @@
 """Classical perturbed-coin process.
 
-Transition structure, stationary weights, exact future distributions by
-enumeration (the brute-force oracle used throughout), Monte Carlo sampling,
-statistical complexity and classical fidelity.
+Transition structure, stationary weights, exact future distributions,
+Monte Carlo sampling, statistical complexity and classical fidelity.
+
+A future distribution is a float64 array over the time-bin index (first
+outcome = least-significant bit), built by the doubling recurrence
+p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
+(`trajectory_probability`) is kept as the brute-force oracle of the tests;
+outcome strings appear only at the CSV/JSON edge.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .encoding import all_bitstrings, index_to_bits, validate_bits
+from .encoding import all_bitstrings, bits_to_index, index_to_bits, lexicographic_bins, validate_bits
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -105,7 +110,7 @@ def stationary_weights(
 
     EXACT_STATIONARY solves pi = pi T, which for the two-state chain gives
     weights proportional to the opposite state's leave rate.
-    THREE_STEP_MARGINAL instead takes the ratio of brute-force three-step
+    THREE_STEP_MARGINAL instead takes the ratio of exact three-step
     last-outcome marginals, d0 = P(X3=0|S1) / (P(X3=1|S0) + P(X3=0|S1)),
     mirroring how the weights are estimated from finite observation windows.
 
@@ -120,14 +125,10 @@ def stationary_weights(
             raise ReducibleChain("both stay probabilities are 1; supply weights explicitly")
         return StationaryWeights(leave_tails / denom, leave_heads / denom, method)
 
-    flip_from_s0 = sum(
-        p for bits, p in future_distribution(coin, CausalState.S0, 3).probabilities.items()
-        if bits[-1] == "1"
-    )
-    flip_from_s1 = sum(
-        p for bits, p in future_distribution(coin, CausalState.S1, 3).probabilities.items()
-        if bits[-1] == "0"
-    )
+    # Added in string order, where the last outcome alternates 0, 1, 0, 1, ...
+    in_order = lexicographic_bins(3)
+    flip_from_s0 = sum(future_distribution(coin, CausalState.S0, 3).bins[in_order[1::2]].tolist())
+    flip_from_s1 = sum(future_distribution(coin, CausalState.S1, 3).bins[in_order[0::2]].tolist())
     denom = flip_from_s0 + flip_from_s1
     if denom == 0.0:
         raise ReducibleChain("both stay probabilities are 1; supply weights explicitly")
@@ -167,36 +168,48 @@ def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability map over all length-`steps` outcome strings.
+    """Probabilities of all 2**steps outcome strings, as a read-only float64
+    array over the time-bin index (see `encoding`).
 
-    Zero-probability strings are present explicitly, so there are always
-    exactly 2**steps keys.
+    `bins` may also be given as a dict from outcome string to probability,
+    the form of the CSV/JSON edge; `probabilities` gives that map back, in
+    lexicographic string order.  Zero-probability strings are explicit.
     """
 
     steps: int
-    probabilities: dict[str, float]
+    bins: np.ndarray
 
     def __post_init__(self) -> None:
         if not 1 <= self.steps <= MAX_ENUMERATION_STEPS:
             raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {self.steps}")
-        if len(self.probabilities) != 2**self.steps:
-            raise InvalidParameter(
-                f"expected {2**self.steps} entries for {self.steps} steps, "
-                f"got {len(self.probabilities)}"
-            )
-        total = 0.0
-        for bits, p in self.probabilities.items():
-            validate_bits(bits)
-            if len(bits) != self.steps:
-                raise InvalidParameter(f"key {bits!r} does not have length {self.steps}")
-            if not -TOL.exact <= p <= 1.0 + TOL.exact:
-                raise InvalidParameter(f"probability of {bits!r} out of [0, 1]: {p!r}")
-            total += p
+        size = 2**self.steps
+        values = self.bins
+        if isinstance(values, dict):
+            strings = all_bitstrings(self.steps)
+            if set(values) != set(strings):
+                raise InvalidParameter(f"expected one entry per outcome string of length {self.steps}")
+            # string order to bin order: the bit reversal is its own inverse
+            values = np.array([values[bits] for bits in strings])[lexicographic_bins(self.steps)]
+        p = np.array(values, dtype=np.float64)
+        if p.shape != (size,):
+            raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
+        p.flags.writeable = False
+        object.__setattr__(self, "bins", p)
+        if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
+            b = int(np.argmax(~((p >= -TOL.exact) & (p <= 1.0 + TOL.exact))))
+            bits = index_to_bits(b, self.steps)
+            raise InvalidParameter(f"probability of {bits!r} out of [0, 1]: {p[b]!r}")
+        total = float(p.sum())
         if abs(total - 1.0) > TOL.prob_sum:
             raise InvalidParameter(f"probabilities sum to {total!r}, not 1")
 
+    @property
+    def probabilities(self) -> dict[str, float]:
+        ordered = self.bins[lexicographic_bins(self.steps)].tolist()
+        return dict(zip(all_bitstrings(self.steps), ordered))
+
     def probability(self, bits: str) -> float:
-        return self.probabilities[bits]
+        return float(self.bins[bits_to_index(bits)])
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, **self.probabilities}
@@ -205,22 +218,25 @@ class OutcomeDistribution:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "OutcomeDistribution":
-        steps = int(payload["steps"])
-        probs = {k: float(v) for k, v in payload.items() if k != "steps"}
-        return cls(steps, probs)
-
-    @classmethod
     def from_json(cls, text: str) -> "OutcomeDistribution":
-        return cls.from_json_dict(json.loads(text))
+        payload = json.loads(text)
+        return cls(int(payload.pop("steps")), {k: float(v) for k, v in payload.items()})
 
 
 def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> OutcomeDistribution:
-    """Exact distribution over all 2**steps outcome strings, by enumeration."""
+    """Exact distribution over all 2**steps outcome strings, by the doubling
+    recurrence: the lower half of a k-step array ends in outcome 0, the upper
+    half in 1.  Factors multiply in the order of `trajectory_probability`,
+    so every bin is bit-identical to it.
+    """
     if not 1 <= steps <= MAX_ENUMERATION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {steps}")
-    probs = {bits: trajectory_probability(coin, start, bits) for bits in all_bitstrings(steps)}
-    return OutcomeDistribution(steps, probs)
+    t = transition_matrix(coin)
+    p = t[start.index]
+    for _ in range(steps - 1):
+        # bins of the next outcome x (major axis) after last outcome y (the halves of p)
+        p = (t.T[:, :, None] * p.reshape(2, -1)).ravel()
+    return OutcomeDistribution(steps, p)
 
 
 def sample_trajectories(
@@ -263,8 +279,11 @@ def counts_to_distribution(counts: dict[str, int], steps: int) -> OutcomeDistrib
 
 
 def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """Bhattacharyya coefficient sum_x sqrt(p_x q_x); 1 iff the distributions agree."""
+    """Bhattacharyya coefficient sum_x sqrt(p_x q_x); 1 iff the distributions agree.
+
+    Products rounded below 0 count as 0; terms are added one by one in string order.
+    """
     if p.steps != q.steps:
         raise DimensionMismatch(f"step counts differ: {p.steps} vs {q.steps}")
-    qp = q.probabilities
-    return float(sum(math.sqrt(pp * qp[bits]) for bits, pp in p.probabilities.items()))
+    roots = np.sqrt(np.maximum(p.bins * q.bins, 0.0))
+    return float(sum(roots[lexicographic_bins(p.steps)].tolist()))

@@ -105,14 +105,9 @@ class DensityMatrix2:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "DensityMatrix2":
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-        return cls(re + 1j * im)
-
-    @classmethod
     def from_json(cls, text: str) -> "DensityMatrix2":
-        return cls.from_json_dict(json.loads(text))
+        payload = json.loads(text)
+        return cls(np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float))
 
 
 def _eigenvalues_2x2(m: np.ndarray) -> tuple[float, float]:
@@ -189,21 +184,13 @@ class IdealOutputState:
 
     def marginal_distribution(self) -> OutcomeDistribution:
         """Squared marginal over the memory index: the classical future distribution."""
-        probs_by_bin = np.abs(self.amplitudes) ** 2
-        totals = probs_by_bin.sum(axis=1)
-        return OutcomeDistribution(
-            self.steps,
-            {index_to_bits(b, self.steps): float(totals[b]) for b in range(2**self.steps)},
-        )
+        return OutcomeDistribution(self.steps, (np.abs(self.amplitudes) ** 2).sum(axis=1))
 
     def to_json_dict(self) -> dict:
-        amps = {}
-        for b in range(2**self.steps):
-            row = self.amplitudes[b]
-            amps[index_to_bits(b, self.steps)] = [
-                [float(row[0].real), float(row[0].imag)],
-                [float(row[1].real), float(row[1].imag)],
-            ]
+        amps = {
+            index_to_bits(b, self.steps): [[z.real, z.imag] for z in row]
+            for b, row in enumerate(self.amplitudes.tolist())
+        }
         return {"steps": self.steps, "amplitudes": amps}
 
     def to_json(self) -> str:
@@ -211,18 +198,15 @@ class IdealOutputState:
 
 
 def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> IdealOutputState:
-    """Superposition sum_x sqrt(p(x)) |x1..xM>|S_xM> over all outcome strings."""
+    """Superposition sum_x sqrt(p(x)) |x1..xM>|S_xM> over all outcome strings.
+
+    The lower half of the bins ends in outcome 0 (memory S0), the upper in 1.
+    """
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
-    dist = future_distribution(coin, start, steps)
-    final_state = {
-        "0": causal_state(coin, CausalState.S0).amplitudes,
-        "1": causal_state(coin, CausalState.S1).amplitudes,
-    }
-    amps = np.zeros((2**steps, 2), dtype=complex)
-    for bits, p in dist.probabilities.items():
-        amps[bits_to_index(bits)] = math.sqrt(p) * final_state[bits[-1]]
-    return IdealOutputState(steps, amps)
+    roots = np.sqrt(future_distribution(coin, start, steps).bins).reshape(2, -1)
+    finals = np.array([causal_state(coin, s).amplitudes for s in (CausalState.S0, CausalState.S1)])
+    return IdealOutputState(steps, (roots[:, :, None] * finals[:, None, :]).reshape(-1, 2))
 
 
 def output_overlap(
@@ -235,17 +219,12 @@ def output_overlap(
     """Overlap of the two simulators' output superpositions, in closed form:
     sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM>.
     """
-    dist_a = future_distribution(proc_a.coin, start_a, steps)
-    dist_b = future_distribution(proc_b.coin, start_b, steps)
-    final_overlap = {
-        "0": causal_overlap(proc_a.coin, CausalState.S0, proc_b.coin, CausalState.S0),
-        "1": causal_overlap(proc_a.coin, CausalState.S1, proc_b.coin, CausalState.S1),
-    }
-    pb = dist_b.probabilities
-    total = 0.0
-    for bits, pa in dist_a.probabilities.items():
-        total += math.sqrt(pa * pb[bits]) * final_overlap[bits[-1]]
-    return float(total)
+    roots = np.sqrt(future_distribution(proc_a.coin, start_a, steps).bins
+                    * future_distribution(proc_b.coin, start_b, steps).bins)
+    ends_0, ends_1 = roots.reshape(2, -1).sum(axis=1)  # halves ending in outcome 0 and 1
+    final_0 = causal_overlap(proc_a.coin, CausalState.S0, proc_b.coin, CausalState.S0)
+    final_1 = causal_overlap(proc_a.coin, CausalState.S1, proc_b.coin, CausalState.S1)
+    return float(ends_0 * final_0 + ends_1 * final_1)
 
 
 def bhattacharyya_futures(
@@ -262,12 +241,8 @@ def bhattacharyya_futures(
     """
     if steps < 1:
         raise InvalidParameter(f"steps must be >= 1, got {steps}")
-    dist_a = future_distribution(proc_a.coin, start_a, steps)
-    dist_b = future_distribution(proc_b.coin, start_b, steps)
-    pb = dist_b.probabilities
-    return float(
-        sum(math.sqrt(pa * pb[bits]) for bits, pa in dist_a.probabilities.items())
-    )
+    return float(np.sqrt(future_distribution(proc_a.coin, start_a, steps).bins
+                         * future_distribution(proc_b.coin, start_b, steps).bins).sum())
 
 
 def process_json_dict(spec: ProcessSpec, start: CausalState) -> dict:

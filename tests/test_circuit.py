@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcoin.constants import block_delay_ns
+from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
 from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     BlockSpec,
@@ -159,14 +160,19 @@ class TestArrivalTimes:
         dist, times = arrival_time_distribution(state)
         for p in dist.probabilities.values():
             assert p == pytest.approx(0.125, abs=1e-12)
-        assert sorted(times.values()) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
-        assert max(times.values()) == 14.0
+        assert sorted(times.tolist()) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+        assert max(times.tolist()) == 14.0
 
     def test_deterministic_chain_all_mass_at_zero_ns(self):
         state = run_circuit(PerturbedCoin(1.0, 1.0), S0, 3)
         dist, times = arrival_time_distribution(state)
         assert dist.probabilities["000"] == 1.0
-        assert times["000"] == 0.0
+        assert times[bits_to_index("000")] == 0.0
+
+    def test_times_are_indexed_by_bin(self):
+        for steps in range(1, 7):
+            _, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S0, steps))
+            assert times.tolist() == [arrival_time_ns(index_to_bits(b, steps)) for b in range(2**steps)]
 
     def test_matches_markov_enumeration_over_grid(self):
         for l, m in grid(0.2):

@@ -5,6 +5,7 @@ from qcoin.encoding import (
     arrival_time_ns,
     bits_to_index,
     index_to_bits,
+    lexicographic_bins,
     validate_bits,
 )
 from qcoin.errors import InvalidParameter
@@ -53,3 +54,10 @@ def test_bad_strings_rejected():
         bits_to_index("2")
     with pytest.raises(InvalidParameter):
         index_to_bits(8, 3)
+
+
+def test_lexicographic_bins_follow_string_order():
+    for steps in (1, 2, 3, 5):
+        order = lexicographic_bins(steps)
+        assert [index_to_bits(int(b), steps) for b in order] == all_bitstrings(steps)
+        assert sorted(order.tolist()) == list(range(2**steps))

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qcoin import interference
 from qcoin.circuit import run_circuit
-from qcoin.errors import DimensionMismatch, FitDidNotConverge, InvalidParameter
+from qcoin.constants import TOL
+from qcoin.errors import DimensionMismatch, FitDidNotConverge, InternalError, InvalidParameter
 from qcoin.interference import (
     VisibilityRecord,
     coincidence_probability,
@@ -110,6 +113,20 @@ class TestOverlapAndCoincidence:
         phi = run_circuit(PerturbedCoin(0.4, 0.7), S0, 3)
         with pytest.raises(DimensionMismatch):
             visibility(psi, phi)
+
+    def test_zero_norm_state_is_rejected(self):
+        with pytest.raises(InvalidParameter):
+            visibility(np.zeros((2, 2)), np.ones((2, 2)) / 2.0)
+        with pytest.raises(InvalidParameter):
+            coincidence_probability(np.ones((2, 2)) / 2.0, np.zeros((2, 2)))
+
+    def test_excess_over_one_bound_is_the_state_norm_tolerance(self, monkeypatch):
+        psi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)
+        assert visibility(psi, psi) == 1.0
+        # identical states give exactly 1, which a bound below 1 must reject
+        monkeypatch.setattr(interference, "TOL", dataclasses.replace(TOL, state_norm=-1e-15))
+        with pytest.raises(InternalError):
+            visibility(psi, psi)
 
     def test_self_visibility_is_one_over_grid(self):
         ticks = np.round(np.arange(0.0, 1.01, 0.1), 10)

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qcoin.encoding import all_bitstrings
+from qcoin.constants import TOL
+from qcoin.encoding import all_bitstrings, lexicographic_bins
 from qcoin.errors import DimensionMismatch, InvalidParameter, ReducibleChain, StepCountTooLarge
 from qcoin.markov import (
     CausalState,
@@ -23,6 +25,7 @@ from qcoin.markov import (
 )
 
 S0, S1 = CausalState.S0, CausalState.S1
+GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
 
 
 def grid(step=0.05):
@@ -232,6 +235,33 @@ class TestFutureDistribution:
                     marginal = longer.probabilities[prefix + "0"] + longer.probabilities[prefix + "1"]
                     assert abs(marginal - p) <= 1e-12
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        l=st.sampled_from(GRID_TICKS),
+        m=st.sampled_from(GRID_TICKS),
+        start=st.sampled_from([S0, S1]),
+        steps=st.integers(1, 12),
+    )
+    @example(l=0.0, m=0.0, start=S0, steps=12)
+    @example(l=0.0, m=1.0, start=S1, steps=12)
+    @example(l=1.0, m=0.0, start=S0, steps=12)
+    @example(l=1.0, m=1.0, start=S1, steps=12)
+    @example(l=0.05, m=0.95, start=S1, steps=12)
+    def test_recurrence_equals_enumeration_exactly(self, l, m, start, steps):
+        coin = PerturbedCoin(l, m)
+        dist = future_distribution(coin, start, steps)
+        enumerated = [trajectory_probability(coin, start, bits) for bits in all_bitstrings(steps)]
+        assert dist.bins[lexicographic_bins(steps)].tolist() == enumerated
+
+    def test_recurrence_equals_enumeration_exactly_on_whole_grid(self):
+        for l, m in grid():
+            coin = PerturbedCoin(l, m)
+            for start in (S0, S1):
+                for steps in (1, 2, 3, 4):
+                    dist = future_distribution(coin, start, steps)
+                    for bits in all_bitstrings(steps):
+                        assert dist.probability(bits) == trajectory_probability(coin, start, bits)
+
     def test_step_bounds(self):
         coin = PerturbedCoin(0.4, 0.7)
         with pytest.raises(StepCountTooLarge):
@@ -276,6 +306,33 @@ class TestOutcomeDistribution:
         probs = {b: 0.2 for b in all_bitstrings(2)}
         with pytest.raises(InvalidParameter):
             OutcomeDistribution(2, probs)
+
+    def test_string_map_and_bin_array_agree(self):
+        by_bits = {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}
+        from_map = OutcomeDistribution(2, by_bits)
+        # bin index: first outcome is the least-significant bit
+        assert from_map.bins.tolist() == [0.1, 0.3, 0.2, 0.4]
+        assert OutcomeDistribution(2, np.array([0.1, 0.3, 0.2, 0.4])).probabilities == by_bits
+
+    def test_bins_are_read_only_copies(self):
+        source = np.full(4, 0.25)
+        dist = OutcomeDistribution(2, source)
+        source[0] = 1.0
+        assert dist.bins[0] == 0.25
+        with pytest.raises(ValueError):
+            dist.bins[0] = 0.5
+
+    def test_rejects_bad_arrays(self):
+        with pytest.raises(InvalidParameter):
+            OutcomeDistribution(2, np.full(3, 1.0 / 3.0))
+        with pytest.raises(InvalidParameter):
+            OutcomeDistribution(1, np.array([1.5, -0.5]))
+        with pytest.raises(InvalidParameter):
+            OutcomeDistribution(1, np.array([np.nan, 1.0]))
+        with pytest.raises(InvalidParameter):
+            OutcomeDistribution(1, np.array([0.5, 0.4]))
+        with pytest.raises(StepCountTooLarge):
+            OutcomeDistribution(0, np.array([1.0]))
 
     def test_json_round_trip(self):
         dist = future_distribution(PerturbedCoin(0.4, 0.7), S1, 3)
@@ -329,6 +386,22 @@ class TestClassicalFidelity:
         a2 = OutcomeDistribution(3, {relabel[k]: v for k, v in a.probabilities.items()})
         b2 = OutcomeDistribution(3, {relabel[k]: v for k, v in b.probabilities.items()})
         assert classical_fidelity(a2, b2) == pytest.approx(baseline, abs=1e-12)
+
+    def test_rounding_below_zero_counts_as_zero(self):
+        # entries down to -TOL.exact are accepted, so their products must not reach sqrt
+        assert 5e-13 <= TOL.exact
+        skewed = OutcomeDistribution(1, {"0": 1.0 + 5e-13, "1": -5e-13})
+        uniform = OutcomeDistribution(1, {"0": 0.5, "1": 0.5})
+        assert classical_fidelity(skewed, uniform) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert classical_fidelity(uniform, skewed) == classical_fidelity(skewed, uniform)
+
+    def test_adds_terms_one_by_one_in_string_order(self):
+        # the counts report carries this rounding; for this pair a pairwise
+        # sum or a sum in bin order differs in the last digits
+        a = future_distribution(PerturbedCoin(0.3, 0.6), S0, 12)
+        b = future_distribution(PerturbedCoin(0.8, 0.2), S1, 12)
+        pa, pb = a.probabilities, b.probabilities
+        assert classical_fidelity(a, b) == sum(math.sqrt(pa[k] * pb[k]) for k in sorted(pa))
 
     def test_dimension_mismatch(self):
         a = future_distribution(PerturbedCoin(0.4, 0.7), S0, 2)

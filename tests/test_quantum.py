@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qcoin.constants import TOL
+from qcoin.encoding import all_bitstrings
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
     CausalState,
@@ -12,6 +15,7 @@ from qcoin.markov import (
     classical_complexity,
     future_distribution,
     stationary_weights,
+    trajectory_probability,
 )
 from qcoin.quantum import (
     CausalStateVector,
@@ -27,6 +31,7 @@ from qcoin.quantum import (
 )
 
 S0, S1 = CausalState.S0, CausalState.S1
+GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
 
 
 def grid(step=0.05):
@@ -205,6 +210,16 @@ class TestIdealOutputState:
                     math.sqrt(p) * final[b], abs=1e-14
                 )
 
+    def test_amplitudes_equal_enumeration_at_twelve_steps(self):
+        for coin in (PerturbedCoin(0.4, 0.7), PerturbedCoin(0.0, 1.0), PerturbedCoin(1.0, 0.35)):
+            for start in (S0, S1):
+                out = ideal_output_state(coin, start, 12)
+                finals = {x: causal_state(coin, CausalState.from_outcome(x)).amplitudes for x in "01"}
+                for bits in all_bitstrings(12):
+                    root = math.sqrt(trajectory_probability(coin, start, bits))
+                    for b in range(2):
+                        assert out.amplitude(bits, b) == root * finals[bits[-1]][b]
+
     def test_squared_marginal_reproduces_future_distribution(self):
         coin = PerturbedCoin(0.4, 0.7)
         marg = ideal_output_state(coin, S1, 3).marginal_distribution()
@@ -293,6 +308,22 @@ class TestBhattacharyyaFutures:
         proc = ProcessSpec(PerturbedCoin(0.4, 0.7))
         with pytest.raises(InvalidParameter):
             bhattacharyya_futures(proc, S0, proc, S0, 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        coins=st.tuples(*[st.sampled_from(GRID_TICKS)] * 4),
+        starts=st.tuples(st.sampled_from([S0, S1]), st.sampled_from([S0, S1])),
+    )
+    @example(coins=(0.0, 1.0, 1.0, 0.0), starts=(S0, S1))
+    @example(coins=(1.0, 1.0, 1.0, 1.0), starts=(S0, S0))
+    @example(coins=(0.0, 0.0, 0.5, 0.5), starts=(S1, S0))
+    def test_overlap_identity_at_twelve_steps(self, coins, starts):
+        la, ma, lb, mb = coins
+        pa, pb = ProcessSpec(PerturbedCoin(la, ma)), ProcessSpec(PerturbedCoin(lb, mb))
+        sa, sb = starts
+        lhs = output_overlap(pa, sa, pb, sb, 12)
+        rhs = bhattacharyya_futures(pa, sa, pb, sb, 13)
+        assert abs(lhs - rhs) <= TOL.exact
 
 
 def test_identity_oracle_closed_form():
