@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import BlockSpec, block_norm_accounting, prepare_input, apply_block, arrival_time_distribution, reconstruct_memory_density, run_circuit
+from .circuit import block_norm_accounting, prepare_input, apply_block, arrival_time_distribution, reconstruct_memory_density, run_circuit
 from .constants import TOL
 from .markov import (
     CausalState,
@@ -128,13 +128,12 @@ def _check_success_probability(grid, step_counts) -> CheckResult:
     worst = 0.0
     for stay_heads, stay_tails in grid:
         coin = PerturbedCoin(stay_heads, stay_tails)
-        block = BlockSpec(coin)
         for start in (CausalState.S0, CausalState.S1):
             state = prepare_input(coin, start)
             for steps in range(1, max(step_counts) + 1):
-                retained, discarded = block_norm_accounting(state, block)
+                retained, discarded = block_norm_accounting(state, coin)
                 worst = max(worst, abs(retained + discarded - 1.0))
-                state = apply_block(state, block)
+                state = apply_block(state, coin)
                 if steps in step_counts:
                     worst = max(worst, abs(state.success_probability - 0.5**steps))
     return CheckResult.from_deviation("success_probability", worst, TOL.exact)

@@ -14,12 +14,13 @@ Because the two paths land in disjoint time bins they cannot interfere at
 the recombiner, so the selected arm keeps exactly half of the norm whatever
 the input; the 1/sqrt(2) post-selection factor and the renormalization of
 the kept state cancel.  `block_norm_accounting` tracks both arms explicitly
-to verify that bookkeeping.
+to verify that bookkeeping.  All blocks of a run share one coin, so
+`run_circuit` validates the causal states once per run, checks the photon
+norm after every block and builds one `PhotonState` at the end.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,19 +30,12 @@ from .constants import FIRST_DELAY_NS, TOL
 from .encoding import bits_to_index, index_to_bits, lexicographic_bins
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights
-from .quantum import DensityMatrix2, causal_state
+from .quantum import DensityMatrix2, causal_pair, causal_state
 
 MAX_CIRCUIT_STEPS = 12
 
 # Polarization basis indices.
 H, V = 0, 1
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """One processor block; the coin fixes the wave-plate rotations in both paths."""
-
-    coin: PerturbedCoin
 
 
 @dataclass(frozen=True)
@@ -59,17 +53,14 @@ class PhotonState:
     success_probability: float
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.steps_applied, 2):
             raise InvalidParameter(
                 f"expected amplitude shape {(2**self.steps_applied, 2)}, got {amps.shape}"
             )
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > TOL.state_norm:
-            raise InvalidParameter(f"photon state is not normalized: |.|^2 = {norm_sq!r}")
+        _require_normalized(amps)
         if not 0.0 < self.success_probability <= 1.0:
             raise InvalidParameter(
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
@@ -86,49 +77,45 @@ class PhotonState:
             "bins": bins,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+
+def _require_normalized(amps: np.ndarray) -> None:
+    norm_sq = float(np.vdot(amps, amps).real)
+    if abs(norm_sq - 1.0) > TOL.state_norm:
+        raise InvalidParameter(f"photon state is not normalized: |.|^2 = {norm_sq!r}")
+
+
+def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """One block on (n, 2) amplitudes; the rows of `pair` are |S0> and |S1>."""
+    return (amps.T[:, :, None] * pair[:, None, :]).reshape(-1, 2)
 
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
     """Photon in time bin 0 with its polarization set to the initial causal state."""
-    amps = np.zeros((1, 2), dtype=complex)
-    amps[0] = causal_state(coin, start).amplitudes
-    return PhotonState(0, amps, 1.0)
+    return PhotonState(0, causal_state(coin, start).amplitudes[None, :], 1.0)
 
 
-def apply_block(state: PhotonState, block: BlockSpec) -> PhotonState:
-    """One processor block: H keeps its bin and becomes |S0>, V moves up by
-    2^k bins and becomes |S1>; the post-selection halves the success
-    probability and leaves the kept amplitudes as plain products (see the
-    module docstring for why no explicit renormalization is needed).
+def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
+    """One block: H keeps its bin and becomes |S0>, V moves up by 2^k bins
+    and becomes |S1>; the post-selection halves the success probability (see
+    the module docstring for why no renormalization is needed).  Validates
+    the coin's causal states and the new `PhotonState` on every call.
     """
     k = state.steps_applied
     if k >= MAX_CIRCUIT_STEPS:
         raise StepCountTooLarge(f"cannot apply more than {MAX_CIRCUIT_STEPS} blocks")
-    s0 = causal_state(block.coin, CausalState.S0).amplitudes
-    s1 = causal_state(block.coin, CausalState.S1).amplitudes
-    n = state.amplitudes.shape[0]
-    out = np.empty((2 * n, 2), dtype=complex)
-    out[:n] = np.outer(state.amplitudes[:, H], s0)
-    out[n:] = np.outer(state.amplitudes[:, V], s1)
-    return PhotonState(k + 1, out, state.success_probability * 0.5)
+    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)),
+                       state.success_probability * 0.5)
 
 
-def block_norm_accounting(state: PhotonState, block: BlockSpec) -> tuple[float, float]:
+def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[float, float]:
     """Squared norm reaching each recombiner arm, before post-selection.
 
     Returns (retained, discarded); for a normalized input these sum to 1
     and each equals 1/2 regardless of the coin and the input state.
     """
-    s0 = causal_state(block.coin, CausalState.S0).amplitudes
-    s1 = causal_state(block.coin, CausalState.S1).amplitudes
     n = state.amplitudes.shape[0]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    short = np.outer(state.amplitudes[:, H], s0) * inv_sqrt2
-    long = np.outer(state.amplitudes[:, V], s1) * inv_sqrt2
-    retained = np.concatenate([short, long])
-    discarded = np.concatenate([short, -long])
+    retained = _block(state.amplitudes, causal_pair(coin)) * (1.0 / math.sqrt(2.0))
+    discarded = np.concatenate([retained[:n], -retained[n:]])
     return (
         float(np.vdot(retained, retained).real),
         float(np.vdot(discarded, discarded).real),
@@ -136,14 +123,18 @@ def block_norm_accounting(state: PhotonState, block: BlockSpec) -> tuple[float, 
 
 
 def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonState:
-    """Send one photon through `steps` identical blocks."""
+    """Send one photon through `steps` identical blocks; bit-identical to
+    `prepare_input` followed by `steps` calls to `apply_block`.
+    """
     if not 1 <= steps <= MAX_CIRCUIT_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
-    state = prepare_input(coin, start)
-    block = BlockSpec(coin)
+    pair = causal_pair(coin)
+    amps = pair[start.value][None, :]
     for _ in range(steps):
-        state = apply_block(state, block)
-    return state
+        amps = _block(amps, pair)
+        _require_normalized(amps)
+    # exact in binary, so equal to halving `steps` times
+    return PhotonState(steps, amps, 0.5**steps)
 
 
 def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -239,11 +230,11 @@ def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
     optical block map, over both input causal states.
     """
     u = block_gate_unitary(coin)
+    pair = causal_pair(coin)
     worst = 0.0
-    for start in (CausalState.S0, CausalState.S1):
-        mem_in = causal_state(coin, start).amplitudes
+    for mem_in in pair:
         gate_out = u @ np.kron(mem_in, np.array([1.0, 0.0], dtype=complex))
-        block_out = apply_block(prepare_input(coin, start), BlockSpec(coin)).amplitudes
+        block_out = _block(mem_in[None, :], pair)
         for outcome in range(2):
             for mem in range(2):
                 dev = abs(gate_out[2 * mem + outcome] - block_out[outcome, mem])

@@ -96,9 +96,12 @@ def load_config(config_arg: str | None, command: str) -> dict:
     path = Path(config_arg)
     if path.is_file():
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            config = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
+        return config
     if config_arg in {f"fig{n}" for n in ("4", "5a", "5b", "5c")} | set(_PRESET_BY_COMMAND.values()):
         return load_preset(config_arg)
     raise ConfigError(f"config file not found: {config_arg}")
@@ -114,8 +117,17 @@ def command_record(config: dict, command: str) -> dict:
     return record
 
 
+def _number(value, key: str, kind: type = float):
+    """`kind(value)` for a config field; a value that does not convert is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}") from None
+
+
 def _seed(value) -> int:
-    seed = int(value)
+    seed = _number(value, "seed", int)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     return seed
@@ -127,12 +139,9 @@ def config_hash(config: dict) -> str:
 
 
 def _prob(record: dict, key: str) -> float:
-    try:
-        value = float(record[key])
-    except KeyError:
-        raise ConfigError(f"missing config key {key!r}") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be a number") from None
+    if key not in record:
+        raise ConfigError(f"missing config key {key!r}")
+    value = _number(record[key], key)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"config key {key!r} must be a probability in [0, 1], got {value}")
     return value
@@ -144,7 +153,7 @@ def _prob_list(record: dict, key: str) -> list[float]:
         raise ConfigError(f"config key {key!r} must be a nonempty list")
     out = []
     for v in values:
-        v = float(v)
+        v = _number(v, key)
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"values of {key!r} must be probabilities, got {v}")
         out.append(v)
@@ -166,7 +175,7 @@ def _coin(record: dict) -> PerturbedCoin:
 
 
 def _steps(record: dict, default: int = 3) -> int:
-    steps = int(record.get("steps", default))
+    steps = _number(record.get("steps", default), "steps", int)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     return steps
@@ -300,8 +309,8 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
     proc_a, start_a = _process_record(record, "process_a")
     proc_b, start_b = _process_record(record, "process_b")
     steps = _steps(record)
-    sigma = float(record.get("envelope_sigma_ns", 1.0))
-    baseline = float(record.get("baseline", 10000))
+    sigma = _number(record.get("envelope_sigma_ns", 1.0), "envelope_sigma_ns")
+    baseline = _number(record.get("baseline", 10000), "baseline")
     delays = _delay_grid(record.get("delays_ns", {"min": -5.0, "max": 5.0, "count": 41}))
     if seed_override is not None:
         record["poisson_seed"] = seed_override
@@ -313,7 +322,7 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
     v = visibility(psi, phi)
     override = record.get("visibility_override")
     if override is not None:
-        v = float(override)
+        v = _number(override, "visibility_override")
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"visibility_override must be in [0, 1], got {v}")
     try:
@@ -329,7 +338,7 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
     fit_input = sampled if sampled is not None else curve.counts
     fit = fit_visibility(
         zip(curve.delays_ns, fit_input),
-        max_evals=int(record.get("fit_max_evals", 10000)),
+        max_evals=_number(record.get("fit_max_evals", 10000), "fit_max_evals", int),
     )
 
     columns = ["delay_ns", "expected_counts"] + (["sampled_counts"] if sampled is not None else [])
@@ -414,13 +423,13 @@ def cmd_compare_sweep(config: dict, out_dir: Path) -> int:
 
 def cmd_oracle_check(config: dict, out_dir: Path, seed_override: int | None = None) -> int:
     record = command_record(config, "oracle-check")
-    grid_step = float(record.get("grid_step", 0.05))
+    grid_step = _number(record.get("grid_step", 0.05), "grid_step")
     if not 0.0 < grid_step <= 0.5:
         raise ConfigError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    step_counts = tuple(int(s) for s in record.get("step_counts", [1, 2, 3, 4]))
+    step_counts = tuple(_number(s, "step_counts", int) for s in record.get("step_counts", [1, 2, 3, 4]))
     if any(s < 1 for s in step_counts) or not step_counts:
         raise ConfigError("step_counts must be a nonempty list of positive integers")
-    draws = int(record.get("identity_draws", 1000))
+    draws = _number(record.get("identity_draws", 1000), "identity_draws", int)
     if seed_override is not None:
         record["seed"] = seed_override
     seed = _seed(record.get("seed", 7))
@@ -457,7 +466,7 @@ def cmd_counts(config: dict, out_dir: Path, seed_override: int | None = None) ->
     record = command_record(config, "counts")
     proc, start = _process_record(record, "process")
     steps = _steps(record)
-    draws = int(record.get("n", 1_000_000))
+    draws = _number(record.get("n", 1_000_000), "n", int)
     if draws < 1:
         raise ConfigError(f"n must be >= 1, got {draws}")
     if seed_override is not None:
@@ -501,11 +510,11 @@ def _delay_grid(spec) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) < 2:
             raise ConfigError("delays_ns list needs at least two entries")
-        return np.asarray([float(x) for x in spec])
+        return np.asarray([_number(x, "delays_ns") for x in spec])
     if isinstance(spec, dict):
         try:
-            count = int(spec["count"])
-            lo, hi = float(spec["min"]), float(spec["max"])
+            count = _number(spec["count"], "delays_ns.count", int)
+            lo, hi = _number(spec["min"], "delays_ns.min"), _number(spec["max"], "delays_ns.max")
         except KeyError as exc:
             raise ConfigError(f"delays_ns record missing key {exc}") from None
         if count < 2 or hi <= lo:

@@ -62,6 +62,11 @@ def causal_state(coin: PerturbedCoin, state: CausalState) -> CausalStateVector:
     return CausalStateVector(np.array([a0, a1], dtype=complex))
 
 
+def causal_pair(coin: PerturbedCoin) -> np.ndarray:
+    """(2, 2) array whose rows are the validated |S0> and |S1> of `coin`."""
+    return np.array([causal_state(coin, s).amplitudes for s in (CausalState.S0, CausalState.S1)])
+
+
 def causal_overlap(
     coin_a: PerturbedCoin,
     state_a: CausalState,
@@ -140,8 +145,7 @@ def von_neumann_entropy(rho) -> float:
 
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:
     """Stationary memory state: weighted mixture of the two causal-state projectors."""
-    s0 = causal_state(coin, CausalState.S0).amplitudes
-    s1 = causal_state(coin, CausalState.S1).amplitudes
+    s0, s1 = causal_pair(coin)
     rho = weights.s0 * np.outer(s0, s0.conj()) + weights.s1 * np.outer(s1, s1.conj())
     return DensityMatrix2(rho)
 
@@ -167,12 +171,11 @@ class IdealOutputState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.steps, 2):
             raise InvalidParameter(
                 f"expected amplitude shape {(2**self.steps, 2)}, got {amps.shape}"
             )
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         norm_sq = float(np.vdot(amps, amps).real)
@@ -193,9 +196,6 @@ class IdealOutputState:
         }
         return {"steps": self.steps, "amplitudes": amps}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> IdealOutputState:
     """Superposition sum_x sqrt(p(x)) |x1..xM>|S_xM> over all outcome strings.
@@ -205,8 +205,7 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
     roots = np.sqrt(future_distribution(coin, start, steps).bins).reshape(2, -1)
-    finals = np.array([causal_state(coin, s).amplitudes for s in (CausalState.S0, CausalState.S1)])
-    return IdealOutputState(steps, (roots[:, :, None] * finals[:, None, :]).reshape(-1, 2))
+    return IdealOutputState(steps, (roots[:, :, None] * causal_pair(coin)[:, None, :]).reshape(-1, 2))
 
 
 def output_overlap(

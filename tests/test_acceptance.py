@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from qcoin.circuit import (
-    BlockSpec,
     apply_block,
     arrival_time_distribution,
     block_norm_accounting,
@@ -169,13 +168,12 @@ def test_criterion_6_post_selection_accounting():
     worst_norm = 0.0
     for l, m in [(0.4, 0.7), (0.0, 0.0), (1.0, 1.0), (0.397, 0.994), (0.5, 0.5), (0.15, 0.85)]:
         coin = PerturbedCoin(l, m)
-        block = BlockSpec(coin)
         for start in (S0, S1):
             state = prepare_input(coin, start)
             for _ in range(3):
-                retained, discarded = block_norm_accounting(state, block)
+                retained, discarded = block_norm_accounting(state, coin)
                 worst_norm = max(worst_norm, abs(retained + discarded - 1.0))
-                state = apply_block(state, block)
+                state = apply_block(state, coin)
             assert abs(state.success_probability - 0.125) <= 1e-12
     assert worst_norm <= 1e-12
     _report(6, f"success probability is 1/8 after 3 blocks; both beam-splitter arms "

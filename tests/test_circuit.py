@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qcoin.constants import block_delay_ns
+from qcoin.constants import TOL, block_delay_ns
 from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
 from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
-    BlockSpec,
     PhotonState,
     apply_block,
     arrival_time_csv_rows,
@@ -58,7 +58,7 @@ class TestPrepareInput:
 class TestApplyBlock:
     def test_one_block_from_s0(self):
         coin = PerturbedCoin(0.4, 0.7)
-        state = apply_block(prepare_input(coin, S0), BlockSpec(coin))
+        state = apply_block(prepare_input(coin, S0), coin)
         assert state.steps_applied == 1
         assert state.success_probability == 0.5
         s0 = causal_state(coin, S0).amplitudes
@@ -68,7 +68,7 @@ class TestApplyBlock:
 
     def test_one_block_from_s1(self):
         coin = PerturbedCoin(0.4, 0.7)
-        state = apply_block(prepare_input(coin, S1), BlockSpec(coin))
+        state = apply_block(prepare_input(coin, S1), coin)
         s0 = causal_state(coin, S0).amplitudes
         s1 = causal_state(coin, S1).amplitudes
         assert np.allclose(state.amplitudes[0], math.sqrt(0.3) * s0, atol=1e-15)
@@ -76,15 +76,14 @@ class TestApplyBlock:
 
     def test_deterministic_routing_stays_in_bin_zero(self):
         coin = PerturbedCoin(1.0, 1.0)
-        state = apply_block(prepare_input(coin, S0), BlockSpec(coin))
+        state = apply_block(prepare_input(coin, S0), coin)
         assert state.success_probability == 0.5
         assert state.amplitudes[0].tolist() == [1.0, 0.0]
         assert state.amplitudes[1].tolist() == [0.0, 0.0]
 
     def test_two_fair_blocks_hand_expansion(self):
         coin = PerturbedCoin(0.5, 0.5)
-        block = BlockSpec(coin)
-        state = apply_block(apply_block(prepare_input(coin, S0), block), block)
+        state = apply_block(apply_block(prepare_input(coin, S0), coin), coin)
         assert state.success_probability == 0.25
         # every bin holds 1/2 * (sqrt(.5), sqrt(.5)): uniform over 4 bins x 2 pols
         assert state.amplitudes.shape == (4, 2)
@@ -94,26 +93,25 @@ class TestApplyBlock:
         coin = PerturbedCoin(0.5, 0.5)
         state = run_circuit(coin, S0, 12)
         with pytest.raises(StepCountTooLarge):
-            apply_block(state, BlockSpec(coin))
+            apply_block(state, coin)
 
 
 class TestNormAccounting:
     def test_both_arms_carry_half_everywhere(self):
         for l, m in grid(0.2):
             coin = PerturbedCoin(l, m)
-            block = BlockSpec(coin)
             for start in (S0, S1):
                 state = prepare_input(coin, start)
                 for _ in range(4):
-                    retained, discarded = block_norm_accounting(state, block)
+                    retained, discarded = block_norm_accounting(state, coin)
                     assert abs(retained - 0.5) <= 1e-12
                     assert abs(discarded - 0.5) <= 1e-12
                     assert abs(retained + discarded - 1.0) <= 1e-12
-                    state = apply_block(state, block)
+                    state = apply_block(state, coin)
 
     def test_arm_split_independent_of_block_coin(self):
         state = run_circuit(PerturbedCoin(0.3, 0.9), S1, 2)
-        retained, discarded = block_norm_accounting(state, BlockSpec(PerturbedCoin(0.8, 0.1)))
+        retained, discarded = block_norm_accounting(state, PerturbedCoin(0.8, 0.1))
         assert retained == pytest.approx(0.5, abs=1e-12)
         assert discarded == pytest.approx(0.5, abs=1e-12)
 
@@ -145,6 +143,36 @@ class TestRunCircuit:
                     state = run_circuit(coin, start, steps)
                     ideal = ideal_output_state(coin, start, steps)
                     assert np.abs(state.amplitudes - ideal.amplitudes).max() <= 1e-12
+
+    def test_equals_block_by_block_route_over_grid(self):
+        for l, m in grid():
+            coin = PerturbedCoin(l, m)
+            for start in (S0, S1):
+                state = prepare_input(coin, start)
+                for steps in range(1, 13):
+                    state = apply_block(state, coin)
+                    fast = run_circuit(coin, start, steps)
+                    assert np.array_equal(fast.amplitudes, state.amplitudes)
+                    assert fast.success_probability == state.success_probability
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        l=st.floats(0.0, 1.0),
+        m=st.floats(0.0, 1.0),
+        start=st.sampled_from([S0, S1]),
+        steps=st.integers(1, 12),
+    )
+    @example(l=0.0, m=0.0, start=S0, steps=12)
+    @example(l=0.0, m=1.0, start=S1, steps=12)
+    @example(l=1.0, m=0.0, start=S0, steps=12)
+    @example(l=1.0, m=1.0, start=S1, steps=12)
+    def test_dual_route_property(self, l, m, start, steps):
+        coin = PerturbedCoin(l, m)
+        state = run_circuit(coin, start, steps)
+        ideal = ideal_output_state(coin, start, steps)
+        assert np.abs(state.amplitudes - ideal.amplitudes).max() <= TOL.exact
+        dist, _ = arrival_time_distribution(state)
+        assert np.abs(dist.bins - future_distribution(coin, start, steps).bins).max() <= TOL.exact
 
     def test_step_bounds(self):
         coin = PerturbedCoin(0.4, 0.7)

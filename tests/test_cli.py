@@ -368,6 +368,25 @@ class TestConfigHandling:
         assert hash_a and hash_b and hash_a != hash_b
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "steps": "abc"}}),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": ["x"], "steps": 2}}),
+    ("counts", {"schema_version": 1, "counts": {
+        "process": {"l": 0.4, "m": 0.7}, "steps": 2, "n": "many", "seed": 1}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": "x"}}),
+    ("futures", [{"schema_version": 1}]),
+], ids=["steps", "m_values", "n", "grid_step", "top-level-array"])
+def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
+    cfg = write_config(tmp_path, payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcoin", command, "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qcoin", "--version"],
