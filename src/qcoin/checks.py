@@ -6,32 +6,34 @@ quantum output overlap against the one-step-ahead classical Bhattacharyya
 coefficient, the tomography-style reconstruction against the direct memory
 mixture, the post-selection bookkeeping against the dual-arm norm account,
 and the quantum against the classical complexity.
+
+The suites are array passes over the whole (l, m) grid through the kernels
+the scalar API runs on one coin, with every check of its dataclasses
+applied to each batch element.  The grid is cut into chunks of at most
+`CHUNK_AMPLITUDES` amplitudes, and each result names the inputs of its
+worst deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .circuit import block_norm_accounting, prepare_input, apply_block, arrival_time_distribution, reconstruct_memory_density, run_circuit
+from .circuit import MAX_CIRCUIT_STEPS, _arm_norms, _bin_probabilities, _propagate, _reconstruction
 from .constants import TOL
-from .markov import (
-    CausalState,
-    PerturbedCoin,
-    WeightMethod,
-    classical_complexity,
-    future_distribution,
-    stationary_weights,
-)
-from .quantum import (
-    ProcessSpec,
-    bhattacharyya_futures,
-    ideal_output_state,
-    memory_density,
-    output_overlap,
-    von_neumann_entropy,
-)
+from .errors import StepCountTooLarge
+from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
+                     _require_weights, _stationary, transition_matrix)
+from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
+                      _superposition, causal_pair)
+
+# Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
+# 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
+CHUNK_AMPLITUDES = 2**16
+RECONSTRUCTION_STEPS = 3
+_STARTS = ("S0", "S1")
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,12 @@ class CheckResult:
     max_abs_deviation: float
     tolerance: float
     passed: bool
+    worst_at: dict | None = None  # inputs of the largest deviation
 
     @staticmethod
-    def from_deviation(name: str, deviation: float, tolerance: float) -> "CheckResult":
-        return CheckResult(name, deviation, tolerance, deviation <= tolerance)
+    def from_deviation(name: str, deviation: float, tolerance: float,
+                       worst_at: dict | None = None) -> "CheckResult":
+        return CheckResult(name, deviation, tolerance, deviation <= tolerance, worst_at)
 
 
 def probability_grid(step: float = 0.05) -> list[tuple[float, float]]:
@@ -62,91 +66,143 @@ def run_oracle_checks(
     """Run every equivalence suite; `inject_fault` perturbs one circuit
     amplitude by 1e-6 as a sensitivity canary that must trip the first check.
     """
-    grid = probability_grid(grid_step)
-    results = [
-        _check_circuit_vs_superposition(grid, step_counts, inject_fault),
-        _check_overlap_identity(identity_draws, seed),
-        _check_reconstruction(grid),
-        _check_success_probability(grid, step_counts),
-        _check_complexity_ordering(grid),
-    ]
-    return results
+    step_counts = tuple(step_counts)
+    for steps in step_counts:
+        if not 1 <= steps <= MAX_CIRCUIT_STEPS:
+            raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
+    grid = np.array(probability_grid(grid_step))
+    size = max(1, CHUNK_AMPLITUDES // (4 * 2 ** max(*step_counts, RECONSTRUCTION_STEPS)))
+    chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)
+              for lo in range(0, len(grid), size)]
+    circuit, success, reconstruction, complexity = (_first_max(parts) for parts in zip(*chunks))
+    checks = [("circuit_vs_superposition", circuit, TOL.exact),
+              ("overlap_vs_bhattacharyya", _overlap_identity(identity_draws, seed), TOL.exact),
+              ("reconstruction_vs_direct_density", reconstruction, TOL.exact),
+              ("success_probability", success, TOL.exact),
+              ("quantum_below_classical_complexity", complexity, TOL.prob_sum)]
+    # a deviation below 0 (a complexity gap) or an empty suite counts as 0
+    return [CheckResult.from_deviation(name, max(dev, 0.0), tol, at) for name, (dev, at), tol in checks]
 
 
-def _check_circuit_vs_superposition(grid, step_counts, inject_fault: bool) -> CheckResult:
-    worst = 0.0
-    first = True
-    for stay_heads, stay_tails in grid:
-        coin = PerturbedCoin(stay_heads, stay_tails)
-        for start in (CausalState.S0, CausalState.S1):
-            for steps in step_counts:
-                state = run_circuit(coin, start, steps)
-                amps = state.amplitudes
-                if inject_fault and first:
-                    amps = amps.copy()
-                    amps[0, 0] += 1e-6
-                    first = False
-                ideal = ideal_output_state(coin, start, steps)
-                worst = max(worst, float(np.abs(amps - ideal.amplitudes).max()))
-                dist, _ = arrival_time_distribution(state)
-                enum = future_distribution(coin, start, steps)
-                worst = max(worst, float(np.abs(dist.bins - enum.bins).max()))
-    return CheckResult.from_deviation("circuit_vs_superposition", worst, TOL.exact)
+def _worst(dev: np.ndarray, locate) -> tuple[float, dict | None]:
+    """The largest entry of `dev` and `locate` applied to its first index."""
+    if dev.size == 0:
+        return -np.inf, None
+    index = np.unravel_index(np.argmax(dev), dev.shape)
+    return float(dev[index]), locate(*(int(i) for i in index))
 
 
-def _check_overlap_identity(draws: int, seed: int) -> CheckResult:
+def _first_max(parts) -> tuple[float, dict | None]:
+    return max(parts, key=lambda part: part[0])  # the earliest on a tie
+
+
+def _grid_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: bool) -> tuple:
+    """(worst, location) of the four grid suites on one chunk of (l, m) rows."""
+    def at(row: int, start: str | None, steps: int | None) -> dict:
+        return {"l": float(grid[row, 0]), "m": float(grid[row, 1]), "start": start, "steps": steps}
+
+    circuit, success = _circuit_suites(PerturbedCoin(grid[:, 0], grid[:, 1]), step_counts, inject_fault)
+    # the reducible chain l = m = 1 has no unique stationary weights
+    irreducible = ~((grid[:, 0] == 1.0) & (grid[:, 1] == 1.0))
+    reconstruction, complexity = np.full((2, len(grid)), -np.inf)
+    if irreducible.any():
+        reconstruction[irreducible], complexity[irreducible] = _weight_suites(
+            PerturbedCoin(grid[irreducible, 0], grid[irreducible, 1]))
+    return (_worst(circuit, lambda row, s, k: at(row, _STARTS[s], step_counts[k])),
+            _worst(success, lambda row, s, k: at(row, _STARTS[s], k + 1)),
+            _worst(reconstruction, lambda row: at(row, None, RECONSTRUCTION_STEPS)),
+            _worst(complexity, lambda row: at(row, None, None)))
+
+
+def _circuit_suites(coins: PerturbedCoin, step_counts: tuple[int, ...], inject_fault: bool) -> tuple:
+    """One propagation per start up to max(step_counts): the circuit against
+    the superposition and the enumeration, axes (coin, start, entry of
+    `step_counts`), and the post-selection account, axes (coin, start, block).
+    """
+    t, pair = transition_matrix(coins), causal_pair(coins)
+    block_pair = pair[:, None]  # shared by both starts
+    amps = pair[:, :, None, :]  # the prepared input of each start
+    blocks, futures = _propagate(amps, block_pair), _recurrence(t[:, None], t)
+    matched, accounting = {}, []
+    for steps in range(1, max(step_counts) + 1):
+        retained, discarded = _arm_norms(amps, block_pair)
+        dev = np.abs(retained + discarded - 1.0)
+        amps, success = next(blocks)
+        bins = next(futures)
+        if steps in step_counts:
+            dev = np.maximum(dev, abs(success - 0.5**steps))
+            _require_distribution(bins)
+            ideal = _superposition(bins, block_pair)
+            _require_normalized(ideal, "output state")
+            arrival = _bin_probabilities(amps)
+            _require_distribution(arrival)
+            circuit = amps
+            if inject_fault and steps == step_counts[0]:
+                circuit = amps.copy()
+                circuit[0, 0, 0, 0] += 1e-6
+            matched[steps] = np.maximum(np.abs(circuit - ideal).max(axis=(-2, -1)),
+                                        np.abs(arrival - bins).max(axis=-1))
+        accounting.append(dev)
+    return np.stack([matched[k] for k in step_counts], axis=-1), np.stack(accounting, axis=-1)
+
+
+def _weight_suites(coins: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
+    """Per coin: the worst reconstruction deviation over both weight methods,
+    and C_q - C_mu at the exact stationary weights.
+    """
+    pair = causal_pair(coins)
+    reconstruction = complexity = -np.inf
+    for method in (WeightMethod.EXACT_STATIONARY, WeightMethod.THREE_STEP_MARGINAL):
+        s0, s1 = _stationary(coins, method)
+        _require_weights(s0, s1)
+        rebuilt = _reconstruction(pair, np.stack([s0, s1], axis=-1), RECONSTRUCTION_STEPS)
+        direct = _mixture(pair, s0, s1)
+        for rho in (rebuilt, direct):
+            _require_density(rho)
+        reconstruction = np.maximum(reconstruction, np.abs(rebuilt - direct).max(axis=(-2, -1)))
+        if method is WeightMethod.EXACT_STATIONARY:
+            complexity = _entropy(direct) - _entropy_bits(s0, 1.0 - s0)
+    return reconstruction, complexity
+
+
+def _overlap_identity(draws: int, seed: int) -> tuple[float, dict | None]:
+    """M-step output overlap against the (M + 1)-step Bhattacharyya
+    coefficient on random process pairs, M in 1..3.  Each draw takes its
+    values from the RNG in one fixed order; a chunk of draws is evaluated
+    grouped by M.
+    """
     rng = np.random.default_rng(seed)
-    starts = (CausalState.S0, CausalState.S1)
-    worst = 0.0
-    for _ in range(draws):
-        proc_a = ProcessSpec(PerturbedCoin(rng.random(), rng.random()))
-        proc_b = ProcessSpec(PerturbedCoin(rng.random(), rng.random()))
-        start_a = starts[rng.integers(2)]
-        start_b = starts[rng.integers(2)]
-        steps = int(rng.integers(1, 4))
-        quantum_route = output_overlap(proc_a, start_a, proc_b, start_b, steps)
-        classical_route = bhattacharyya_futures(proc_a, start_a, proc_b, start_b, steps + 1)
-        worst = max(worst, abs(quantum_route - classical_route))
-    return CheckResult.from_deviation("overlap_vs_bhattacharyya", worst, TOL.exact)
+    size = CHUNK_AMPLITUDES // 32
+    parts = [(-np.inf, None)]
+    for lo in range(0, draws, size):
+        # l_a, m_a, l_b, m_b, start_a, start_b, M
+        table = np.array([(rng.random(), rng.random(), rng.random(), rng.random(),
+                           rng.integers(2), rng.integers(2), rng.integers(1, 4))
+                          for _ in range(min(size, draws - lo))])
+        dev = np.empty(len(table))
+        for steps in np.unique(table[:, 6]).astype(int):
+            rows = table[:, 6] == steps
+            dev[rows] = _overlap_deviation(table[rows], steps)
+
+        def at(row: int, draw: np.ndarray = table, lo: int = lo) -> dict:
+            l_a, m_a, l_b, m_b, start_a, start_b, steps = draw[row].tolist()
+            return {"draw": lo + row, "steps": int(steps),
+                    "process_a": {"l": l_a, "m": m_a, "start": _STARTS[int(start_a)]},
+                    "process_b": {"l": l_b, "m": m_b, "start": _STARTS[int(start_b)]}}
+        parts.append(_worst(dev, at))
+    return _first_max(parts)
 
 
-def _check_reconstruction(grid, steps: int = 3) -> CheckResult:
-    worst = 0.0
-    for stay_heads, stay_tails in grid:
-        if stay_heads == 1.0 and stay_tails == 1.0:
-            continue  # no unique stationary weights
-        coin = PerturbedCoin(stay_heads, stay_tails)
-        for method in (WeightMethod.EXACT_STATIONARY, WeightMethod.THREE_STEP_MARGINAL):
-            weights = stationary_weights(coin, method)
-            rebuilt = reconstruct_memory_density(coin, weights, steps)
-            direct = memory_density(coin, weights)
-            worst = max(worst, float(np.abs(rebuilt.matrix - direct.matrix).max()))
-    return CheckResult.from_deviation("reconstruction_vs_direct_density", worst, TOL.exact)
-
-
-def _check_success_probability(grid, step_counts) -> CheckResult:
-    worst = 0.0
-    for stay_heads, stay_tails in grid:
-        coin = PerturbedCoin(stay_heads, stay_tails)
-        for start in (CausalState.S0, CausalState.S1):
-            state = prepare_input(coin, start)
-            for steps in range(1, max(step_counts) + 1):
-                retained, discarded = block_norm_accounting(state, coin)
-                worst = max(worst, abs(retained + discarded - 1.0))
-                state = apply_block(state, coin)
-                if steps in step_counts:
-                    worst = max(worst, abs(state.success_probability - 0.5**steps))
-    return CheckResult.from_deviation("success_probability", worst, TOL.exact)
-
-
-def _check_complexity_ordering(grid) -> CheckResult:
-    worst = 0.0
-    for stay_heads, stay_tails in grid:
-        if stay_heads == 1.0 and stay_tails == 1.0:
-            continue
-        coin = PerturbedCoin(stay_heads, stay_tails)
-        weights = stationary_weights(coin)
-        c_mu = classical_complexity(weights)
-        c_q = von_neumann_entropy(memory_density(coin, weights))
-        worst = max(worst, c_q - c_mu)
-    return CheckResult.from_deviation("quantum_below_classical_complexity", max(worst, 0.0), TOL.prob_sum)
+def _overlap_deviation(table: np.ndarray, steps: int) -> np.ndarray:
+    """|overlap - Bhattacharyya| for draws that share the step count."""
+    routes = []
+    for l_col, m_col, start_col in ((0, 1, 4), (2, 3, 5)):
+        coin = PerturbedCoin(table[:, l_col], table[:, m_col])
+        t = transition_matrix(coin)
+        first = t[np.arange(len(table)), table[:, start_col].astype(int)]
+        bins = list(islice(_recurrence(t, first), steps - 1, steps + 1))  # M and M + 1 steps
+        for b in bins:
+            _require_distribution(b)
+        routes.append((causal_pair(coin), *bins))
+    (pair_a, a_m, a_next), (pair_b, b_m, b_next) = routes
+    return np.abs(_overlap(a_m, b_m, pair_a, pair_b) - _bhattacharyya(a_next, b_next))

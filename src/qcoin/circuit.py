@@ -16,21 +16,23 @@ the input; the 1/sqrt(2) post-selection factor and the renormalization of
 the kept state cancel.  `block_norm_accounting` tracks both arms explicitly
 to verify that bookkeeping.  All blocks of a run share one coin, so
 `run_circuit` validates the causal states once per run, checks the photon
-norm after every block and builds one `PhotonState` at the end.
+norm after every block and builds one `PhotonState` at the end.  The
+kernels take leading batch axes (coins of a grid, start states).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .constants import FIRST_DELAY_NS, TOL
 from .encoding import bits_to_index, index_to_bits, lexicographic_bins
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
-from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights
-from .quantum import DensityMatrix2, causal_pair, causal_state
+from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution
+from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, causal_pair, causal_state
 
 MAX_CIRCUIT_STEPS = 12
 
@@ -60,7 +62,7 @@ class PhotonState:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        _require_normalized(amps)
+        _require_normalized(amps, "photon state")
         if not 0.0 < self.success_probability <= 1.0:
             raise InvalidParameter(
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
@@ -78,15 +80,28 @@ class PhotonState:
         }
 
 
-def _require_normalized(amps: np.ndarray) -> None:
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > TOL.state_norm:
-        raise InvalidParameter(f"photon state is not normalized: |.|^2 = {norm_sq!r}")
-
-
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """One block on (n, 2) amplitudes; the rows of `pair` are |S0> and |S1>."""
-    return (amps.T[:, :, None] * pair[:, None, :]).reshape(-1, 2)
+    """One block on (..., n, 2) amplitudes; the rows of `pair` (..., 2, 2) are |S0> and |S1>.
+    H times |S0> fills the lower n bins, V times |S1> the upper n."""
+    out = amps.mT[..., None] * pair[..., None, :]
+    return out.reshape(out.shape[:-3] + (-1, 2))
+
+
+def _propagate(amps: np.ndarray, pair: np.ndarray):
+    """Yield (amplitudes, success probability) after each further block, norm checked."""
+    success = 1.0
+    while True:
+        amps = _block(amps, pair)
+        _require_normalized(amps, "photon state")
+        success *= 0.5  # exact in binary
+        yield amps, success
+
+
+def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
+    """(amplitudes, success probability) after `steps` blocks from one-bin input `start` (..., 2)."""
+    if not 1 <= steps <= MAX_CIRCUIT_STEPS:
+        raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
+    return next(islice(_propagate(start[..., None, :], pair), steps - 1, None))
 
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
@@ -113,28 +128,25 @@ def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[floa
     Returns (retained, discarded); for a normalized input these sum to 1
     and each equals 1/2 regardless of the coin and the input state.
     """
-    n = state.amplitudes.shape[0]
-    retained = _block(state.amplitudes, causal_pair(coin)) * (1.0 / math.sqrt(2.0))
-    discarded = np.concatenate([retained[:n], -retained[n:]])
-    return (
-        float(np.vdot(retained, retained).real),
-        float(np.vdot(discarded, discarded).real),
-    )
+    retained, discarded = _arm_norms(state.amplitudes, causal_pair(coin))
+    return float(retained), float(discarded)
+
+
+def _arm_norms(amps: np.ndarray, pair: np.ndarray) -> tuple:
+    """(retained, discarded) squared norms of one block on (..., n, 2) amplitudes."""
+    n = amps.shape[-2]
+    retained = _block(amps, pair) * (1.0 / math.sqrt(2.0))
+    discarded = np.concatenate([retained[..., :n, :], -retained[..., n:, :]], axis=-2)
+    return _norm_sq(retained, 2), _norm_sq(discarded, 2)
 
 
 def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonState:
     """Send one photon through `steps` identical blocks; bit-identical to
     `prepare_input` followed by `steps` calls to `apply_block`.
     """
-    if not 1 <= steps <= MAX_CIRCUIT_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
     pair = causal_pair(coin)
-    amps = pair[start.value][None, :]
-    for _ in range(steps):
-        amps = _block(amps, pair)
-        _require_normalized(amps)
-    # exact in binary, so equal to halving `steps` times
-    return PhotonState(steps, amps, 0.5**steps)
+    amps, success = _run(pair, pair[start.index], steps)
+    return PhotonState(steps, amps, success)
 
 
 def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -142,10 +154,14 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     steps = state.steps_applied
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    amps = state.amplitudes
-    probs = (amps.real**2 + amps.imag**2).sum(axis=1)
+    probs = _bin_probabilities(state.amplitudes)
     # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
     return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
+
+
+def _bin_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Probability of each time bin, both polarizations: (..., n, 2) -> (..., n)."""
+    return (amps.real**2 + amps.imag**2).sum(axis=-1)
 
 
 def arrival_time_csv_rows(state: PhotonState) -> list[tuple[str, float, float]]:
@@ -161,10 +177,7 @@ def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
     Noise-free equivalent of the tomographic reconstruction at one arrival
     time; always the projector onto the causal state of the final outcome.
     """
-    return _bin_polarization(state, bits_to_index(bits))
-
-
-def _bin_polarization(state: PhotonState, index: int) -> DensityMatrix2:
+    index = bits_to_index(bits)
     row = state.amplitudes[index]
     p = float((row.real**2 + row.imag**2).sum())
     if p <= TOL.empty_bin:
@@ -185,15 +198,22 @@ def reconstruct_memory_density(
     conditional polarization state by its probability and the input weight;
     matches the direct causal-state mixture.
     """
-    rho = np.zeros((2, 2), dtype=complex)
-    for weight, start in ((weights.s0, CausalState.S0), (weights.s1, CausalState.S1)):
-        if weight == 0.0:
-            continue
-        state = run_circuit(coin, start, steps)
-        dist, _ = arrival_time_distribution(state)
-        for b in np.flatnonzero(dist.bins > TOL.empty_bin):
-            rho += weight * dist.bins[b] * _bin_polarization(state, b).matrix
-    return DensityMatrix2(rho)
+    return DensityMatrix2(_reconstruction(causal_pair(coin), np.array([weights.s0, weights.s1]), steps))
+
+
+def _reconstruction(pair: np.ndarray, weights: np.ndarray, steps: int) -> np.ndarray:
+    """`reconstruct_memory_density` for (..., 2, 2) pairs and (..., 2) start weights.  Bins at or
+    below TOL.empty_bin and zero-weight starts are left out; every conditional state used is
+    checked as a density matrix.  Terms are added start by start, bin by bin."""
+    amps, _ = _run(pair[..., None, :, :], pair, steps)  # (..., start, bin, polarization)
+    probs = _bin_probabilities(amps)
+    _require_distribution(probs)
+    used = (probs > TOL.empty_bin) & (weights[..., None] != 0.0)
+    rows = amps / np.sqrt(np.where(used, probs, 1.0))[..., None]
+    states = rows[..., :, None] * rows.conj()[..., None, :]
+    _require_density(states[used])
+    terms = np.where(used[..., None, None], (weights[..., None] * probs)[..., None, None] * states, 0.0)
+    return sum(np.moveaxis(terms.reshape(terms.shape[:-4] + (-1, 2, 2)), -3, 0))
 
 
 def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:

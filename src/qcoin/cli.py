@@ -118,12 +118,17 @@ def command_record(config: dict, command: str) -> dict:
 
 
 def _number(value, key: str, kind: type = float):
-    """`kind(value)` for a config field; a value that does not convert is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}") from None
+    """`kind(value)` for a config field.  A bool, a non-integral number for an
+    integer field, or a value that does not convert is a ConfigError.
+    """
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
 
 
 def _seed(value) -> int:
@@ -392,12 +397,14 @@ def cmd_compare_sweep(config: dict, out_dir: Path) -> int:
     plot_series = []
     all_records = []
     for entry in series_records:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"each 'series' entry must be an object, got {entry!r}")
         name = str(entry.get("name", "series"))
-        fixed_spec = ProcessSpec(_coin(entry["fixed"]), label=f"{name}-fixed")
-        fixed_start = _start(entry["fixed"].get("start", "S0"))
-        varying = entry.get("varying")
-        if not isinstance(varying, dict):
-            raise ConfigError(f"series {name!r} needs a 'varying' record")
+        fixed, varying = entry.get("fixed"), entry.get("varying")
+        if not isinstance(fixed, dict) or not isinstance(varying, dict):
+            raise ConfigError(f"series {name!r} needs 'fixed' and 'varying' records")
+        fixed_spec = ProcessSpec(_coin(fixed), label=f"{name}-fixed")
+        fixed_start = _start(fixed.get("start", "S0"))
         stay_tails = _prob(varying, "m")
         start = _start(varying.get("start", "S0"))
         l_values = _prob_list(varying, "l_values")
@@ -433,7 +440,9 @@ def cmd_oracle_check(config: dict, out_dir: Path, seed_override: int | None = No
     if seed_override is not None:
         record["seed"] = seed_override
     seed = _seed(record.get("seed", 7))
-    inject_fault = bool(record.get("inject_fault", False))
+    inject_fault = record.get("inject_fault", False)
+    if not isinstance(inject_fault, bool):
+        raise ConfigError(f"config key 'inject_fault' must be true or false, got {inject_fault!r}")
     digest = config_hash(config)
 
     results = run_oracle_checks(
@@ -452,6 +461,7 @@ def cmd_oracle_check(config: dict, out_dir: Path, seed_override: int | None = No
                 "max_abs_deviation": r.max_abs_deviation,
                 "tolerance": r.tolerance,
                 "passed": r.passed,
+                "worst_at": r.worst_at,
             }
             for r in results
         ],

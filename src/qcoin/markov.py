@@ -7,7 +7,8 @@ A future distribution is a float64 array over the time-bin index (first
 outcome = least-significant bit), built by the doubling recurrence
 p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
 (`trajectory_probability`) is kept as the brute-force oracle of the tests;
-outcome strings appear only at the CSV/JSON edge.
+outcome strings appear only at the CSV/JSON edge.  The kernels and
+validators take leading batch axes, for the grid passes of `checks`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -60,7 +62,7 @@ class PerturbedCoin:
 
     `stay_heads` is the probability that a coin showing heads (outcome 0)
     still shows heads after the perturbation; `stay_tails` likewise for
-    tails (outcome 1).
+    tails (outcome 1).  Both may be arrays of one shape: a grid of coins.
     """
 
     stay_heads: float
@@ -68,18 +70,21 @@ class PerturbedCoin:
 
     def __post_init__(self) -> None:
         for name, p in (("stay_heads", self.stay_heads), ("stay_tails", self.stay_tails)):
-            if not 0.0 <= p <= 1.0:
-                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {p}")
+            outside = np.logical_not((p >= 0.0) & (p <= 1.0))
+            if _any(outside):
+                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {np.asarray(p)[outside].flat[0]}")
+
+
+def _any(flags) -> bool:
+    """Whether any flag is set; a plain truth test for one value (cheaper than numpy's `.any()`)."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
 def transition_matrix(coin: PerturbedCoin) -> np.ndarray:
-    """Row-stochastic matrix T with T[i, j] = P(emit j | causal state S_i)."""
-    return np.array(
-        [
-            [coin.stay_heads, 1.0 - coin.stay_heads],
-            [1.0 - coin.stay_tails, coin.stay_tails],
-        ]
-    )
+    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins."""
+    heads, tails = coin.stay_heads, coin.stay_tails
+    t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
+    return t if t.ndim == 2 else np.moveaxis(t, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,17 @@ class StationaryWeights:
     method: WeightMethod | None = None
 
     def __post_init__(self) -> None:
-        if self.s0 < 0.0 or self.s1 < 0.0:
-            raise InvalidParameter("stationary weights must be nonnegative")
-        if abs(self.s0 + self.s1 - 1.0) > TOL.exact:
-            raise InvalidParameter(f"stationary weights must sum to 1, got {self.s0 + self.s1!r}")
+        _require_weights(self.s0, self.s1)
+
+
+def _require_weights(s0, s1) -> None:
+    """The `StationaryWeights` checks, elementwise."""
+    if _any((s0 < 0.0) | (s1 < 0.0)):
+        raise InvalidParameter("stationary weights must be nonnegative")
+    total = s0 + s1
+    off = abs(total - 1.0) > TOL.exact
+    if _any(off):
+        raise InvalidParameter(f"stationary weights must sum to 1, got {float(np.asarray(total)[off].flat[0])!r}")
 
 
 def stationary_weights(
@@ -117,35 +129,47 @@ def stationary_weights(
     Raises ReducibleChain when the denominator of the chosen method
     vanishes, which happens exactly when both stay probabilities are 1.
     """
-    if method is WeightMethod.EXACT_STATIONARY:
-        leave_heads = 1.0 - coin.stay_heads
-        leave_tails = 1.0 - coin.stay_tails
-        denom = leave_heads + leave_tails
-        if denom == 0.0:
-            raise ReducibleChain("both stay probabilities are 1; supply weights explicitly")
-        return StationaryWeights(leave_tails / denom, leave_heads / denom, method)
+    s0, s1 = _stationary(coin, method)
+    return StationaryWeights(float(s0), float(s1), method)
 
-    # Added in string order, where the last outcome alternates 0, 1, 0, 1, ...
-    in_order = lexicographic_bins(3)
-    flip_from_s0 = sum(future_distribution(coin, CausalState.S0, 3).bins[in_order[1::2]].tolist())
-    flip_from_s1 = sum(future_distribution(coin, CausalState.S1, 3).bins[in_order[0::2]].tolist())
-    denom = flip_from_s0 + flip_from_s1
-    if denom == 0.0:
+
+def _stationary(coin: PerturbedCoin, method: WeightMethod) -> tuple:
+    """Unvalidated (s0, s1) of `stationary_weights`, elementwise over a grid of coins."""
+    if method is WeightMethod.EXACT_STATIONARY:
+        leave_heads, leave_tails = 1.0 - coin.stay_heads, 1.0 - coin.stay_tails
+    else:
+        t = transition_matrix(coin)
+        bins = next(islice(_recurrence(t[..., None, :, :], t), 2, None))  # 3 steps from S0, S1
+        _require_distribution(bins)
+        # added one by one in string order, where the last outcome alternates 0, 1, 0, 1, ...
+        in_order = lexicographic_bins(3)
+        leave_heads = sum(bins[..., 0, b] for b in in_order[1::2])
+        leave_tails = sum(bins[..., 1, b] for b in in_order[0::2])
+    denom = leave_heads + leave_tails
+    if _any(denom == 0.0):
         raise ReducibleChain("both stay probabilities are 1; supply weights explicitly")
-    return StationaryWeights(flip_from_s1 / denom, flip_from_s0 / denom, method)
+    return leave_tails / denom, leave_heads / denom
 
 
 def classical_complexity(weights: StationaryWeights) -> float:
     """Shannon entropy (bits) of the stationary causal-state weights."""
-    return _binary_entropy(weights.s0)
+    return float(_entropy_bits(weights.s0, 1.0 - weights.s0))
 
 
-def _binary_entropy(p: float) -> float:
+def _entropy_bits(*probs):
+    """Entropy in bits of (probs[0], probs[1], ...), elementwise, zero terms skipped.
+
+    Uses libm's `math.log2`: np.log2 differs from it in the last bit on some inputs.
+    """
     h = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            h -= q * math.log2(q)
+    for q in probs:
+        h = h - (_plogp(q) if isinstance(q, float)
+                 else np.array([_plogp(x) for x in q.ravel().tolist()]).reshape(q.shape))
     return h
+
+
+def _plogp(p: float) -> float:
+    return p * math.log2(p) if p > 0.0 else 0.0
 
 
 def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -> float:
@@ -195,13 +219,7 @@ class OutcomeDistribution:
             raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
         p.flags.writeable = False
         object.__setattr__(self, "bins", p)
-        if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
-            b = int(np.argmax(~((p >= -TOL.exact) & (p <= 1.0 + TOL.exact))))
-            bits = index_to_bits(b, self.steps)
-            raise InvalidParameter(f"probability of {bits!r} out of [0, 1]: {p[b]!r}")
-        total = float(p.sum())
-        if abs(total - 1.0) > TOL.prob_sum:
-            raise InvalidParameter(f"probabilities sum to {total!r}, not 1")
+        _require_distribution(p)
 
     @property
     def probabilities(self) -> dict[str, float]:
@@ -223,20 +241,40 @@ class OutcomeDistribution:
         return cls(int(payload.pop("steps")), {k: float(v) for k, v in payload.items()})
 
 
+def _require_distribution(p: np.ndarray) -> None:
+    """The `OutcomeDistribution` checks on (..., 2**steps) bins: entries in [0, 1], sums 1."""
+    if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
+        b = np.unravel_index(np.argmax(~((p >= -TOL.exact) & (p <= 1.0 + TOL.exact))), p.shape)
+        bits = index_to_bits(int(b[-1]), p.shape[-1].bit_length() - 1)
+        raise InvalidParameter(f"probability of {bits!r} out of [0, 1]: {p[b]!r}")
+    total = p.sum(axis=-1)
+    off = abs(total - 1.0) > TOL.prob_sum
+    if _any(off):
+        raise InvalidParameter(f"probabilities sum to {float(np.asarray(total)[off].flat[0])!r}, not 1")
+
+
+def _recurrence(t: np.ndarray, first: np.ndarray):
+    """Yield the future bins after 1, 2, ... steps from (..., 2, 2) transition
+    matrices and the first step's (..., 2) row; the lower half of a k-step
+    array ends in outcome 0, the upper half in 1.
+    """
+    # factor of the next outcome x (axis -3) after last outcome y (axis -2, the halves of p)
+    factors = t.mT[..., None]
+    lead, p = first.shape[:-1], first
+    while True:
+        yield p
+        p = (factors * p.reshape(lead + (1, 2, -1))).reshape(lead + (-1,))
+
+
 def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> OutcomeDistribution:
     """Exact distribution over all 2**steps outcome strings, by the doubling
-    recurrence: the lower half of a k-step array ends in outcome 0, the upper
-    half in 1.  Factors multiply in the order of `trajectory_probability`,
+    recurrence.  Factors multiply in the order of `trajectory_probability`,
     so every bin is bit-identical to it.
     """
     if not 1 <= steps <= MAX_ENUMERATION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {steps}")
     t = transition_matrix(coin)
-    p = t[start.index]
-    for _ in range(steps - 1):
-        # bins of the next outcome x (major axis) after last outcome y (the halves of p)
-        p = (t.T[:, :, None] * p.reshape(2, -1)).ravel()
-    return OutcomeDistribution(steps, p)
+    return OutcomeDistribution(steps, next(islice(_recurrence(t, t[start.index]), steps - 1, None)))
 
 
 def sample_trajectories(

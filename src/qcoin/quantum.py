@@ -3,12 +3,12 @@
 Causal-state vectors over the polarization basis, the memory density matrix
 and its von Neumann entropy, the ideal multi-step output superposition, and
 closed-form overlaps between the statistical futures of two processes.
+As in `markov`, the kernels and validators take leading batch axes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +21,37 @@ from .errors import (
     NonPhysicalState,
     StepCountTooLarge,
 )
-from .markov import CausalState, PerturbedCoin, OutcomeDistribution, StationaryWeights, future_distribution
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
+                     future_distribution, transition_matrix)
 
 # The output superposition holds 2**(steps+1) amplitudes.
 MAX_SUPERPOSITION_STEPS = 12
 
 
-def _require_real(value: complex, what: str) -> float:
-    if abs(value.imag) > TOL.imag_residue:
-        raise InternalError(f"{what} has imaginary residue {value.imag!r}")
-    return float(value.real)
+def _require_real(value, what: str):
+    """Real part of a numpy complex value or array, imaginary parts checked against TOL.imag_residue."""
+    off = abs(value.imag) > TOL.imag_residue
+    if _any(off):
+        raise InternalError(f"{what} has imaginary residue {float(np.asarray(value.imag)[off].flat[0])!r}")
+    return value.real
+
+
+def _norm_sq(amps: np.ndarray, axes: int):
+    """Squared norms over the last `axes` axes: a float from np.vdot for one
+    state, np.vecdot over a batch (the two agree bit for bit).
+    """
+    if amps.ndim == axes:
+        return float(np.vdot(amps, amps).real)
+    flat = amps.reshape(amps.shape[:-axes] + (-1,)) if axes > 1 else amps
+    return np.vecdot(flat, flat).real
+
+
+def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm, axes: int = 2) -> None:
+    """Unit squared norm within `tol` over the last `axes` axes of every state."""
+    norm_sq = _norm_sq(amps, axes)
+    off = abs(norm_sq - 1.0) > tol
+    if _any(off):
+        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {float(np.asarray(norm_sq)[off].flat[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +64,7 @@ class CausalStateVector:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(2).copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > TOL.exact:
-            raise InvalidParameter(f"causal-state vector is not normalized: |.|^2 = {norm_sq!r}")
+        _require_normalized(amps, "causal-state vector", TOL.exact, axes=1)
 
 
 def causal_state(coin: PerturbedCoin, state: CausalState) -> CausalStateVector:
@@ -55,16 +74,15 @@ def causal_state(coin: PerturbedCoin, state: CausalState) -> CausalStateVector:
     S1 -> (sqrt(1 - stay_tails), sqrt(stay_tails)).
     Both are real and nonnegative by construction.
     """
-    if state is CausalState.S0:
-        a0, a1 = math.sqrt(coin.stay_heads), math.sqrt(1.0 - coin.stay_heads)
-    else:
-        a0, a1 = math.sqrt(1.0 - coin.stay_tails), math.sqrt(coin.stay_tails)
-    return CausalStateVector(np.array([a0, a1], dtype=complex))
+    return CausalStateVector(np.sqrt(transition_matrix(coin)[state.index]))
 
 
 def causal_pair(coin: PerturbedCoin) -> np.ndarray:
-    """(2, 2) array whose rows are the validated |S0> and |S1> of `coin`."""
-    return np.array([causal_state(coin, s).amplitudes for s in (CausalState.S0, CausalState.S1)])
+    """(2, 2) array whose rows are |S0> and |S1> of `coin`, (..., 2, 2) for a grid of coins:
+    the square roots of the transition-matrix rows, norms checked at TOL.exact."""
+    pair = np.sqrt(transition_matrix(coin)).astype(complex)
+    _require_normalized(pair, "causal-state vector", TOL.exact, axes=1)
+    return pair
 
 
 def causal_overlap(
@@ -76,7 +94,7 @@ def causal_overlap(
     """Inner product of two causal-state vectors (real for these states)."""
     a = causal_state(coin_a, state_a).amplitudes
     b = causal_state(coin_b, state_b).amplitudes
-    return _require_real(complex(np.vdot(a, b)), "causal-state overlap")
+    return float(_require_real(np.vdot(a, b), "causal-state overlap"))
 
 
 @dataclass(frozen=True)
@@ -89,13 +107,7 @@ class DensityMatrix2:
         m = np.asarray(self.matrix, dtype=complex).reshape(2, 2).copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if np.abs(m - m.conj().T).max() > TOL.exact:
-            raise InvalidParameter("matrix is not Hermitian")
-        trace = _require_real(complex(m[0, 0] + m[1, 1]), "density-matrix trace")
-        if abs(trace - 1.0) > TOL.exact:
-            raise InvalidParameter(f"trace must be 1, got {trace!r}")
-        if min(_eigenvalues_2x2(m)) < TOL.psd_floor:
-            raise InvalidParameter("matrix is not positive semidefinite")
+        _require_density(m)
 
     def eigenvalues(self) -> tuple[float, float]:
         return _eigenvalues_2x2(self.matrix)
@@ -115,12 +127,24 @@ class DensityMatrix2:
         return cls(np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float))
 
 
-def _eigenvalues_2x2(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a Hermitian 2x2 matrix from trace and determinant."""
-    trace = (m[0, 0] + m[1, 1]).real
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+def _require_density(m: np.ndarray) -> None:
+    """The `DensityMatrix2` checks on (..., 2, 2) matrices: Hermitian, real unit trace, PSD."""
+    if (abs(m - m.swapaxes(-1, -2).conj()) > TOL.exact).any():
+        raise InvalidParameter("matrix is not Hermitian")
+    trace = _require_real(m[..., 0, 0] + m[..., 1, 1], "density-matrix trace")
+    off = abs(trace - 1.0) > TOL.exact
+    if _any(off):
+        raise InvalidParameter(f"trace must be 1, got {float(np.asarray(trace)[off].flat[0])!r}")
+    if _any(_eigenvalues_2x2(m)[0] < TOL.psd_floor):
+        raise InvalidParameter("matrix is not positive semidefinite")
+
+
+def _eigenvalues_2x2(m: np.ndarray) -> tuple:
+    """Eigenvalues (low, high) of Hermitian (..., 2, 2) matrices from trace and determinant."""
+    trace = (m[..., 0, 0] + m[..., 1, 1]).real
+    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
     disc = trace * trace - 4.0 * det
-    root = math.sqrt(max(disc, 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
     return (trace - root) / 2.0, (trace + root) / 2.0
 
 
@@ -132,22 +156,27 @@ def von_neumann_entropy(rho) -> float:
     negative.  Accepts a DensityMatrix2 or a raw 2x2 array.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix2) else np.asarray(rho, dtype=complex)
+    return float(_entropy(m))
+
+
+def _entropy(m: np.ndarray):
+    """Von Neumann entropy of (..., 2, 2) matrices, eigenvalues checked against TOL.entropy_floor."""
     low, high = _eigenvalues_2x2(m)
-    if low < TOL.entropy_floor:
-        raise NonPhysicalState(f"eigenvalue {low!r} is negative beyond tolerance")
-    h = 0.0
-    for lam in (low, high):
-        lam = min(max(lam, 0.0), 1.0)
-        if lam > 0.0:
-            h -= lam * math.log2(lam)
-    return h
+    if _any(low < TOL.entropy_floor):
+        raise NonPhysicalState(f"eigenvalue {np.min(low)!r} is negative beyond tolerance")
+    return _entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0))
 
 
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:
     """Stationary memory state: weighted mixture of the two causal-state projectors."""
-    s0, s1 = causal_pair(coin)
-    rho = weights.s0 * np.outer(s0, s0.conj()) + weights.s1 * np.outer(s1, s1.conj())
-    return DensityMatrix2(rho)
+    return DensityMatrix2(_mixture(causal_pair(coin), weights.s0, weights.s1))
+
+
+def _mixture(pair: np.ndarray, s0, s1) -> np.ndarray:
+    """s0 |S0><S0| + s1 |S1><S1| for (..., 2, 2) pairs and weights of the leading shape."""
+    projectors = pair[..., :, :, None] * pair.conj()[..., :, None, :]
+    return (np.asarray(s0)[..., None, None] * projectors[..., 0, :, :]
+            + np.asarray(s1)[..., None, None] * projectors[..., 1, :, :])
 
 
 @dataclass(frozen=True)
@@ -178,9 +207,7 @@ class IdealOutputState:
             )
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > TOL.state_norm:
-            raise InvalidParameter(f"output state is not normalized: |.|^2 = {norm_sq!r}")
+        _require_normalized(amps, "output state")
 
     def amplitude(self, bits: str, memory_index: int) -> complex:
         return complex(self.amplitudes[bits_to_index(bits), memory_index])
@@ -204,8 +231,15 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     """
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
-    roots = np.sqrt(future_distribution(coin, start, steps).bins).reshape(2, -1)
-    return IdealOutputState(steps, (roots[:, :, None] * causal_pair(coin)[:, None, :]).reshape(-1, 2))
+    return IdealOutputState(steps, _superposition(future_distribution(coin, start, steps).bins,
+                                                  causal_pair(coin)))
+
+
+def _superposition(bins: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """(..., 2**M, 2) amplitudes sqrt(p(x)) |S_xM> from (..., 2**M) bins and (..., 2, 2) pairs."""
+    roots = np.sqrt(bins).reshape(bins.shape[:-1] + (2, -1))
+    amps = roots[..., :, :, None] * pair[..., :, None, :]
+    return amps.reshape(amps.shape[:-3] + (-1, 2))
 
 
 def output_overlap(
@@ -218,12 +252,17 @@ def output_overlap(
     """Overlap of the two simulators' output superpositions, in closed form:
     sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM>.
     """
-    roots = np.sqrt(future_distribution(proc_a.coin, start_a, steps).bins
-                    * future_distribution(proc_b.coin, start_b, steps).bins)
-    ends_0, ends_1 = roots.reshape(2, -1).sum(axis=1)  # halves ending in outcome 0 and 1
-    final_0 = causal_overlap(proc_a.coin, CausalState.S0, proc_b.coin, CausalState.S0)
-    final_1 = causal_overlap(proc_a.coin, CausalState.S1, proc_b.coin, CausalState.S1)
-    return float(ends_0 * final_0 + ends_1 * final_1)
+    return float(_overlap(future_distribution(proc_a.coin, start_a, steps).bins,
+                          future_distribution(proc_b.coin, start_b, steps).bins,
+                          causal_pair(proc_a.coin), causal_pair(proc_b.coin)))
+
+
+def _overlap(bins_a: np.ndarray, bins_b: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray):
+    """sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM> over the last axis of the bins."""
+    roots = np.sqrt(bins_a * bins_b)
+    ends = roots.reshape(roots.shape[:-1] + (2, -1)).sum(axis=-1)  # halves ending in outcome 0 and 1
+    finals = _require_real(np.vecdot(pair_a, pair_b), "causal-state overlap")  # <S_j|T_j> per j
+    return ends[..., 0] * finals[..., 0] + ends[..., 1] * finals[..., 1]
 
 
 def bhattacharyya_futures(
@@ -240,8 +279,13 @@ def bhattacharyya_futures(
     """
     if steps < 1:
         raise InvalidParameter(f"steps must be >= 1, got {steps}")
-    return float(np.sqrt(future_distribution(proc_a.coin, start_a, steps).bins
-                         * future_distribution(proc_b.coin, start_b, steps).bins).sum())
+    return float(_bhattacharyya(future_distribution(proc_a.coin, start_a, steps).bins,
+                                future_distribution(proc_b.coin, start_b, steps).bins))
+
+
+def _bhattacharyya(bins_a: np.ndarray, bins_b: np.ndarray):
+    """sum_x sqrt(p_A(x) p_B(x)) over the last axis."""
+    return np.sqrt(bins_a * bins_b).sum(axis=-1)
 
 
 def process_json_dict(spec: ProcessSpec, start: CausalState) -> dict:

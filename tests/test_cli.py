@@ -265,6 +265,7 @@ class TestOracleCheck:
         failed = {c["name"]: c for c in report["checks"]}["circuit_vs_superposition"]
         assert failed["passed"] is False
         assert failed["max_abs_deviation"] >= 1e-7
+        assert failed["worst_at"] == {"l": 0.0, "m": 0.0, "start": "S0", "steps": 1}
 
 
 class TestCounts:
@@ -375,7 +376,16 @@ class TestConfigHandling:
         "process": {"l": 0.4, "m": 0.7}, "steps": 2, "n": "many", "seed": 1}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": "x"}}),
     ("futures", [{"schema_version": 1}]),
-], ids=["steps", "m_values", "n", "grid_step", "top-level-array"])
+    ("compare-sweep", {"schema_version": 1, "compare-sweep": {"series": [
+        {"name": "a", "varying": {"m": 0.5, "l_values": [0.5]}}]}}),
+    ("compare-sweep", {"schema_version": 1, "compare-sweep": {"series": ["a"]}}),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "steps": True}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"step_counts": [1, True]}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"identity_draws": 2.9}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"inject_fault": "false"}}),
+], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
+        "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
+        "inject_fault-string"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
@@ -385,6 +395,16 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_integral_float_accepted_for_integer_field(tmp_path):
+    cfg = write_config(tmp_path, {
+        "schema_version": 1,
+        "futures": {"l": 0.4, "m_values": [0.5], "steps": 3.0, "start_states": ["S0"]},
+    })
+    assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    _, _, rows = read_csv(tmp_path / "futures.csv")
+    assert len(rows) == 8
 
 
 def test_module_entry_point_smoke():
