@@ -38,14 +38,11 @@ from .markov import (
     transition_matrix,
 )
 from .quantum import (
-    CausalStateVector,
     DensityMatrix2,
     IdealOutputState,
     ProcessSpec,
     bhattacharyya_futures,
-    causal_overlap,
     causal_pair,
-    causal_state,
     ideal_output_state,
     memory_density,
     output_overlap,
@@ -54,7 +51,6 @@ from .quantum import (
 from .circuit import (
     PhotonState,
     apply_block,
-    arrival_time_csv_rows,
     arrival_time_distribution,
     block_gate_unitary,
     block_norm_accounting,
@@ -68,12 +64,9 @@ from .interference import (
     DipCurve,
     VisibilityFit,
     VisibilityRecord,
-    coincidence_probability,
-    dip_curve,
     dip_curve_from_visibility,
     dip_model,
     fit_visibility,
-    state_overlap,
     visibility,
     visibility_records_to_json,
     visibility_sweep,
@@ -107,21 +100,17 @@ __all__ = [
     "stationary_weights",
     "trajectory_probability",
     "transition_matrix",
-    "CausalStateVector",
     "DensityMatrix2",
     "IdealOutputState",
     "ProcessSpec",
     "bhattacharyya_futures",
-    "causal_overlap",
     "causal_pair",
-    "causal_state",
     "ideal_output_state",
     "memory_density",
     "output_overlap",
     "von_neumann_entropy",
     "PhotonState",
     "apply_block",
-    "arrival_time_csv_rows",
     "arrival_time_distribution",
     "block_gate_unitary",
     "block_norm_accounting",
@@ -133,12 +122,9 @@ __all__ = [
     "DipCurve",
     "VisibilityFit",
     "VisibilityRecord",
-    "coincidence_probability",
-    "dip_curve",
     "dip_curve_from_visibility",
     "dip_model",
     "fit_visibility",
-    "state_overlap",
     "visibility",
     "visibility_records_to_json",
     "visibility_sweep",

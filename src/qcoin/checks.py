@@ -21,9 +21,9 @@ from itertools import islice
 
 import numpy as np
 
-from .circuit import MAX_CIRCUIT_STEPS, _arm_norms, _bin_probabilities, _propagate, _reconstruction
-from .constants import TOL
-from .errors import StepCountTooLarge
+from .circuit import _arm_norms, _bin_probabilities, _propagate, _reconstruction
+from .constants import MAX_SUPERPOSITION_STEPS, TOL
+from .errors import InvalidParameter, StepCountTooLarge
 from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
                      _require_weights, _stationary, transition_matrix)
 from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
@@ -51,8 +51,10 @@ class CheckResult:
 
 
 def probability_grid(step: float = 0.05) -> list[tuple[float, float]]:
-    """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2."""
+    """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2; `step` must divide 1."""
     ticks = np.round(np.arange(0.0, 1.0 + step / 2.0, step), 10)
+    if ticks[-1] != 1.0:
+        raise InvalidParameter(f"grid_step {step} does not divide 1: the ticks end at {ticks[-1]}, not 1")
     return [(float(a), float(b)) for a in ticks for b in ticks]
 
 
@@ -68,8 +70,8 @@ def run_oracle_checks(
     """
     step_counts = tuple(step_counts)
     for steps in step_counts:
-        if not 1 <= steps <= MAX_CIRCUIT_STEPS:
-            raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
+        if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
+            raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
     grid = np.array(probability_grid(grid_step))
     size = max(1, CHUNK_AMPLITUDES // (4 * 2 ** max(*step_counts, RECONSTRUCTION_STEPS)))
     chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)

@@ -28,13 +28,11 @@ from itertools import islice
 
 import numpy as np
 
-from .constants import FIRST_DELAY_NS, TOL
-from .encoding import bits_to_index, index_to_bits, lexicographic_bins
+from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
+from .encoding import bits_to_index, index_to_bits
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution
-from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, causal_pair, causal_state
-
-MAX_CIRCUIT_STEPS = 12
+from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, causal_pair
 
 # Polarization basis indices.
 H, V = 0, 1
@@ -99,14 +97,14 @@ def _propagate(amps: np.ndarray, pair: np.ndarray):
 
 def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
     """(amplitudes, success probability) after `steps` blocks from one-bin input `start` (..., 2)."""
-    if not 1 <= steps <= MAX_CIRCUIT_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_CIRCUIT_STEPS}, got {steps}")
+    if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
+        raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
     return next(islice(_propagate(start[..., None, :], pair), steps - 1, None))
 
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
     """Photon in time bin 0 with its polarization set to the initial causal state."""
-    return PhotonState(0, causal_state(coin, start).amplitudes[None, :], 1.0)
+    return PhotonState(0, causal_pair(coin)[start.index][None, :], 1.0)
 
 
 def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
@@ -116,8 +114,8 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     the coin's causal states and the new `PhotonState` on every call.
     """
     k = state.steps_applied
-    if k >= MAX_CIRCUIT_STEPS:
-        raise StepCountTooLarge(f"cannot apply more than {MAX_CIRCUIT_STEPS} blocks")
+    if k >= MAX_SUPERPOSITION_STEPS:
+        raise StepCountTooLarge(f"cannot apply more than {MAX_SUPERPOSITION_STEPS} blocks")
     return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)),
                        state.success_probability * 0.5)
 
@@ -162,13 +160,6 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
 def _bin_probabilities(amps: np.ndarray) -> np.ndarray:
     """Probability of each time bin, both polarizations: (..., n, 2) -> (..., n)."""
     return (amps.real**2 + amps.imag**2).sum(axis=-1)
-
-
-def arrival_time_csv_rows(state: PhotonState) -> list[tuple[str, float, float]]:
-    """(bitstring, time_ns, probability) rows, ordered by bitstring."""
-    dist, times = arrival_time_distribution(state)
-    return [(index_to_bits(b, dist.steps), float(times[b]), float(dist.bins[b]))
-            for b in lexicographic_bins(dist.steps)]
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
@@ -229,7 +220,7 @@ def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
     root_flip = math.sqrt(1.0 - coin.stay_heads)
     r = np.array([[root_stay, -root_flip], [root_flip, root_stay]], dtype=complex)
     r_one = r @ np.array([0.0, 1.0], dtype=complex)
-    s1 = causal_state(coin, CausalState.S1).amplitudes
+    s1 = causal_pair(coin)[CausalState.S1.index]
     delta = math.atan2(s1[1].real, s1[0].real) - math.atan2(r_one[1].real, r_one[0].real)
     v = np.array(
         [[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]],

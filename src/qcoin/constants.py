@@ -22,6 +22,10 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Cap on the step count M of the circuit and of the output superposition,
+# whose states hold 2**(M+1) amplitudes.
+MAX_SUPERPOSITION_STEPS = 12
+
 # The long path of block k delays the photon by 2^(k-1) times this base
 # delay, so every outcome string maps to a unique arrival time (a 3-step
 # run spans 0..14 ns).

@@ -1,8 +1,10 @@
 """Two-photon interference analytics.
 
-Coincidence probability and Hong-Ou-Mandel visibility from exact state
-overlaps, Gaussian-envelope dip curves, visibility estimation by least
-squares, and visibility sweeps over pairs of processes.
+Hong-Ou-Mandel visibility from exact state overlaps, Gaussian-envelope dip
+curves, visibility estimation by least squares, and visibility sweeps over
+pairs of processes.  The overlap magnitude sqrt(v) and the minimum
+coincidence probability (1 - v) / 2 follow from the visibility v and are
+computed where they are written out.
 """
 
 from __future__ import annotations
@@ -55,19 +57,9 @@ def _overlap_squared(psi, phi) -> float:
     return min(v, 1.0)
 
 
-def state_overlap(psi, phi) -> float:
-    """Magnitude of the overlap between two output states."""
-    return math.sqrt(_overlap_squared(psi, phi))
-
-
 def visibility(psi, phi) -> float:
     """HOM dip visibility: the squared magnitude of the state overlap."""
     return _overlap_squared(psi, phi)
-
-
-def coincidence_probability(psi, phi) -> float:
-    """Probability of a twofold coincidence behind a 50:50 beam splitter."""
-    return 0.5 * (1.0 - _overlap_squared(psi, phi))
 
 
 def dip_model(delay_ns, baseline: float, vis: float, sigma_ns: float, center_ns: float = 0.0):
@@ -103,11 +95,6 @@ def dip_curve_from_visibility(
     delays = np.asarray(delays_ns, dtype=float)
     counts = dip_model(delays, baseline, vis, envelope_sigma_ns)
     return DipCurve(delays, counts, envelope_sigma_ns, baseline)
-
-
-def dip_curve(psi, phi, envelope_sigma_ns: float, delays_ns, baseline: float) -> DipCurve:
-    """Ideal HOM dip of two simulator output states under a Gaussian envelope."""
-    return dip_curve_from_visibility(visibility(psi, phi), envelope_sigma_ns, delays_ns, baseline)
 
 
 @dataclass(frozen=True)
@@ -167,16 +154,10 @@ def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000)
 
 @dataclass(frozen=True)
 class VisibilityRecord:
-    """Overlap, visibility and minimum coincidence probability for one pair."""
+    """Interference visibility of one process pair."""
 
-    overlap: float
     visibility: float
-    coincidence_min: float
     process_pair: tuple[tuple[ProcessSpec, CausalState], tuple[ProcessSpec, CausalState]]
-
-    def __post_init__(self) -> None:
-        if abs(self.visibility - self.overlap**2) > TOL.exact:
-            raise InvalidParameter("visibility must equal the squared overlap")
 
 
 def visibility_sweep(
@@ -198,14 +179,7 @@ def visibility_sweep(
     for spec_b, start_b in varying:
         phi = run_circuit(spec_b.coin, start_b, steps)
         v = visibility(psi, phi)
-        records.append(
-            VisibilityRecord(
-                overlap=math.sqrt(v),
-                visibility=v,
-                coincidence_min=0.5 * (1.0 - v),
-                process_pair=((spec_a, start_a), (spec_b, start_b)),
-            )
-        )
+        records.append(VisibilityRecord(v, ((spec_a, start_a), (spec_b, start_b))))
     return records
 
 
@@ -215,9 +189,9 @@ def visibility_records_to_json(records: list[VisibilityRecord]) -> str:
         (spec_a, start_a), (spec_b, start_b) = rec.process_pair
         payload.append(
             {
-                "overlap": rec.overlap,
+                "overlap": math.sqrt(rec.visibility),
                 "visibility": rec.visibility,
-                "coincidence_min": rec.coincidence_min,
+                "coincidence_min": 0.5 * (1.0 - rec.visibility),
                 "process_a": process_json_dict(spec_a, start_a),
                 "process_b": process_json_dict(spec_b, start_b),
             }

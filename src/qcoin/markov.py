@@ -14,7 +14,6 @@ validators take leading batch axes, for the grid passes of `checks`.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -22,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .constants import TOL
-from .encoding import all_bitstrings, bits_to_index, index_to_bits, lexicographic_bins, validate_bits
+from .encoding import all_bitstrings, index_to_bits, lexicographic_bins, validate_bits
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -43,10 +42,6 @@ class CausalState(enum.Enum):
     @property
     def index(self) -> int:
         return self.value
-
-    @classmethod
-    def from_outcome(cls, outcome: str) -> "CausalState":
-        return cls.S1 if outcome == "1" else cls.S0
 
 
 class WeightMethod(enum.Enum):
@@ -226,19 +221,8 @@ class OutcomeDistribution:
         ordered = self.bins[lexicographic_bins(self.steps)].tolist()
         return dict(zip(all_bitstrings(self.steps), ordered))
 
-    def probability(self, bits: str) -> float:
-        return float(self.bins[bits_to_index(bits)])
-
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, **self.probabilities}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutcomeDistribution":
-        payload = json.loads(text)
-        return cls(int(payload.pop("steps")), {k: float(v) for k, v in payload.items()})
 
 
 def _require_distribution(p: np.ndarray) -> None:

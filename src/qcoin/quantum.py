@@ -8,13 +8,12 @@ As in `markov`, the kernels and validators take leading batch axes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TOL
-from .encoding import bits_to_index, index_to_bits
+from .constants import MAX_SUPERPOSITION_STEPS, TOL
+from .encoding import index_to_bits
 from .errors import (
     InternalError,
     InvalidParameter,
@@ -23,9 +22,6 @@ from .errors import (
 )
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
                      future_distribution, transition_matrix)
-
-# The output superposition holds 2**(steps+1) amplitudes.
-MAX_SUPERPOSITION_STEPS = 12
 
 
 def _require_real(value, what: str):
@@ -54,47 +50,13 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
         raise InvalidParameter(f"{what} is not normalized: |.|^2 = {float(np.asarray(norm_sq)[off].flat[0])!r}")
 
 
-@dataclass(frozen=True)
-class CausalStateVector:
-    """Qubit amplitudes of a causal state over the {|0>, |1>} polarization basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(2).copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        _require_normalized(amps, "causal-state vector", TOL.exact, axes=1)
-
-
-def causal_state(coin: PerturbedCoin, state: CausalState) -> CausalStateVector:
-    """Memory state encoding a causal state with square-root amplitudes.
-
-    S0 -> (sqrt(stay_heads), sqrt(1 - stay_heads));
-    S1 -> (sqrt(1 - stay_tails), sqrt(stay_tails)).
-    Both are real and nonnegative by construction.
-    """
-    return CausalStateVector(np.sqrt(transition_matrix(coin)[state.index]))
-
-
 def causal_pair(coin: PerturbedCoin) -> np.ndarray:
-    """(2, 2) array whose rows are |S0> and |S1> of `coin`, (..., 2, 2) for a grid of coins:
-    the square roots of the transition-matrix rows, norms checked at TOL.exact."""
+    """(2, 2) array whose rows are |S0> = (sqrt(l), sqrt(1 - l)) and |S1> = (sqrt(1 - m), sqrt(m)),
+    (..., 2, 2) for a grid of coins: the square roots of the transition-matrix rows, norms checked
+    at TOL.exact."""
     pair = np.sqrt(transition_matrix(coin)).astype(complex)
     _require_normalized(pair, "causal-state vector", TOL.exact, axes=1)
     return pair
-
-
-def causal_overlap(
-    coin_a: PerturbedCoin,
-    state_a: CausalState,
-    coin_b: PerturbedCoin,
-    state_b: CausalState,
-) -> float:
-    """Inner product of two causal-state vectors (real for these states)."""
-    a = causal_state(coin_a, state_a).amplitudes
-    b = causal_state(coin_b, state_b).amplitudes
-    return float(_require_real(np.vdot(a, b), "causal-state overlap"))
 
 
 @dataclass(frozen=True)
@@ -117,14 +79,6 @@ class DensityMatrix2:
             "re": [[float(x.real) for x in row] for row in self.matrix],
             "im": [[float(x.imag) for x in row] for row in self.matrix],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix2":
-        payload = json.loads(text)
-        return cls(np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float))
 
 
 def _require_density(m: np.ndarray) -> None:
@@ -208,9 +162,6 @@ class IdealOutputState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         _require_normalized(amps, "output state")
-
-    def amplitude(self, bits: str, memory_index: int) -> complex:
-        return complex(self.amplitudes[bits_to_index(bits), memory_index])
 
     def marginal_distribution(self) -> OutcomeDistribution:
         """Squared marginal over the memory index: the classical future distribution."""

@@ -196,9 +196,10 @@ def test_step_counts_outside_the_circuit_bound_raise(step_counts):
 
 
 def test_grid_outside_the_unit_square_is_rejected():
-    # a 0.35 grid has a tick at 1.05
-    with pytest.raises(InvalidParameter, match="must be a probability"):
-        run_oracle_checks(grid_step=0.35, step_counts=(1,), identity_draws=1)
+    # a 0.35 grid has a tick at 1.05, a 0.3 grid stops at 0.9
+    for grid_step in (0.35, 0.3):
+        with pytest.raises(InvalidParameter, match=f"grid_step {grid_step} does not divide 1"):
+            run_oracle_checks(grid_step=grid_step, step_counts=(1,), identity_draws=1)
 
 
 def _last_bad(good, bad):

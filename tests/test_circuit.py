@@ -10,7 +10,6 @@ from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
     apply_block,
-    arrival_time_csv_rows,
     arrival_time_distribution,
     block_gate_unitary,
     block_norm_accounting,
@@ -28,7 +27,7 @@ from qcoin.markov import (
     future_distribution,
     stationary_weights,
 )
-from qcoin.quantum import causal_state, ideal_output_state, memory_density, von_neumann_entropy
+from qcoin.quantum import causal_pair, ideal_output_state, memory_density, von_neumann_entropy
 
 S0, S1 = CausalState.S0, CausalState.S1
 
@@ -61,16 +60,14 @@ class TestApplyBlock:
         state = apply_block(prepare_input(coin, S0), coin)
         assert state.steps_applied == 1
         assert state.success_probability == 0.5
-        s0 = causal_state(coin, S0).amplitudes
-        s1 = causal_state(coin, S1).amplitudes
+        s0, s1 = causal_pair(coin)
         assert np.allclose(state.amplitudes[0], math.sqrt(0.4) * s0, atol=1e-15)
         assert np.allclose(state.amplitudes[1], math.sqrt(0.6) * s1, atol=1e-15)
 
     def test_one_block_from_s1(self):
         coin = PerturbedCoin(0.4, 0.7)
         state = apply_block(prepare_input(coin, S1), coin)
-        s0 = causal_state(coin, S0).amplitudes
-        s1 = causal_state(coin, S1).amplitudes
+        s0, s1 = causal_pair(coin)
         assert np.allclose(state.amplitudes[0], math.sqrt(0.3) * s0, atol=1e-15)
         assert np.allclose(state.amplitudes[1], math.sqrt(0.7) * s1, atol=1e-15)
 
@@ -212,13 +209,12 @@ class TestArrivalTimes:
                     assert abs(dist.probabilities[bits] - p) <= 1e-12
 
     def test_csv_rows_shape(self):
-        rows = arrival_time_csv_rows(run_circuit(PerturbedCoin(0.4, 0.7), S1, 3))
-        assert len(rows) == 8
-        assert rows[0][0] == "000"
-        bits, time_ns, prob = rows[-1]
-        assert bits == "111"
-        assert time_ns == 14.0
-        assert prob == pytest.approx(0.343, abs=1e-12)
+        dist, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S1, 3))
+        assert len(times) == 8
+        assert list(dist.probabilities)[0] == "000"
+        last = bits_to_index("111")
+        assert times[last] == 14.0
+        assert dist.bins[last] == pytest.approx(0.343, abs=1e-12)
         # delay constants: 2, 4, 8 ns
         assert [block_delay_ns(k) for k in (1, 2, 3)] == [2.0, 4.0, 8.0]
 
@@ -232,7 +228,7 @@ class TestConditionalPolarization:
     def test_projects_onto_final_causal_state(self):
         coin = PerturbedCoin(0.4, 0.7)
         state = run_circuit(coin, S0, 3)
-        s1 = causal_state(coin, S1).amplitudes
+        s1 = causal_pair(coin)[S1.index]
         for bits in ("001", "011", "101", "111"):
             rho = conditional_polarization(state, bits)
             assert np.abs(rho.matrix - np.outer(s1, s1.conj())).max() <= 1e-12

@@ -340,6 +340,12 @@ class TestConfigHandling:
         assert main(["counts", "--out", str(tmp_path), "--seed", "-3"]) == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["futures", "complexity-sweep", "compare-sweep"])
+    def test_seed_rejected_where_nothing_reads_it(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("QCOIN_OUT_DIR", str(target))
@@ -383,9 +389,11 @@ class TestConfigHandling:
     ("oracle-check", {"schema_version": 1, "oracle-check": {"step_counts": [1, True]}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"identity_draws": 2.9}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"inject_fault": "false"}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 0.3}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 0.35}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
         "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
-        "inject_fault-string"])
+        "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(

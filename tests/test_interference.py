@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,12 +11,9 @@ from qcoin.circuit import run_circuit
 from qcoin.constants import TOL
 from qcoin.errors import DimensionMismatch, FitDidNotConverge, InternalError, InvalidParameter
 from qcoin.interference import (
-    VisibilityRecord,
-    coincidence_probability,
-    dip_curve,
+    dip_curve_from_visibility,
     dip_model,
     fit_visibility,
-    state_overlap,
     visibility,
     visibility_records_to_json,
     visibility_sweep,
@@ -60,29 +58,30 @@ class TestOverlapAndCoincidence:
         psi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)
         phi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)
         assert visibility(psi, phi) == 1.0
-        assert coincidence_probability(psi, phi) == 0.0
+        assert (1.0 - visibility(psi, phi)) / 2.0 == 0.0
 
     def test_orthogonal_states_are_distinguishable(self):
         psi = run_circuit(PerturbedCoin(1.0, 0.5), S0, 3)
         phi = run_circuit(PerturbedCoin(0.0, 0.5), S0, 3)
         assert visibility(psi, phi) == 0.0
-        assert coincidence_probability(psi, phi) == 0.5
+        assert (1.0 - visibility(psi, phi)) / 2.0 == 0.5
 
     def test_mixed_pair_matches_closed_form(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
         phi = run_circuit(PerturbedCoin(1.0, 0.5), S0, 3)
         expected = eq7_oracle(0.5, 0.5, 0, 1.0, 0.5, 0)
-        assert state_overlap(psi, phi) == pytest.approx(expected, abs=1e-12)
-        assert coincidence_probability(psi, phi) == pytest.approx(
-            (1.0 - expected**2) / 2.0, abs=1e-12
-        )
+        v = visibility(psi, phi)
+        assert math.sqrt(v) == pytest.approx(expected, abs=1e-12)
+        assert (1.0 - v) / 2.0 == pytest.approx((1.0 - expected**2) / 2.0, abs=1e-12)
 
     def test_works_on_ideal_output_states(self):
         psi = ideal_output_state(PerturbedCoin(0.3, 0.8), S1, 3)
         phi = ideal_output_state(PerturbedCoin(0.6, 0.1), S0, 3)
         v = visibility(psi, phi)
         assert 0.0 <= v <= 1.0
-        assert coincidence_probability(psi, phi) == pytest.approx((1 - v) / 2, abs=1e-15)
+        closed = output_overlap(ProcessSpec(PerturbedCoin(0.3, 0.8)), S1,
+                                ProcessSpec(PerturbedCoin(0.6, 0.1)), S0, 3)
+        assert v == pytest.approx(closed**2, abs=1e-12)
 
     def test_coincidence_complements_visibility(self):
         rng = np.random.default_rng(41)
@@ -91,7 +90,6 @@ class TestOverlapAndCoincidence:
             phi = run_circuit(PerturbedCoin(rng.random(), rng.random()), S1, 3)
             v = visibility(psi, phi)
             assert 0.0 <= v <= 1.0
-            assert abs(coincidence_probability(psi, phi) - (1.0 - v) / 2.0) <= 1e-12
             assert abs(visibility(phi, psi) - v) <= 1e-12
 
     def test_visibility_squares_bhattacharyya_one_step_ahead(self):
@@ -118,7 +116,7 @@ class TestOverlapAndCoincidence:
         with pytest.raises(InvalidParameter):
             visibility(np.zeros((2, 2)), np.ones((2, 2)) / 2.0)
         with pytest.raises(InvalidParameter):
-            coincidence_probability(np.ones((2, 2)) / 2.0, np.zeros((2, 2)))
+            visibility(np.ones((2, 2)) / 2.0, np.zeros((2, 2)))
 
     def test_excess_over_one_bound_is_the_state_norm_tolerance(self, monkeypatch):
         psi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)
@@ -139,12 +137,12 @@ class TestOverlapAndCoincidence:
 class TestDipCurve:
     def test_full_dip_at_zero_delay(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
-        curve = dip_curve(psi, psi, 1.0, [0.0], 1000.0)
+        curve = dip_curve_from_visibility(visibility(psi, psi), 1.0, [0.0], 1000.0)
         assert curve.counts[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_baseline_recovered_far_from_dip(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
-        curve = dip_curve(psi, psi, 2.0, [-10.0, 10.0], 1000.0)
+        curve = dip_curve_from_visibility(visibility(psi, psi), 2.0, [-10.0, 10.0], 1000.0)
         assert np.all(np.abs(curve.counts - 1000.0) <= 1e-4 * 1000.0)
 
     def test_formula_value(self):
@@ -152,11 +150,10 @@ class TestDipCurve:
         assert counts == pytest.approx(40.0, abs=1e-9)
 
     def test_rejects_bad_envelope(self):
-        psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
         with pytest.raises(InvalidParameter):
-            dip_curve(psi, psi, 0.0, [0.0], 1000.0)
+            dip_curve_from_visibility(1.0, 0.0, [0.0], 1000.0)
         with pytest.raises(InvalidParameter):
-            dip_curve(psi, psi, 1.0, [0.0], 0.0)
+            dip_curve_from_visibility(1.0, 1.0, [0.0], 0.0)
 
 
 class TestFitVisibility:
@@ -219,8 +216,9 @@ class TestVisibilitySweep:
             self.fixed_fair(), [(ProcessSpec(PerturbedCoin(0.5, 0.5)), S0)], 3
         )
         assert records[0].visibility == 1.0
-        assert records[0].overlap == 1.0
-        assert records[0].coincidence_min == 0.0
+        payload = json.loads(visibility_records_to_json(records))
+        assert payload[0]["overlap"] == 1.0
+        assert payload[0]["coincidence_min"] == 0.0
 
     def test_magenta_series_matches_closed_form(self):
         l_values = [0.00, 0.10, 0.30, 0.50, 0.70, 0.90, 0.99]
@@ -252,21 +250,17 @@ class TestVisibilitySweep:
         with pytest.raises(InvalidParameter):
             visibility_sweep(self.fixed_fair(), [], 3)
 
-    def test_record_consistency_enforced(self):
-        pair = (self.fixed_fair(), self.fixed_fair())
-        with pytest.raises(InvalidParameter):
-            VisibilityRecord(overlap=0.9, visibility=0.5, coincidence_min=0.25, process_pair=pair)
-
     def test_json_serialization(self):
-        import json
-
         records = visibility_sweep(
             self.fixed_fair(), [(ProcessSpec(PerturbedCoin(0.7, 0.5), label="var"), S0)], 3
         )
         payload = json.loads(visibility_records_to_json(records))
         assert payload[0]["process_b"]["l"] == 0.7
         assert payload[0]["process_b"]["start"] == "S0"
-        assert payload[0]["visibility"] == records[0].visibility
+        v = records[0].visibility
+        assert payload[0]["visibility"] == v
+        assert payload[0]["overlap"] == math.sqrt(v)
+        assert payload[0]["coincidence_min"] == 0.5 * (1 - v)
 
 
 def test_visibility_sweep_agrees_with_output_overlap():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcoin import quantum
 from qcoin.constants import TOL
-from qcoin.encoding import all_bitstrings
+from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
     CausalState,
@@ -18,12 +19,10 @@ from qcoin.markov import (
     trajectory_probability,
 )
 from qcoin.quantum import (
-    CausalStateVector,
     DensityMatrix2,
     ProcessSpec,
     bhattacharyya_futures,
-    causal_overlap,
-    causal_state,
+    causal_pair,
     ideal_output_state,
     memory_density,
     output_overlap,
@@ -39,6 +38,10 @@ def grid(step=0.05):
     return [(float(a), float(b)) for a in ticks for b in ticks]
 
 
+def row_overlap(coin_a, state_a, coin_b, state_b):
+    return np.vdot(causal_pair(coin_a)[state_a.index], causal_pair(coin_b)[state_b.index])
+
+
 def entropy_oracle(matrix) -> float:
     """LAPACK eigenvalue route, independent of the closed-form implementation."""
     vals = np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
@@ -47,48 +50,49 @@ def entropy_oracle(matrix) -> float:
 
 class TestCausalState:
     def test_amplitudes(self):
-        v = causal_state(PerturbedCoin(0.5, 0.5), S0)
-        assert np.allclose(v.amplitudes, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-15)
-        v = causal_state(PerturbedCoin(0.4, 0.9), S0)
-        assert v.amplitudes[0] == pytest.approx(0.63246, abs=1e-5)
-        assert v.amplitudes[1] == pytest.approx(0.77460, abs=1e-5)
-        v = causal_state(PerturbedCoin(0.4, 0.9), S1)
-        assert np.allclose(v.amplitudes, [math.sqrt(0.1), math.sqrt(0.9)], atol=1e-15)
+        v = causal_pair(PerturbedCoin(0.5, 0.5))[S0.index]
+        assert np.allclose(v, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-15)
+        v = causal_pair(PerturbedCoin(0.4, 0.9))[S0.index]
+        assert v[0] == pytest.approx(0.63246, abs=1e-5)
+        assert v[1] == pytest.approx(0.77460, abs=1e-5)
+        v = causal_pair(PerturbedCoin(0.4, 0.9))[S1.index]
+        assert np.allclose(v, [math.sqrt(0.1), math.sqrt(0.9)], atol=1e-15)
 
     def test_orthogonal_limit(self):
         coin = PerturbedCoin(1.0, 1.0)
-        assert causal_state(coin, S0).amplitudes.tolist() == [1.0, 0.0]
-        assert causal_state(coin, S1).amplitudes.tolist() == [0.0, 1.0]
+        assert causal_pair(coin)[S0.index].tolist() == [1.0, 0.0]
+        assert causal_pair(coin)[S1.index].tolist() == [0.0, 1.0]
 
     def test_real_nonnegative_and_normalized_over_grid(self):
         for l, m in grid(0.1):
             for state in (S0, S1):
-                amps = causal_state(PerturbedCoin(l, m), state).amplitudes
+                amps = causal_pair(PerturbedCoin(l, m))[state.index]
                 assert np.all(amps.imag == 0.0)
                 assert np.all(amps.real >= 0.0)
                 assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-12
 
-    def test_vector_must_be_normalized(self):
-        with pytest.raises(InvalidParameter):
-            CausalStateVector(np.array([1.0, 1.0]))
+    def test_vector_must_be_normalized(self, monkeypatch):
+        monkeypatch.setattr(quantum, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidParameter, match="causal-state vector is not normalized"):
+            causal_pair(PerturbedCoin(0.5, 0.5))
 
 
 class TestCausalOverlap:
     def test_identical_is_one(self):
         coin = PerturbedCoin(0.3, 0.8)
-        assert causal_overlap(coin, S0, coin, S0) == pytest.approx(1.0, abs=1e-12)
+        assert row_overlap(coin, S0, coin, S0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_limit(self):
         coin = PerturbedCoin(1.0, 1.0)
-        assert causal_overlap(coin, S0, coin, S1) == 0.0
+        assert row_overlap(coin, S0, coin, S1) == 0.0
 
     def test_fair_coin_states_coincide(self):
         coin = PerturbedCoin(0.5, 0.5)
-        assert causal_overlap(coin, S0, coin, S1) == pytest.approx(1.0, abs=1e-12)
+        assert row_overlap(coin, S0, coin, S1) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_cross_process(self):
         a, b = PerturbedCoin(0.3, 0.6), PerturbedCoin(0.7, 0.2)
-        got = causal_overlap(a, S0, b, S1)
+        got = row_overlap(a, S0, b, S1)
         expected = math.sqrt(a.stay_heads * (1 - b.stay_tails)) + math.sqrt(
             (1 - a.stay_heads) * b.stay_tails
         )
@@ -104,12 +108,11 @@ class TestDensityMatrix2:
         with pytest.raises(InvalidParameter):
             DensityMatrix2(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
-    def test_json_round_trip(self):
+    def test_json_dict_schema(self):
         rho = memory_density(PerturbedCoin(0.4, 0.7), stationary_weights(PerturbedCoin(0.4, 0.7)))
         payload = rho.to_json_dict()
         assert set(payload) == {"re", "im"}
-        again = DensityMatrix2.from_json(rho.to_json())
-        assert np.allclose(again.matrix, rho.matrix, atol=1e-15)
+        assert (np.array(payload["re"]) + 1j * np.array(payload["im"]) == rho.matrix).all()
 
 
 class TestMemoryDensity:
@@ -120,7 +123,7 @@ class TestMemoryDensity:
     def test_identical_states_give_pure_projector(self):
         coin = PerturbedCoin(0.5, 0.5)
         rho = memory_density(coin, StationaryWeights(0.25, 0.75))
-        v = causal_state(coin, S0).amplitudes
+        v = causal_pair(coin)[S0.index]
         assert np.allclose(rho.matrix, np.outer(v, v.conj()), atol=1e-15)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
@@ -140,7 +143,7 @@ class TestVonNeumannEntropy:
 
     def test_pure_projector_is_zero(self):
         for l in (0.0, 0.3, 1.0):
-            v = causal_state(PerturbedCoin(l, 0.5), S0).amplitudes
+            v = causal_pair(PerturbedCoin(l, 0.5))[S0.index]
             assert von_neumann_entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
 
     def test_quantum_below_classical_for_example(self):
@@ -169,7 +172,7 @@ class TestVonNeumannEntropy:
             c_mu = classical_complexity(weights)
             c_q = von_neumann_entropy(memory_density(coin, weights))
             assert c_q <= c_mu + 1e-12
-            overlap = causal_overlap(coin, S0, coin, S1)
+            overlap = row_overlap(coin, S0, coin, S1)
             degenerate = weights.s0 in (0.0, 1.0)
             if abs(overlap) <= 1e-12 or degenerate:
                 assert abs(c_q - c_mu) <= 1e-9
@@ -190,9 +193,9 @@ class TestVonNeumannEntropy:
 class TestIdealOutputState:
     def test_deterministic_single_amplitude(self):
         out = ideal_output_state(PerturbedCoin(1.0, 1.0), S0, 3)
-        assert out.amplitude("000", 0) == 1.0
+        assert out.amplitudes[bits_to_index("000"), 0] == 1.0
         assert np.vdot(out.amplitudes, out.amplitudes).real == 1.0
-        assert out.amplitude("000", 1) == 0.0
+        assert out.amplitudes[bits_to_index("000"), 1] == 0.0
 
     def test_fair_coin_uniform_sixteen_amplitudes(self):
         out = ideal_output_state(PerturbedCoin(0.5, 0.5), S0, 3)
@@ -204,9 +207,9 @@ class TestIdealOutputState:
         out = ideal_output_state(coin, S1, 3)
         dist = future_distribution(coin, S1, 3)
         for bits, p in dist.probabilities.items():
-            final = causal_state(coin, CausalState.from_outcome(bits[-1])).amplitudes
+            final = causal_pair(coin)[int(bits[-1])]
             for b in range(2):
-                assert out.amplitude(bits, b) == pytest.approx(
+                assert out.amplitudes[bits_to_index(bits), b] == pytest.approx(
                     math.sqrt(p) * final[b], abs=1e-14
                 )
 
@@ -214,11 +217,11 @@ class TestIdealOutputState:
         for coin in (PerturbedCoin(0.4, 0.7), PerturbedCoin(0.0, 1.0), PerturbedCoin(1.0, 0.35)):
             for start in (S0, S1):
                 out = ideal_output_state(coin, start, 12)
-                finals = {x: causal_state(coin, CausalState.from_outcome(x)).amplitudes for x in "01"}
+                finals = causal_pair(coin)
                 for bits in all_bitstrings(12):
                     root = math.sqrt(trajectory_probability(coin, start, bits))
                     for b in range(2):
-                        assert out.amplitude(bits, b) == root * finals[bits[-1]][b]
+                        assert out.amplitudes[bits_to_index(bits), b] == root * finals[int(bits[-1])][b]
 
     def test_squared_marginal_reproduces_future_distribution(self):
         coin = PerturbedCoin(0.4, 0.7)
@@ -246,7 +249,7 @@ class TestIdealOutputState:
         assert payload["steps"] == 2
         assert set(payload["amplitudes"]) == {"00", "01", "10", "11"}
         re, im = payload["amplitudes"]["11"][1]
-        assert complex(re, im) == out.amplitude("11", 1)
+        assert complex(re, im) == out.amplitudes[bits_to_index("11"), 1]
 
 
 class TestOutputOverlap:
