@@ -28,6 +28,7 @@ from . import __version__
 from .checks import run_oracle_checks
 from .constants import TOL
 from .circuit import run_circuit
+from .encoding import all_bitstrings, lexicographic_bins
 from .errors import (
     ConfigError,
     FitDidNotConverge,
@@ -488,10 +489,10 @@ def cmd_counts(config: dict, out_dir: Path, seed_override: int | None = None) ->
     theory = future_distribution(proc.coin, start, steps)
     fidelity = classical_fidelity(empirical, theory)
 
-    empirical_by_bits, theory_by_bits = empirical.probabilities, theory.probabilities
     rows = [
-        [bits, str(counts[bits]), _float_str(empirical_by_bits[bits]), _float_str(theory_by_bits[bits])]
-        for bits in sorted(counts)
+        [bits, str(c), _float_str(e), _float_str(t)]
+        for bits, c, e, t in zip(all_bitstrings(steps), counts[lexicographic_bins(steps)].tolist(),
+                                 empirical.probabilities.values(), theory.probabilities.values())
     ]
     write_csv(out_dir / "counts.csv", "counts", digest,
               ["bitstring", "count", "empirical_probability", "theory_probability"], rows)
@@ -533,8 +534,13 @@ def _delay_grid(spec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 2, no traceback
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcoin",
         description="Quantum-enhanced stochastic simulation of the perturbed coin.",
     )
@@ -564,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config, args.command)
         out_dir = _out_dir(args)
         if args.command == "futures":

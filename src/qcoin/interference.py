@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuit import PhotonState, run_circuit
 from .constants import TOL
@@ -116,6 +115,8 @@ def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000)
     With `assume_poisson` the points are weighted by sqrt(counts) errors,
     which gives calibrated uncertainties on counting data.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit  # here: most of `import qcoin`'s time
+
     data = np.asarray([(float(d), float(c)) for d, c in samples], dtype=float)
     if data.ndim != 2 or data.shape[0] < 5:
         raise InvalidParameter("need at least 5 (delay, counts) samples spanning the dip")

@@ -31,6 +31,7 @@ from .errors import (
 
 # Full enumeration of 2**steps outcome strings caps the step count.
 MAX_ENUMERATION_STEPS = 20
+CHUNK_DRAWS = 2**14  # trajectories per sampler pass: one chunk's uniforms fill 128 KiB
 
 
 class CausalState(enum.Enum):
@@ -267,11 +268,11 @@ def sample_trajectories(
     steps: int,
     draws: int,
     seed: int,
-) -> dict[str, int]:
-    """Sample `draws` trajectories of the chain; returns counts per outcome string.
-
-    Counts include explicit zeros for unseen strings.  The same seed always
-    reproduces the same counts.
+) -> np.ndarray:
+    """Sample `draws` trajectories of the chain; int64 counts over the time-bin
+    index, zeros included, the same for the same seed.  Step k reads uniforms
+    k*draws .. (k+1)*draws - 1 of the seed's PCG64 stream through its own
+    advanced generator, `CHUNK_DRAWS` trajectories at a time.
     """
     if draws < 1:
         raise InvalidParameter(f"draws must be >= 1, got {draws}")
@@ -279,25 +280,27 @@ def sample_trajectories(
         raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {steps}")
     if seed is None:
         raise InvalidParameter("an explicit seed is required")
-    rng = np.random.default_rng(seed)
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(k * draws)) for k in range(steps)]
     emit_zero = transition_matrix(coin)[:, 0]
-    states = np.full(draws, start.index, dtype=np.int64)
-    bins = np.zeros(draws, dtype=np.int64)
-    for k in range(steps):
-        emitted = (rng.random(draws) >= emit_zero[states]).astype(np.int64)
-        bins |= emitted << k
-        states = emitted
-    counts = np.bincount(bins, minlength=2**steps)
-    return {index_to_bits(b, steps): int(counts[b]) for b in range(2**steps)}
+    counts = np.zeros(2**steps, dtype=np.int64)
+    uniforms = np.empty(min(CHUNK_DRAWS, draws))
+    for lo in range(0, draws, CHUNK_DRAWS):
+        u = uniforms[:min(CHUNK_DRAWS, draws - lo)]
+        emitted, bins = start.index, np.zeros(u.size, dtype=np.intp)
+        for k, stream in enumerate(streams):
+            stream.random(out=u)
+            emitted = (u >= emit_zero[emitted]).astype(np.intp)
+            bins |= emitted << k
+        counts += np.bincount(bins, minlength=counts.size)
+    return counts
 
 
-def counts_to_distribution(counts: dict[str, int], steps: int) -> OutcomeDistribution:
-    """Empirical distribution from a counts map (explicit zeros included)."""
-    total = sum(counts.values())
+def counts_to_distribution(counts: np.ndarray, steps: int) -> OutcomeDistribution:
+    """Empirical distribution from bin-indexed counts."""
+    total = int(counts.sum())
     if total < 1:
         raise InvalidParameter("counts must contain at least one draw")
-    probs = {bits: counts.get(bits, 0) / total for bits in all_bitstrings(steps)}
-    return OutcomeDistribution(steps, probs)
+    return OutcomeDistribution(steps, counts / total)
 
 
 def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

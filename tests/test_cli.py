@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,10 +343,15 @@ class TestConfigHandling:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["futures", "complexity-sweep", "compare-sweep"])
-    def test_seed_rejected_where_nothing_reads_it(self, tmp_path, command):
+    def test_seed_rejected_where_nothing_reads_it(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path), "--seed", "1"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["counts", "--help"]])
+    def test_help_and_version_exit_zero(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--out", str(tmp_path), "--seed", "1"])
-        assert exc.value.code == EXIT_CONFIG
+            main(argv)
+        assert exc.value.code == EXIT_OK
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -413,6 +420,15 @@ def test_integral_float_accepted_for_integer_field(tmp_path):
     assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
     _, _, rows = read_csv(tmp_path / "futures.csv")
     assert len(rows) == 8
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of the import time; only the visibility fit loads it
+    code = "import sys, qcoin, qcoin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_smoke():

@@ -1,14 +1,17 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcoin.constants import TOL
-from qcoin.encoding import all_bitstrings, bits_to_index, lexicographic_bins
+from qcoin.encoding import all_bitstrings, bits_to_index, index_to_bits, lexicographic_bins
 from qcoin.errors import DimensionMismatch, InvalidParameter, ReducibleChain, StepCountTooLarge
 from qcoin.markov import (
+    CHUNK_DRAWS,
     CausalState,
     OutcomeDistribution,
     PerturbedCoin,
@@ -26,6 +29,33 @@ from qcoin.markov import (
 
 S0, S1 = CausalState.S0, CausalState.S1
 GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
+# the four corner coins, then an interior one
+SAMPLER_COINS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 0.7)]
+
+
+def one_shot_sample(coin, start, steps, draws, seed):
+    """The sampler's reference: all draws of a step in one call of one
+    generator, counted per outcome string, then mapped to bin indices."""
+    rng = np.random.default_rng(seed)
+    emit_zero = transition_matrix(coin)[:, 0]
+    states = np.full(draws, start.index, dtype=np.int64)
+    bins = np.zeros(draws, dtype=np.int64)
+    for k in range(steps):
+        emitted = (rng.random(draws) >= emit_zero[states]).astype(np.int64)
+        bins |= emitted << k
+        states = emitted
+    strings, indices = string_bins(steps)
+    by_bits = dict(zip(strings, np.bincount(bins, minlength=2**steps).tolist()))
+    counts = np.zeros(2**steps, dtype=np.int64)
+    counts[indices] = [by_bits[bits] for bits in strings]
+    return counts
+
+
+@functools.cache
+def string_bins(steps):
+    """Each bin's outcome string, then each string's bin index by `bits_to_index`."""
+    strings = [index_to_bits(b, steps) for b in range(2**steps)]
+    return strings, [bits_to_index(bits) for bits in strings]
 
 
 def grid(step=0.05):
@@ -213,7 +243,7 @@ class TestFutureDistribution:
         counts = sample_trajectories(coin, S1, 3, n, seed=2024)
         for bits, p in dist.probabilities.items():
             se = math.sqrt(p * (1.0 - p) / n)
-            assert abs(counts[bits] / n - p) <= 3.0 * se
+            assert abs(counts[bits_to_index(bits)] / n - p) <= 3.0 * se
 
     def test_sums_to_one_over_grid(self):
         for l, m in grid():
@@ -273,21 +303,53 @@ class TestFutureDistribution:
 class TestSampleTrajectories:
     def test_deterministic_chain_all_counts_on_one_string(self):
         counts = sample_trajectories(PerturbedCoin(1.0, 1.0), S0, 3, 100, seed=0)
-        assert counts["000"] == 100
-        assert sum(counts.values()) == 100
+        assert counts[bits_to_index("000")] == 100
+        assert counts.sum() == 100
 
     def test_fair_coin_frequencies_within_five_sigma(self):
         n = 10**6
         counts = sample_trajectories(PerturbedCoin(0.5, 0.5), S0, 3, n, seed=1)
         sigma = math.sqrt(0.125 * 0.875 / n)
         for bits in all_bitstrings(3):
-            assert abs(counts[bits] / n - 0.125) <= 5.0 * sigma
+            assert abs(counts[bits_to_index(bits)] / n - 0.125) <= 5.0 * sigma
 
     def test_same_seed_reproduces_counts(self):
         coin = PerturbedCoin(0.3, 0.8)
         a = sample_trajectories(coin, S1, 4, 5000, seed=42)
         b = sample_trajectories(coin, S1, 4, 5000, seed=42)
-        assert a == b
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("l, m", SAMPLER_COINS)
+    def test_streaming_counts_equal_one_shot_reference(self, l, m):
+        coin = PerturbedCoin(l, m)
+        sizes = (1, CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1)
+        for seed, steps, start, n in itertools.product(range(10), (1, 3, 7, 12), (S0, S1), sizes):
+            expected = one_shot_sample(coin, start, steps, n, seed)
+            assert np.array_equal(sample_trajectories(coin, start, steps, n, seed), expected)
+
+    # a subset: the whole product above at 10**6 draws takes about a minute,
+    # the suite's whole budget
+    @pytest.mark.parametrize("l, m, seeds, step_counts", [
+        (0.4, 0.7, range(10), (3,)),
+        (0.4, 0.7, (0,), (1, 7, 12)),
+        *[(l, m, (0,), (3,)) for l, m in SAMPLER_COINS[:4]],
+    ], ids=["0.4-0.7-seeds0to9-M3", "0.4-0.7-seed0-M1,7,12", "0-0-seed0-M3", "0-1-seed0-M3",
+            "1-0-seed0-M3", "1-1-seed0-M3"])
+    def test_streaming_counts_equal_one_shot_reference_at_a_million_draws(self, l, m, seeds, step_counts):
+        coin = PerturbedCoin(l, m)
+        for seed, steps, start in itertools.product(seeds, step_counts, (S0, S1)):
+            expected = one_shot_sample(coin, start, steps, 10**6, seed)
+            assert np.array_equal(sample_trajectories(coin, start, steps, 10**6, seed), expected)
+
+    @pytest.mark.parametrize("n", [2 * 10**5, 2 * 10**6])
+    def test_memory_does_not_grow_with_draws(self, n):
+        tracemalloc.start()
+        try:
+            sample_trajectories(PerturbedCoin(0.4, 0.7), S1, 3, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_requires_positive_draws_and_seed(self):
         coin = PerturbedCoin(0.3, 0.8)
@@ -410,6 +472,8 @@ class TestClassicalFidelity:
 
 
 def test_counts_to_distribution_matches_frequencies():
-    counts = {"00": 1, "01": 3, "10": 0, "11": 4}
+    counts = np.zeros(4, dtype=np.int64)
+    for bits, c in {"00": 1, "01": 3, "10": 0, "11": 4}.items():
+        counts[bits_to_index(bits)] = c
     dist = counts_to_distribution(counts, 2)
     assert dist.probabilities == {"00": 0.125, "01": 0.375, "10": 0.0, "11": 0.5}
