@@ -123,7 +123,7 @@ def _circuit_suites(coins: PerturbedCoin, step_counts: tuple[int, ...], inject_f
     """
     t, pair = transition_matrix(coins), causal_pair(coins)
     block_pair = pair[:, None]  # shared by both starts
-    amps = pair[:, :, None, :]  # the prepared input of each start
+    amps = pair[:, :, :, None]  # the prepared input of each start: (coin, start, polarization, bin)
     blocks, futures = _propagate(amps, block_pair), _recurrence(t[:, None], t)
     matched, accounting = {}, []
     for steps in range(1, max(step_counts) + 1):

@@ -17,7 +17,10 @@ the kept state cancel.  `block_norm_accounting` tracks both arms explicitly
 to verify that bookkeeping.  All blocks of a run share one coin, so
 `run_circuit` validates the causal states once per run, checks the photon
 norm after every block and builds one `PhotonState` at the end.  The
-kernels take leading batch axes (coins of a grid, start states).
+kernels take leading batch axes (coins of a grid, start states) and work on
+real float64 amplitudes, polarization-major (..., 2, bins) so that the long
+bin axis is the inner one; `PhotonState` is the complex128 (bins, 2) edge,
+converted once per run and read back through `_require_real`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index, index_to_bits
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution
-from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, causal_pair
+from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _require_real, causal_pair
 
 # Polarization basis indices.
 H, V = 0, 1
@@ -42,10 +45,10 @@ H, V = 0, 1
 class PhotonState:
     """Post-selected photon state after `steps_applied` blocks.
 
-    `amplitudes[b, p]` is the amplitude in time bin b with polarization p
-    (0 = H, 1 = V).  Bin b encodes the outcome string via its binary digits,
-    first outcome in the least-significant bit.  `success_probability` is
-    the probability that all post-selections so far succeeded.
+    `amplitudes[b, p]` (C-ordered complex128) is the amplitude in time bin b
+    with polarization p (0 = H, 1 = V).  Bin b encodes the outcome string via
+    its binary digits, first outcome in the least-significant bit.
+    `success_probability` is the probability that all post-selections so far succeeded.
     """
 
     steps_applied: int
@@ -53,7 +56,7 @@ class PhotonState:
     success_probability: float
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         if amps.shape != (2**self.steps_applied, 2):
             raise InvalidParameter(
                 f"expected amplitude shape {(2**self.steps_applied, 2)}, got {amps.shape}"
@@ -79,10 +82,10 @@ class PhotonState:
 
 
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """One block on (..., n, 2) amplitudes; the rows of `pair` (..., 2, 2) are |S0> and |S1>.
-    H times |S0> fills the lower n bins, V times |S1> the upper n."""
-    out = amps.mT[..., None] * pair[..., None, :]
-    return out.reshape(out.shape[:-3] + (-1, 2))
+    """One block on real (..., 2, n) amplitudes, polarization-major; the rows of `pair` (..., 2, 2)
+    are |S0> and |S1>.  H times |S0> fills the lower n bins, V times |S1> the upper n."""
+    out = pair.mT[..., None] * amps[..., None, :, :]
+    return out.reshape(out.shape[:-3] + (2, -1))
 
 
 def _propagate(amps: np.ndarray, pair: np.ndarray):
@@ -96,10 +99,10 @@ def _propagate(amps: np.ndarray, pair: np.ndarray):
 
 
 def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
-    """(amplitudes, success probability) after `steps` blocks from one-bin input `start` (..., 2)."""
+    """((..., 2, 2**steps) amplitudes, success probability) after `steps` blocks from `start` (..., 2)."""
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
-    return next(islice(_propagate(start[..., None, :], pair), steps - 1, None))
+    return next(islice(_propagate(start[..., None], pair), steps - 1, None))
 
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
@@ -116,8 +119,8 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     k = state.steps_applied
     if k >= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"cannot apply more than {MAX_SUPERPOSITION_STEPS} blocks")
-    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)),
-                       state.success_probability * 0.5)
+    amps = _block(_require_real(state.amplitudes, "photon state").T, causal_pair(coin))
+    return PhotonState(k + 1, amps.T, state.success_probability * 0.5)
 
 
 def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[float, float]:
@@ -126,15 +129,15 @@ def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[floa
     Returns (retained, discarded); for a normalized input these sum to 1
     and each equals 1/2 regardless of the coin and the input state.
     """
-    retained, discarded = _arm_norms(state.amplitudes, causal_pair(coin))
+    retained, discarded = _arm_norms(_require_real(state.amplitudes, "photon state").T, causal_pair(coin))
     return float(retained), float(discarded)
 
 
 def _arm_norms(amps: np.ndarray, pair: np.ndarray) -> tuple:
-    """(retained, discarded) squared norms of one block on (..., n, 2) amplitudes."""
-    n = amps.shape[-2]
+    """(retained, discarded) squared norms of one block on (..., 2, n) amplitudes."""
+    n = amps.shape[-1]
     retained = _block(amps, pair) * (1.0 / math.sqrt(2.0))
-    discarded = np.concatenate([retained[..., :n, :], -retained[..., n:, :]], axis=-2)
+    discarded = np.concatenate([retained[..., :n], -retained[..., n:]], axis=-1)
     return _norm_sq(retained, 2), _norm_sq(discarded, 2)
 
 
@@ -144,7 +147,7 @@ def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonSt
     """
     pair = causal_pair(coin)
     amps, success = _run(pair, pair[start.index], steps)
-    return PhotonState(steps, amps, success)
+    return PhotonState(steps, amps.T, success)
 
 
 def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -152,14 +155,14 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     steps = state.steps_applied
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    probs = _bin_probabilities(state.amplitudes)
+    probs = _bin_probabilities(_require_real(state.amplitudes, "photon state").T)
     # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
     return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
 def _bin_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Probability of each time bin, both polarizations: (..., n, 2) -> (..., n)."""
-    return (amps.real**2 + amps.imag**2).sum(axis=-1)
+    """Probability of each time bin, both polarizations: real (..., 2, n) -> (..., n)."""
+    return (amps * amps).sum(axis=-2)
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
@@ -196,8 +199,9 @@ def _reconstruction(pair: np.ndarray, weights: np.ndarray, steps: int) -> np.nda
     """`reconstruct_memory_density` for (..., 2, 2) pairs and (..., 2) start weights.  Bins at or
     below TOL.empty_bin and zero-weight starts are left out; every conditional state used is
     checked as a density matrix.  Terms are added start by start, bin by bin."""
-    amps, _ = _run(pair[..., None, :, :], pair, steps)  # (..., start, bin, polarization)
+    amps, _ = _run(pair[..., None, :, :], pair, steps)  # (..., start, polarization, bin)
     probs = _bin_probabilities(amps)
+    amps = amps.mT  # (..., start, bin, polarization)
     _require_distribution(probs)
     used = (probs > TOL.empty_bin) & (weights[..., None] != 0.0)
     rows = amps / np.sqrt(np.where(used, probs, 1.0))[..., None]
@@ -221,7 +225,7 @@ def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
     r = np.array([[root_stay, -root_flip], [root_flip, root_stay]], dtype=complex)
     r_one = r @ np.array([0.0, 1.0], dtype=complex)
     s1 = causal_pair(coin)[CausalState.S1.index]
-    delta = math.atan2(s1[1].real, s1[0].real) - math.atan2(r_one[1].real, r_one[0].real)
+    delta = math.atan2(s1[1], s1[0]) - math.atan2(r_one[1].real, r_one[0].real)
     v = np.array(
         [[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]],
         dtype=complex,
@@ -245,9 +249,9 @@ def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
     worst = 0.0
     for mem_in in pair:
         gate_out = u @ np.kron(mem_in, np.array([1.0, 0.0], dtype=complex))
-        block_out = _block(mem_in[None, :], pair)
+        block_out = _block(mem_in[:, None], pair)  # (memory, outcome)
         for outcome in range(2):
             for mem in range(2):
-                dev = abs(gate_out[2 * mem + outcome] - block_out[outcome, mem])
+                dev = abs(gate_out[2 * mem + outcome] - block_out[mem, outcome])
                 worst = max(worst, dev)
     return worst

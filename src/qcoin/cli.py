@@ -343,6 +343,9 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
         zip(curve.delays_ns, fit_input),
         max_evals=_number(record.get("fit_max_evals", 10000), "fit_max_evals", int),
     )
+    if not math.isfinite(fit.visibility_err) and curve.counts.min() == curve.counts.max():
+        raise FitDidNotConverge(f"the dip does not fix the fit: the expected curve is flat (visibility {v!r}), "
+                                f"so the fitted visibility has error {fit.visibility_err!r}")
 
     columns = ["delay_ns", "expected_counts"] + (["sampled_counts"] if sampled is not None else [])
     rows = []

@@ -51,10 +51,10 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
 
 
 def causal_pair(coin: PerturbedCoin) -> np.ndarray:
-    """(2, 2) array whose rows are |S0> = (sqrt(l), sqrt(1 - l)) and |S1> = (sqrt(1 - m), sqrt(m)),
-    (..., 2, 2) for a grid of coins: the square roots of the transition-matrix rows, norms checked
-    at TOL.exact."""
-    pair = np.sqrt(transition_matrix(coin)).astype(complex)
+    """Real float64 (2, 2) array whose rows are |S0> = (sqrt(l), sqrt(1 - l)) and
+    |S1> = (sqrt(1 - m), sqrt(m)), (..., 2, 2) for a grid of coins: the square roots of the
+    transition-matrix rows, norms checked at TOL.exact."""
+    pair = np.sqrt(transition_matrix(coin))
     _require_normalized(pair, "causal-state vector", TOL.exact, axes=1)
     return pair
 
@@ -145,8 +145,8 @@ class ProcessSpec:
 class IdealOutputState:
     """The multi-step output superposition of the simulator.
 
-    Amplitudes are stored as a (2**steps, 2) array indexed by (time-bin,
-    memory basis index); the amplitude on a string factorizes as
+    Amplitudes are stored as a C-ordered complex128 (2**steps, 2) array indexed
+    by (time-bin, memory basis index); the amplitude on a string factorizes as
     sqrt(p(string)) times the causal-state component of the final outcome.
     """
 
@@ -154,7 +154,7 @@ class IdealOutputState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         if amps.shape != (2**self.steps, 2):
             raise InvalidParameter(
                 f"expected amplitude shape {(2**self.steps, 2)}, got {amps.shape}"
@@ -183,14 +183,15 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
     return IdealOutputState(steps, _superposition(future_distribution(coin, start, steps).bins,
-                                                  causal_pair(coin)))
+                                                  causal_pair(coin)).T)
 
 
 def _superposition(bins: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """(..., 2**M, 2) amplitudes sqrt(p(x)) |S_xM> from (..., 2**M) bins and (..., 2, 2) pairs."""
+    """Real (..., 2, 2**M) amplitudes sqrt(p(x)) |S_xM>, polarization-major like the circuit's,
+    from (..., 2**M) bins and (..., 2, 2) pairs."""
     roots = np.sqrt(bins).reshape(bins.shape[:-1] + (2, -1))
-    amps = roots[..., :, :, None] * pair[..., :, None, :]
-    return amps.reshape(amps.shape[:-3] + (-1, 2))
+    amps = pair.mT[..., None] * roots[..., None, :, :]
+    return amps.reshape(amps.shape[:-3] + (2, -1))
 
 
 def output_overlap(
@@ -212,7 +213,7 @@ def _overlap(bins_a: np.ndarray, bins_b: np.ndarray, pair_a: np.ndarray, pair_b:
     """sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM> over the last axis of the bins."""
     roots = np.sqrt(bins_a * bins_b)
     ends = roots.reshape(roots.shape[:-1] + (2, -1)).sum(axis=-1)  # halves ending in outcome 0 and 1
-    finals = _require_real(np.vecdot(pair_a, pair_b), "causal-state overlap")  # <S_j|T_j> per j
+    finals = np.vecdot(pair_a, pair_b)  # <S_j|T_j> per j
     return ends[..., 0] * finals[..., 0] + ends[..., 1] * finals[..., 1]
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcoin.constants import TOL, block_delay_ns
 from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
-from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
+from qcoin.errors import EmptyBin, InternalError, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
     apply_block,
@@ -326,3 +326,61 @@ class TestPhotonStateContracts:
         state = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2)
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda coin: run_circuit(coin, S1, 1),
+        lambda coin: run_circuit(coin, S1, 12),
+        lambda coin: apply_block(run_circuit(coin, S0, 3), coin),
+        lambda coin: prepare_input(coin, S0),
+        lambda coin: ideal_output_state(coin, S1, 12),
+    ], ids=["run_circuit-1", "run_circuit-12", "apply_block", "prepare_input", "ideal_output_state"])
+    def test_amplitudes_are_c_contiguous_complex(self, make):
+        # the kernels hand over polarization-major transposes; a Fortran-ordered
+        # copy would make every np.vdot of the visibility copy the state first
+        amps = make(PerturbedCoin(0.4, 0.7)).amplitudes
+        assert amps.dtype == np.complex128
+        assert amps.flags.c_contiguous
+
+
+def _complex_block(amps, pair):
+    """Reference block on complex128 (..., n, 2) amplitudes, bin-major: the layout of `PhotonState`."""
+    out = amps.mT[..., None] * pair.astype(complex)[..., None, :]
+    return out.reshape(out.shape[:-3] + (-1, 2))
+
+
+class TestRealPhoton:
+    """The kernels are real: the scalar entry points read a PhotonState's complex
+    amplitudes back through a check on their imaginary parts."""
+
+    @staticmethod
+    def with_imaginary(imag):
+        amps = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.copy()
+        amps[1, 1] += 1j * imag
+        return PhotonState(2, amps, 0.25)
+
+    @pytest.mark.parametrize("call", [
+        apply_block, block_norm_accounting, lambda state, coin: arrival_time_distribution(state),
+    ], ids=["apply_block", "block_norm_accounting", "arrival_time_distribution"])
+    def test_imaginary_part_raises(self, call):
+        with pytest.raises(InternalError, match="imaginary residue"):
+            call(self.with_imaginary(1e-6), PerturbedCoin(0.4, 0.7))
+
+    def test_residue_below_tolerance_reads_as_the_real_state(self):
+        coin = PerturbedCoin(0.3, 0.8)
+        real, residue = self.with_imaginary(0.0), self.with_imaginary(TOL.imag_residue / 2)
+        assert np.array_equal(apply_block(real, coin).amplitudes, apply_block(residue, coin).amplitudes)
+        assert block_norm_accounting(real, coin) == block_norm_accounting(residue, coin)
+        assert np.array_equal(arrival_time_distribution(real)[0].bins,
+                              arrival_time_distribution(residue)[0].bins)
+
+    def test_blocks_equal_the_complex_kernel_over_grid(self):
+        for l, m in grid(0.1):
+            coin = PerturbedCoin(l, m)
+            for start in (S0, S1):
+                state = prepare_input(coin, start)
+                for _ in range(4):
+                    expected = _complex_block(state.amplitudes, causal_pair(coin))
+                    state = apply_block(state, coin)
+                    assert np.array_equal(state.amplitudes, expected)
+                    probs = (expected.real**2 + expected.imag**2).sum(axis=-1)
+                    assert np.array_equal(arrival_time_distribution(state)[0].bins, probs)

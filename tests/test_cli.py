@@ -212,6 +212,24 @@ class TestHomDip:
         assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path)]) == EXIT_FIT
         assert "fit failure" in capsys.readouterr().err
 
+    def test_orthogonal_outputs_exit_fit_failure(self, tmp_path, capsys):
+        # visibility 0: the flat curve leaves the dip's width and centre free,
+        # and the fit reports an infinite visibility error
+        cfg = write_config(tmp_path, {
+            "schema_version": 1,
+            "hom-dip": {
+                "process_a": {"l": 1.0, "m": 0.0, "start": "S0"},
+                "process_b": {"l": 0.0, "m": 1.0, "start": "S0"},
+                "steps": 3,
+            },
+        })
+        out = tmp_path / "out"
+        assert main(["hom-dip", "--config", cfg, "--out", str(out)]) == EXIT_FIT
+        err = capsys.readouterr().err
+        assert "fit failure: the dip does not fix the fit" in err
+        assert "Traceback" not in err
+        assert not (out / "hom_dip_fit.json").exists()
+
 
 class TestCompareSweep:
     def test_preset_series_values(self, tmp_path):
