@@ -72,6 +72,8 @@ def run_oracle_checks(
     for steps in step_counts:
         if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
             raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
+    if identity_draws < 1:
+        raise InvalidParameter(f"identity_draws must be >= 1, got {identity_draws}")
     grid = np.array(probability_grid(grid_step))
     size = max(1, CHUNK_AMPLITUDES // (4 * 2 ** max(*step_counts, RECONSTRUCTION_STEPS)))
     chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)

@@ -1,10 +1,16 @@
 """Experiment runner: reproduces the perturbed-coin data products as CSV,
 JSON and SVG files.
 
-Subcommands: futures, complexity-sweep, hom-dip, compare-sweep,
-oracle-check, counts.  Each reads a JSON config with one top-level record
-per command; bundled presets (fig4, fig5a, fig5b, fig5c) reproduce the
-theory layer of the corresponding figures with one command.
+`COMMANDS` is the one list of subcommands (futures, complexity-sweep,
+hom-dip, compare-sweep, oracle-check, counts): each has a runner, a bundled
+preset, a help line and the config key that `--seed` sets.  A JSON config
+holds a `schema_version` and one record per command.  `SCHEMAS` declares
+each record as a field table of (parser, default) pairs, and
+`command_record` validates a record against it before anything runs:
+unknown keys, missing required keys and out-of-range, non-numeric or
+non-finite values are a ConfigError, and the runners read the validated
+record with its defaults filled in.  The bundled presets fig4, fig5a, fig5b
+and fig5c reproduce the theory layer of those figures with one command.
 
 Exit codes: 0 success, 2 config error, 3 numerical-check failure,
 4 fit failure.
@@ -19,8 +25,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,23 +74,137 @@ EXIT_CONFIG = 2
 EXIT_CHECK = 3
 EXIT_FIT = 4
 
-# As-implemented sweep parameters (slightly off the nominal round values);
-# selected by --paper-params.
-IMPLEMENTED_STAY_HEADS = 0.397
-IMPLEMENTED_STAY_TAILS_VALUES = (0.101, 0.197, 0.297, 0.391, 0.490, 0.588, 0.685, 0.784, 0.882, 0.994)
-
-_PRESET_BY_COMMAND = {
-    "futures": "fig4",
-    "complexity-sweep": "fig5a",
-    "hom-dip": "fig5b",
-    "compare-sweep": "fig5c",
-    "counts": "counts",
-    "oracle-check": "oracle",
-}
-
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema: a parser takes (value, key) and returns the validated value,
+# or raises a ConfigError that names the key
+
+REQUIRED = object()  # the default of a field the record must give
+
+
+def _number(lo=-math.inf, hi=math.inf, *, integer=False, above=-math.inf, noun=None):
+    """A finite JSON number x with lo <= x <= hi and x > above.  A bool, a
+    string, NaN or infinity is rejected; an integer field also takes 3.0.
+    """
+    bounds = " and ".join(f"{op} {b:g}" for op, b in ((">", above), (">=", lo), ("<=", hi)) if math.isfinite(b))
+    what = f"{noun or ('an integer' if integer else 'a finite number')} {bounds}".rstrip()
+
+    def parse(value, key):
+        number = math.nan  # fails every bound
+        if isinstance(value, int) and not isinstance(value, bool):
+            number = value if integer or abs(value) <= sys.float_info.max else math.nan
+        elif isinstance(value, float) and math.isfinite(value) and (value.is_integer() or not integer):
+            number = value
+        if not (lo <= number <= hi and number > above):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        return int(number) if integer else float(number)
+    return parse
+
+
+def _is(kind: type, what: str):
+    def parse(value, key):
+        if not isinstance(value, kind):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _choice(options):
+    """One of the names in `options`, mapped to its value."""
+    def parse(value, key):
+        if not isinstance(value, str) or value not in options:
+            raise ConfigError(f"config key {key!r} must be one of {', '.join(options)}, got {value!r}")
+        return options[value]
+    return parse
+
+
+def _optional(item):
+    return lambda value, key: None if value is None else item(value, key)
+
+
+def _list(item, min_len: int = 1):
+    what = "a nonempty list" if min_len == 1 else f"a list of at least {min_len} entries"
+
+    def parse(value, key):
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        return [item(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _record(build=dict, /, **fields):
+    """A JSON object with exactly these fields, each a (parser, default)
+    pair; `build` turns the validated fields into the record's value.
+    """
+    def parse(value, key):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r} must be a record, got {value!r}")
+        for name in value:
+            if name not in fields:
+                raise ConfigError(f"unknown config key {name!r} in {key!r}")
+        out = {}
+        for name, (item, default) in fields.items():
+            if name not in value and default is REQUIRED:
+                raise ConfigError(f"missing config key {name!r} in {key!r}")
+            out[name] = item(value.get(name, default), f"{key}.{name}")
+        return build(out)
+    return parse
+
+
+def _delays(value, key) -> np.ndarray:
+    """The delay grid: a list of delays, or a {min, max, count} linspace.  The
+    fit has four free parameters, so the grid needs at least five delays.
+    """
+    if isinstance(value, list):
+        return np.asarray(_list(_number(), 5)(value, key))
+    grid = DELAY_RANGE(value, key)
+    if grid["max"] <= grid["min"]:
+        raise ConfigError(f"config key {key!r} needs max > min, got {value!r}")
+    return np.linspace(grid["min"], grid["max"], grid["count"])
+
+
+PROB = _number(0.0, 1.0, noun="a probability")
+STEPS = _number(1, integer=True)
+SEED = _number(0, integer=True)
+START = _choice(CausalState.__members__)
+STRING = _is(str, "a string")
+# a process: its coin and start state; the label is a name for the reader only
+PROCESS = _record(lambda p: (PerturbedCoin(p["l"], p["m"]), p["start"]),
+                  l=(PROB, REQUIRED), m=(PROB, REQUIRED), start=(START, "S0"),
+                  label=(STRING, ""))
+DELAY_RANGE = _record(min=(_number(), REQUIRED), max=(_number(), REQUIRED),
+                      count=(_number(5, integer=True), REQUIRED))
+
+SCHEMAS = {
+    "futures": _record(
+        l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED), steps=(STEPS, 3),
+        start_states=(_list(START), ["S0", "S1"])),
+    "complexity-sweep": _record(
+        l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED),
+        weight_method=(_choice({m.value: m for m in WeightMethod}), "three-step")),
+    "hom-dip": _record(
+        process_a=(PROCESS, REQUIRED), process_b=(PROCESS, REQUIRED), steps=(STEPS, 3),
+        envelope_sigma_ns=(_number(above=0.0), 1.0),
+        # numpy's Poisson sampler takes rates up to about 9.2e18
+        baseline=(_number(hi=1e18, above=0.0), 10000),
+        delays_ns=(_delays, {"min": -5.0, "max": 5.0, "count": 41}),
+        poisson_seed=(_optional(SEED), None), visibility_override=(_optional(PROB), None),
+        fit_max_evals=(_number(1, integer=True), 10000)),
+    "compare-sweep": _record(
+        steps=(STEPS, 3),
+        series=(_list(_record(
+            name=(STRING, "series"), fixed=(PROCESS, REQUIRED),
+            varying=(_record(m=(PROB, REQUIRED), start=(START, "S0"), l_values=(_list(PROB), REQUIRED)),
+                     REQUIRED))), REQUIRED)),
+    "oracle-check": _record(
+        grid_step=(_number(hi=0.5, above=0.0), 0.05), step_counts=(_list(STEPS), [1, 2, 3, 4]),
+        identity_draws=(_number(1, integer=True), 1000), seed=(SEED, 7),
+        inject_fault=(_is(bool, "true or false"), False)),
+    "counts": _record(
+        process=(PROCESS, REQUIRED), steps=(STEPS, 3), n=(_number(1, integer=True), 1_000_000),
+        seed=(SEED, REQUIRED)),
+}
+
 
 def load_preset(name: str) -> dict:
     ref = resources.files("qcoin.presets").joinpath(f"{name}.json")
@@ -94,98 +216,37 @@ def load_preset(name: str) -> dict:
 
 def load_config(config_arg: str | None, command: str) -> dict:
     if config_arg is None:
-        return load_preset(_PRESET_BY_COMMAND[command])
+        return load_preset(COMMANDS[command].preset)
     path = Path(config_arg)
     if path.is_file():
         try:
             config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
         return config
-    if config_arg in {f"fig{n}" for n in ("4", "5a", "5b", "5c")} | set(_PRESET_BY_COMMAND.values()):
+    if config_arg in {c.preset for c in COMMANDS.values()}:
         return load_preset(config_arg)
     raise ConfigError(f"config file not found: {config_arg}")
 
 
 def command_record(config: dict, command: str) -> dict:
+    """The `command` record of `config`, validated against its schema, with defaults filled in."""
+    for key in config:
+        if key != "schema_version" and key not in COMMANDS:
+            raise ConfigError(f"unknown top-level config key {key!r}")
     version = config.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    record = config.get(command)
-    if not isinstance(record, dict):
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r} (expected the integer {SCHEMA_VERSION})")
+    if command not in config:
         raise ConfigError(f"config has no {command!r} record")
-    return record
-
-
-def _number(value, key: str, kind: type = float):
-    """`kind(value)` for a config field.  A bool, a non-integral number for an
-    integer field, or a value that does not convert is a ConfigError.
-    """
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not isinstance(value, bool) and not fractional:
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    noun = "an integer" if kind is int else "a number"
-    raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
-
-
-def _seed(value) -> int:
-    seed = _number(value, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
+    return SCHEMAS[command](config[command], command)
 
 
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _prob(record: dict, key: str) -> float:
-    if key not in record:
-        raise ConfigError(f"missing config key {key!r}")
-    value = _number(record[key], key)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"config key {key!r} must be a probability in [0, 1], got {value}")
-    return value
-
-
-def _prob_list(record: dict, key: str) -> list[float]:
-    values = record.get(key)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"config key {key!r} must be a nonempty list")
-    out = []
-    for v in values:
-        v = _number(v, key)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"values of {key!r} must be probabilities, got {v}")
-        out.append(v)
-    return out
-
-
-def _start(name) -> CausalState:
-    try:
-        return CausalState[str(name)]
-    except KeyError:
-        raise ConfigError(f"start state must be S0 or S1, got {name!r}") from None
-
-
-def _coin(record: dict) -> PerturbedCoin:
-    try:
-        return PerturbedCoin(_prob(record, "l"), _prob(record, "m"))
-    except InvalidParameter as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _steps(record: dict, default: int = 3) -> int:
-    steps = _number(record.get("steps", default), "steps", int)
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +285,15 @@ def _out_dir(args) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the validated record, the config hash and the output directory
 
-def cmd_futures(config: dict, out_dir: Path) -> int:
-    record = command_record(config, "futures")
-    stay_heads = _prob(record, "l")
-    m_values = _prob_list(record, "m_values")
-    steps = _steps(record)
-    start_names = record.get("start_states", ["S0", "S1"])
-    starts = [_start(n) for n in start_names]
-    digest = config_hash(config)
-
-    rows = []
-    distributions = []
+def cmd_futures(rec: dict, digest: str, out_dir: Path) -> int:
+    stay_heads, steps = rec["l"], rec["steps"]
+    rows, distributions = [], []
     series_by_start: dict[str, list[tuple[list[float], list[float], str]]] = {}
-    for start in starts:
+    for start in rec["start_states"]:
         series = []
-        for m in m_values:
+        for m in rec["m_values"]:
             dist = future_distribution(PerturbedCoin(stay_heads, m), start, steps)
             items = list(dist.probabilities.items())  # in bitstring order
             for bits, p in items:
@@ -261,25 +314,11 @@ def cmd_futures(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_complexity_sweep(config: dict, out_dir: Path, paper_params: bool = False) -> int:
-    record = command_record(config, "complexity-sweep")
-    if paper_params:
-        # fold into the record so the config hash covers the effective sweep
-        record["l"] = IMPLEMENTED_STAY_HEADS
-        record["m_values"] = list(IMPLEMENTED_STAY_TAILS_VALUES)
-    stay_heads = _prob(record, "l")
-    m_values = _prob_list(record, "m_values")
-    method_name = record.get("weight_method", "three-step")
-    try:
-        method = WeightMethod(method_name)
-    except ValueError:
-        raise ConfigError(f"weight_method must be 'exact' or 'three-step', got {method_name!r}") from None
-    digest = config_hash(config)
-
-    rows = []
-    densities = []
+def cmd_complexity_sweep(rec: dict, digest: str, out_dir: Path) -> int:
+    stay_heads, method = rec["l"], rec["weight_method"]
+    rows, densities = [], []
     xs, classical, quantum = [], [], []
-    for m in m_values:
+    for m in rec["m_values"]:
         coin = PerturbedCoin(stay_heads, m)
         try:
             weights = stationary_weights(coin, method)
@@ -307,53 +346,27 @@ def cmd_complexity_sweep(config: dict, out_dir: Path, paper_params: bool = False
     return EXIT_OK
 
 
-def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    record = command_record(config, "hom-dip")
-    proc_a, start_a = _process_record(record, "process_a")
-    proc_b, start_b = _process_record(record, "process_b")
-    steps = _steps(record)
-    sigma = _number(record.get("envelope_sigma_ns", 1.0), "envelope_sigma_ns")
-    baseline = _number(record.get("baseline", 10000), "baseline")
-    delays = _delay_grid(record.get("delays_ns", {"min": -5.0, "max": 5.0, "count": 41}))
-    if seed_override is not None:
-        record["poisson_seed"] = seed_override
-    poisson_seed = record.get("poisson_seed")
-    digest = config_hash(config)
-
-    psi = run_circuit(proc_a.coin, start_a, steps)
-    phi = run_circuit(proc_b.coin, start_b, steps)
+def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
+    (coin_a, start_a), (coin_b, start_b) = rec["process_a"], rec["process_b"]
+    steps, poisson_seed = rec["steps"], rec["poisson_seed"]
+    psi = run_circuit(coin_a, start_a, steps)
+    phi = run_circuit(coin_b, start_b, steps)
     v = visibility(psi, phi)
-    override = record.get("visibility_override")
-    if override is not None:
-        v = _number(override, "visibility_override")
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"visibility_override must be in [0, 1], got {v}")
-    try:
-        curve = dip_curve_from_visibility(v, sigma, delays, baseline)
-    except InvalidParameter as exc:
-        raise ConfigError(str(exc)) from exc
+    if rec["visibility_override"] is not None:
+        v = rec["visibility_override"]
+    curve = dip_curve_from_visibility(v, rec["envelope_sigma_ns"], rec["delays_ns"], rec["baseline"])
 
-    sampled = None
-    if poisson_seed is not None:
-        poisson_seed = _seed(poisson_seed)
-        rng = np.random.default_rng(poisson_seed)
-        sampled = rng.poisson(curve.counts).astype(float)
+    sampled = (None if poisson_seed is None
+               else np.random.default_rng(poisson_seed).poisson(curve.counts).astype(float))
     fit_input = sampled if sampled is not None else curve.counts
-    fit = fit_visibility(
-        zip(curve.delays_ns, fit_input),
-        max_evals=_number(record.get("fit_max_evals", 10000), "fit_max_evals", int),
-    )
+    fit = fit_visibility(zip(curve.delays_ns, fit_input), max_evals=rec["fit_max_evals"])
     if not math.isfinite(fit.visibility_err) and curve.counts.min() == curve.counts.max():
         raise FitDidNotConverge(f"the dip does not fix the fit: the expected curve is flat (visibility {v!r}), "
                                 f"so the fitted visibility has error {fit.visibility_err!r}")
 
     columns = ["delay_ns", "expected_counts"] + (["sampled_counts"] if sampled is not None else [])
-    rows = []
-    for i, tau in enumerate(curve.delays_ns):
-        row = [_float_str(tau), _float_str(curve.counts[i])]
-        if sampled is not None:
-            row.append(_float_str(sampled[i]))
-        rows.append(row)
+    table = [curve.delays_ns, curve.counts] + ([sampled] if sampled is not None else [])
+    rows = [[_float_str(x) for x in row] for row in zip(*table)]
     write_csv(out_dir / "hom_dip.csv", "hom-dip", digest, columns, rows)
     write_json(out_dir / "hom_dip_fit.json", {
         "theory_visibility": v,
@@ -370,11 +383,11 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
     write_json(out_dir / "hom_dip_states.json", {
         "process_a": {
             "circuit": psi.to_json_dict(),
-            "superposition": ideal_output_state(proc_a.coin, start_a, steps).to_json_dict(),
+            "superposition": ideal_output_state(coin_a, start_a, steps).to_json_dict(),
         },
         "process_b": {
             "circuit": phi.to_json_dict(),
-            "superposition": ideal_output_state(proc_b.coin, start_b, steps).to_json_dict(),
+            "superposition": ideal_output_state(coin_b, start_b, steps).to_json_dict(),
         },
     }, digest)
     series = [(list(curve.delays_ns), list(curve.counts), "expected")]
@@ -386,38 +399,21 @@ def cmd_hom_dip(config: dict, out_dir: Path, seed_override: int | None = None) -
     return EXIT_OK
 
 
-def cmd_compare_sweep(config: dict, out_dir: Path) -> int:
-    record = command_record(config, "compare-sweep")
-    steps = _steps(record)
-    series_records = record.get("series")
-    if not isinstance(series_records, list) or not series_records:
-        raise ConfigError("compare-sweep config needs a nonempty 'series' list")
-    digest = config_hash(config)
-
-    rows = []
-    plot_series = []
-    all_records = []
-    for entry in series_records:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"each 'series' entry must be an object, got {entry!r}")
-        name = str(entry.get("name", "series"))
-        fixed, varying = entry.get("fixed"), entry.get("varying")
-        if not isinstance(fixed, dict) or not isinstance(varying, dict):
-            raise ConfigError(f"series {name!r} needs 'fixed' and 'varying' records")
-        fixed_spec = ProcessSpec(_coin(fixed), label=f"{name}-fixed")
-        fixed_start = _start(fixed.get("start", "S0"))
-        stay_tails = _prob(varying, "m")
-        start = _start(varying.get("start", "S0"))
-        l_values = _prob_list(varying, "l_values")
+def cmd_compare_sweep(rec: dict, digest: str, out_dir: Path) -> int:
+    rows, plot_series, all_records = [], [], []
+    for entry in rec["series"]:
+        name, (fixed_coin, fixed_start), varying = entry["name"], entry["fixed"], entry["varying"]
+        l_values = varying["l_values"]
         pairs = [
-            (ProcessSpec(PerturbedCoin(l, stay_tails), label=f"{name} l={l:g}"), start)
+            (ProcessSpec(PerturbedCoin(l, varying["m"]), label=f"{name} l={l:g}"), varying["start"])
             for l in l_values
         ]
-        records = visibility_sweep((fixed_spec, fixed_start), pairs, steps)
+        records = visibility_sweep((ProcessSpec(fixed_coin, label=f"{name}-fixed"), fixed_start),
+                                   pairs, rec["steps"])
         all_records.extend(records)
-        for l, rec in zip(l_values, records):
-            rows.append([name, _float_str(l), _float_str(math.sqrt(rec.visibility)), _float_str(rec.visibility)])
-        plot_series.append((l_values, [rec.visibility for rec in records], name))
+        for l, vis in zip(l_values, records):
+            rows.append([name, _float_str(l), _float_str(math.sqrt(vis.visibility)), _float_str(vis.visibility)])
+        plot_series.append((l_values, [vis.visibility for vis in records], name))
     write_csv(out_dir / "compare_sweep.csv", "compare-sweep", digest,
               ["series", "l", "overlap", "visibility"], rows)
     (out_dir / "compare_sweep.json").write_text(
@@ -429,43 +425,12 @@ def cmd_compare_sweep(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(config: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    record = command_record(config, "oracle-check")
-    grid_step = _number(record.get("grid_step", 0.05), "grid_step")
-    if not 0.0 < grid_step <= 0.5:
-        raise ConfigError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    step_counts = tuple(_number(s, "step_counts", int) for s in record.get("step_counts", [1, 2, 3, 4]))
-    if any(s < 1 for s in step_counts) or not step_counts:
-        raise ConfigError("step_counts must be a nonempty list of positive integers")
-    draws = _number(record.get("identity_draws", 1000), "identity_draws", int)
-    if seed_override is not None:
-        record["seed"] = seed_override
-    seed = _seed(record.get("seed", 7))
-    inject_fault = record.get("inject_fault", False)
-    if not isinstance(inject_fault, bool):
-        raise ConfigError(f"config key 'inject_fault' must be true or false, got {inject_fault!r}")
-    digest = config_hash(config)
-
-    results = run_oracle_checks(
-        grid_step=grid_step,
-        step_counts=step_counts,
-        identity_draws=draws,
-        seed=seed,
-        inject_fault=inject_fault,
-    )
+def cmd_oracle_check(rec: dict, digest: str, out_dir: Path) -> int:
+    results = run_oracle_checks(**rec)  # the record's keys are the suite's parameters
     all_passed = all(r.passed for r in results)
     write_json(out_dir / "oracle_report.json", {
         "all_passed": all_passed,
-        "checks": [
-            {
-                "name": r.name,
-                "max_abs_deviation": r.max_abs_deviation,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "worst_at": r.worst_at,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],  # name, max_abs_deviation, tolerance, passed, worst_at
     }, digest)
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -473,23 +438,11 @@ def cmd_oracle_check(config: dict, out_dir: Path, seed_override: int | None = No
     return EXIT_OK if all_passed else EXIT_CHECK
 
 
-def cmd_counts(config: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    record = command_record(config, "counts")
-    proc, start = _process_record(record, "process")
-    steps = _steps(record)
-    draws = _number(record.get("n", 1_000_000), "n", int)
-    if draws < 1:
-        raise ConfigError(f"n must be >= 1, got {draws}")
-    if seed_override is not None:
-        record["seed"] = seed_override
-    if record.get("seed") is None:
-        raise ConfigError("counts requires a seed (config 'seed' or --seed)")
-    seed = _seed(record["seed"])
-    digest = config_hash(config)
-
-    counts = sample_trajectories(proc.coin, start, steps, draws, seed)
+def cmd_counts(rec: dict, digest: str, out_dir: Path) -> int:
+    (coin, start), steps, draws, seed = rec["process"], rec["steps"], rec["n"], rec["seed"]
+    counts = sample_trajectories(coin, start, steps, draws, seed)
     empirical = counts_to_distribution(counts, steps)
-    theory = future_distribution(proc.coin, start, steps)
+    theory = future_distribution(coin, start, steps)
     fidelity = classical_fidelity(empirical, theory)
 
     rows = [
@@ -503,39 +456,38 @@ def cmd_counts(config: dict, out_dir: Path, seed_override: int | None = None) ->
         "fidelity": fidelity,
         "n": draws,
         "seed": seed,
-        "process": {"l": proc.coin.stay_heads, "m": proc.coin.stay_tails, "start": start.name},
+        "process": {"l": coin.stay_heads, "m": coin.stay_tails, "start": start.name},
         "steps": steps,
     }, digest)
     print(f"classical fidelity to theory: {fidelity:.6f} ({draws} draws)")
     return EXIT_OK
 
 
-def _process_record(record: dict, key: str) -> tuple[ProcessSpec, CausalState]:
-    sub = record.get(key)
-    if not isinstance(sub, dict):
-        raise ConfigError(f"missing process record {key!r}")
-    return ProcessSpec(_coin(sub), label=str(sub.get("label", key))), _start(sub.get("start", "S0"))
-
-
-def _delay_grid(spec) -> np.ndarray:
-    if isinstance(spec, list):
-        if len(spec) < 2:
-            raise ConfigError("delays_ns list needs at least two entries")
-        return np.asarray([_number(x, "delays_ns") for x in spec])
-    if isinstance(spec, dict):
-        try:
-            count = _number(spec["count"], "delays_ns.count", int)
-            lo, hi = _number(spec["min"], "delays_ns.min"), _number(spec["max"], "delays_ns.max")
-        except KeyError as exc:
-            raise ConfigError(f"delays_ns record missing key {exc}") from None
-        if count < 2 or hi <= lo:
-            raise ConfigError("delays_ns needs count >= 2 and max > min")
-        return np.linspace(lo, hi, count)
-    raise ConfigError("delays_ns must be a list or a {min, max, count} record")
-
-
 # ---------------------------------------------------------------------------
 # entry point
+
+class Command(NamedTuple):
+    run: Callable[[dict, str, Path], int]
+    preset: str  # the bundled config the command runs without --config
+    help: str
+    seed_key: str | None  # the record key --seed sets; no --seed option without one
+
+
+COMMANDS = {
+    "futures": Command(cmd_futures, "fig4",
+                       "exact future distributions over a sweep of stay-tails values", None),
+    "complexity-sweep": Command(cmd_complexity_sweep, "fig5a",
+                                "classical and quantum memory cost over a parameter sweep", None),
+    "hom-dip": Command(cmd_hom_dip, "fig5b",
+                       "two-photon coincidence dip, optional Poisson sampling, and visibility fit",
+                       "poisson_seed"),
+    "compare-sweep": Command(cmd_compare_sweep, "fig5c",
+                             "interference visibility between a fixed and varying process", None),
+    "oracle-check": Command(cmd_oracle_check, "oracle",
+                            "cross-module equivalence suites; nonzero exit on violation", "seed"),
+    "counts": Command(cmd_counts, "counts", "finite-count sampling and classical fidelity to theory", "seed"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is a config error: exit 2, no traceback
@@ -549,26 +501,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qcoin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("futures", "exact future distributions over a sweep of stay-tails values"),
-        ("complexity-sweep", "classical and quantum memory cost over a parameter sweep"),
-        ("hom-dip", "two-photon coincidence dip, optional Poisson sampling, and visibility fit"),
-        ("compare-sweep", "interference visibility between a fixed and varying process"),
-        ("oracle-check", "cross-module equivalence suites; nonzero exit on violation"),
-        ("counts", "finite-count sampling and classical fidelity to theory"),
-    ]
-    for name, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file or bundled preset name (default: the command's preset)")
         p.add_argument("--out", metavar="DIR",
                        help=f"output directory (default: ${OUT_DIR_ENV} or ./{DEFAULT_OUT_DIR})")
-        if name in ("hom-dip", "oracle-check", "counts"):
+        if command.seed_key:
             p.add_argument("--seed", type=int, metavar="N",
-                           help="override the config's random seed")
+                           help=f"override the config's {command.seed_key!r}")
         if name == "complexity-sweep":
             p.add_argument("--paper-params", action="store_true",
-                           help="use the implemented (not nominal) sweep parameters")
+                           help="use the implemented (not nominal) sweep parameters of the fig5a preset")
     return parser
 
 
@@ -576,20 +520,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config, args.command)
-        out_dir = _out_dir(args)
-        if args.command == "futures":
-            return cmd_futures(config, out_dir)
-        if args.command == "complexity-sweep":
-            return cmd_complexity_sweep(config, out_dir, paper_params=args.paper_params)
-        if args.command == "hom-dip":
-            return cmd_hom_dip(config, out_dir, seed_override=args.seed)
-        if args.command == "compare-sweep":
-            return cmd_compare_sweep(config, out_dir)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(config, out_dir, seed_override=args.seed)
-        if args.command == "counts":
-            return cmd_counts(config, out_dir, seed_override=args.seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        record = config.get(args.command)
+        # the flags are folded into the config as loaded, so its hash covers the effective run
+        if isinstance(record, dict) and getattr(args, "seed", None) is not None:
+            record[COMMANDS[args.command].seed_key] = args.seed
+        if isinstance(record, dict) and getattr(args, "paper_params", False):
+            implemented = load_preset("fig5a")["complexity-sweep"]
+            record.update(l=implemented["l"], m_values=implemented["m_values"])
+        digest = config_hash(config)
+        rec = command_record(config, args.command)
+        return COMMANDS[args.command].run(rec, digest, _out_dir(args))
     except (ConfigError, InvalidParameter, StepCountTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -92,7 +92,10 @@ def dip_curve_from_visibility(
     if not 0.0 <= vis <= 1.0:
         raise InvalidParameter(f"visibility must be in [0, 1], got {vis}")
     delays = np.asarray(delays_ns, dtype=float)
-    counts = dip_model(delays, baseline, vis, envelope_sigma_ns)
+    with np.errstate(all="ignore"):  # e.g. a sigma whose square underflows gives 0/0 at zero delay
+        counts = dip_model(delays, baseline, vis, envelope_sigma_ns)
+    if not np.isfinite(counts).all():
+        raise InvalidParameter(f"the dip curve is not finite at envelope sigma {envelope_sigma_ns} ns")
     return DipCurve(delays, counts, envelope_sigma_ns, baseline)
 
 

@@ -21,7 +21,7 @@ from qcoin.circuit import (
     reconstruct_memory_density,
     run_circuit,
 )
-from qcoin.cli import EXIT_OK, IMPLEMENTED_STAY_TAILS_VALUES, main
+from qcoin.cli import EXIT_OK, main
 from qcoin.interference import dip_model, fit_visibility, visibility
 from qcoin.markov import (
     CausalState,
@@ -43,6 +43,9 @@ from qcoin.quantum import (
 )
 
 S0, S1 = CausalState.S0, CausalState.S1
+
+# The paper's as-implemented stay-tails sweep, which `--paper-params` selects.
+IMPLEMENTED_STAY_TAILS_VALUES = (0.101, 0.197, 0.297, 0.391, 0.490, 0.588, 0.685, 0.784, 0.882, 0.994)
 
 GRID_21 = [
     (round(0.05 * i, 10), round(0.05 * j, 10)) for i in range(21) for j in range(21)

@@ -195,6 +195,13 @@ def test_step_counts_outside_the_circuit_bound_raise(step_counts):
         run_oracle_checks(grid_step=0.5, step_counts=step_counts, identity_draws=1)
 
 
+@pytest.mark.parametrize("draws", [0, -5])
+def test_identity_check_needs_a_draw(draws):
+    # a check over no draws is not a check
+    with pytest.raises(InvalidParameter, match=f"identity_draws must be >= 1, got {draws}"):
+        run_oracle_checks(grid_step=0.5, step_counts=(1,), identity_draws=draws)
+
+
 def test_grid_outside_the_unit_square_is_rejected():
     # a 0.35 grid has a tick at 1.05, a 0.3 grid stops at 0.9
     for grid_step in (0.35, 0.3):

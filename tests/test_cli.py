@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,15 +9,24 @@ from pathlib import Path
 import pytest
 
 from qcoin.cli import (
+    COMMANDS,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_OK,
-    IMPLEMENTED_STAY_HEADS,
-    IMPLEMENTED_STAY_TAILS_VALUES,
+    command_record,
+    config_hash,
     load_preset,
     main,
 )
+from qcoin.markov import CausalState, WeightMethod
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The paper's as-implemented sweep, slightly off the nominal round values;
+# `--paper-params` takes it from the bundled fig5a preset.
+IMPLEMENTED_STAY_HEADS = 0.397
+IMPLEMENTED_STAY_TAILS_VALUES = (0.101, 0.197, 0.297, 0.391, 0.490, 0.588, 0.685, 0.784, 0.882, 0.994)
 
 
 def read_csv(path):
@@ -27,6 +37,10 @@ def read_csv(path):
             (header if line.startswith("#") else payload).append(line.rstrip("\n"))
     rows = list(csv.reader(payload))
     return header, rows[0], rows[1:]
+
+
+# two fair-coin processes: the required part of a hom-dip record
+PAIR = {"process_a": {"l": 0.5, "m": 0.5}, "process_b": {"l": 0.5, "m": 0.5}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -416,9 +430,18 @@ class TestConfigHandling:
     ("oracle-check", {"schema_version": 1, "oracle-check": {"inject_fault": "false"}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 0.3}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 0.35}}),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "start_states": 5}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"step_counts": 5}}),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "envelope_sigma_ns": float("nan")}}),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "baseline": float("inf"), "poisson_seed": 1}}),
+    ("futures", {"schema_version": 1, "futures": {"l": 10**400, "m_values": [0.5]}}),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {
+        **PAIR, "envelope_sigma_ns": 1e-300, "delays_ns": [-1.0, -0.5, 0.0, 0.5, 1.0]}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
         "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
-        "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one"])
+        "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one", "start_states-int",
+        "step_counts-int", "envelope_sigma-nan", "baseline-inf-sampled", "l-400-digits",
+        "envelope_sigma-underflow"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
@@ -428,6 +451,94 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("futures", {"schema_version": True, "futures": {"l": 0.4, "m_values": [0.5]}},
+     "unsupported schema_version True"),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"identity_draws": 0}}, "'oracle-check.identity_draws'"),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"identity_draws": -5}}, "'oracle-check.identity_draws'"),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "fit_max_evals": 0}}, "'hom-dip.fit_max_evals'"),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "start_states": []}},
+     "'futures.start_states'"),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "step": 7}},
+     "unknown config key 'step' in 'futures'"),
+    ("compare-sweep", {"schema_version": 1, "compare-sweep": {"series": [
+        {"name": ["a"], "fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5]}}]}},
+     "'compare-sweep.series[0].name'"),
+    ("futures", {"schema_version": 1, "futures": {"l": "0.5", "m_values": [0.5]}}, "'futures.l'"),
+], ids=["schema_version-bool", "identity_draws-zero", "identity_draws-negative", "fit_max_evals-zero",
+        "start_states-empty", "unknown-key", "series-name-list", "numeric-string"])
+def test_config_the_schema_rejects_exits_with_config_error(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ['{"schema_version": 1, "futures": {"l": ' + "1" * 5000 + "}}",
+                                  '{"futures": ' + "[" * 100000 + "]" * 100000 + "}"],
+                         ids=["integer-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+def test_unreadable_json_exits_with_config_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["futures", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_record_defaults_are_filled_in():
+    rec = command_record({"futures": {"l": 0.4, "m_values": [1]}}, "futures")
+    assert rec == {"l": 0.4, "m_values": [1.0], "steps": 3, "start_states": [CausalState.S0, CausalState.S1]}
+    assert type(rec["m_values"][0]) is float
+    rec = command_record({"complexity-sweep": {"l": 0, "m_values": [0.5]}}, "complexity-sweep")
+    assert rec["weight_method"] is WeightMethod.THREE_STEP_MARGINAL and type(rec["l"]) is float
+
+
+def test_every_bundled_preset_validates():
+    for name, command in COMMANDS.items():
+        command_record(load_preset(command.preset), name)
+
+
+def payload_digest(path):
+    """SHA-256 of a file's payload: the CSV rows below the comment header, or
+    the JSON document without a top-level ``run`` record."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        payload = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    else:
+        data = json.loads(text)
+        if isinstance(data, dict):
+            data.pop("run", None)
+        payload = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_figure_presets_match_the_reference_payload_digests(tmp_path):
+    references = json.loads((ROOT / "benchmarks" / "reference_digests.json").read_text(encoding="utf-8"))
+    command_of = {command.preset: name for name, command in COMMANDS.items()}
+    assert set(references) == {"fig4", "fig5a", "fig5b", "fig5c", "counts"}
+    for preset, files in references.items():
+        out = tmp_path / preset
+        assert main([command_of[preset], "--out", str(out)]) == EXIT_OK
+        for name, digest in files.items():
+            assert payload_digest(out / name) == digest, f"{preset}: {name}"
+        # the config hash is that of the preset as loaded, not of the validated record
+        expected = f"# config_sha256: {config_hash(load_preset(preset))}"
+        assert expected in (out / next(n for n in files if n.endswith(".csv"))).read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, preset, folded", [
+    (["complexity-sweep", "--paper-params"], "fig5a", {}),
+    (["hom-dip", "--seed", "5"], "fig5b", {"poisson_seed": 5}),
+    (["counts", "--seed", "3"], "counts", {"seed": 3}),
+], ids=["paper-params", "hom-dip-seed", "counts-seed"])
+def test_flags_fold_into_the_hashed_config(tmp_path, argv, preset, folded):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    config = load_preset(preset)
+    config[argv[0]].update(folded)
+    report = next(p for p in sorted(tmp_path.glob("*.json")) if p.name != "compare_sweep.json")
+    assert json.loads(report.read_text())["config_sha256"] == config_hash(config)
 
 
 def test_integral_float_accepted_for_integer_field(tmp_path):

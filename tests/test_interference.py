@@ -155,6 +155,11 @@ class TestDipCurve:
         with pytest.raises(InvalidParameter):
             dip_curve_from_visibility(1.0, 1.0, [0.0], 0.0)
 
+    def test_rejects_an_envelope_whose_square_underflows(self):
+        # sigma^2 rounds to 0, so the curve at zero delay is 0/0
+        with pytest.raises(InvalidParameter, match="not finite"):
+            dip_curve_from_visibility(1.0, 1e-300, [-1.0, 0.0, 1.0], 1000.0)
+
 
 class TestFitVisibility:
     def test_perfect_visibility_roundtrip(self):
