@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_oracle_checks
-from .constants import TOL
+from .constants import ALLOCATION_BUDGET_BYTES, TOL
 from .circuit import run_circuit
 from .encoding import all_bitstrings, lexicographic_bins
 from .errors import (
@@ -86,7 +86,7 @@ def _number(lo=-math.inf, hi=math.inf, *, integer=False, above=-math.inf, noun=N
     """A finite JSON number x with lo <= x <= hi and x > above.  A bool, a
     string, NaN or infinity is rejected; an integer field also takes 3.0.
     """
-    bounds = " and ".join(f"{op} {b:g}" for op, b in ((">", above), (">=", lo), ("<=", hi)) if math.isfinite(b))
+    bounds = " and ".join(f"{op} {b:.10g}" for op, b in ((">", above), (">=", lo), ("<=", hi)) if math.isfinite(b))
     what = f"{noun or ('an integer' if integer else 'a finite number')} {bounds}".rstrip()
 
     def parse(value, key):
@@ -172,8 +172,11 @@ STRING = _is(str, "a string")
 PROCESS = _record(lambda p: (PerturbedCoin(p["l"], p["m"]), p["start"]),
                   l=(PROB, REQUIRED), m=(PROB, REQUIRED), start=(START, "S0"),
                   label=(STRING, ""))
+# the longest delay grid and the finest (l, m) grid within the allocation budget
+MAX_DELAYS = ALLOCATION_BUDGET_BYTES // 8
+MIN_GRID_STEP = 1.0 / (math.isqrt(ALLOCATION_BUDGET_BYTES // 16) - 1)
 DELAY_RANGE = _record(min=(_number(), REQUIRED), max=(_number(), REQUIRED),
-                      count=(_number(5, integer=True), REQUIRED))
+                      count=(_number(5, MAX_DELAYS, integer=True), REQUIRED))
 
 SCHEMAS = {
     "futures": _record(
@@ -197,7 +200,7 @@ SCHEMAS = {
             varying=(_record(m=(PROB, REQUIRED), start=(START, "S0"), l_values=(_list(PROB), REQUIRED)),
                      REQUIRED))), REQUIRED)),
     "oracle-check": _record(
-        grid_step=(_number(hi=0.5, above=0.0), 0.05), step_counts=(_list(STEPS), [1, 2, 3, 4]),
+        grid_step=(_number(MIN_GRID_STEP, 0.5), 0.05), step_counts=(_list(STEPS), [1, 2, 3, 4]),
         identity_draws=(_number(1, integer=True), 1000), seed=(SEED, 7),
         inject_fault=(_is(bool, "true or false"), False)),
     "counts": _record(
@@ -274,7 +277,8 @@ def write_csv(path: Path, command: str, digest: str, columns: list[str], rows: l
 def write_json(path: Path, payload: dict, digest: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
                "config_sha256": digest, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # a non-finite float raises here rather than reach the file as invalid JSON
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _out_dir(args) -> Path:
@@ -360,7 +364,9 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
                else np.random.default_rng(poisson_seed).poisson(curve.counts).astype(float))
     fit_input = sampled if sampled is not None else curve.counts
     fit = fit_visibility(zip(curve.delays_ns, fit_input), max_evals=rec["fit_max_evals"])
-    if not math.isfinite(fit.visibility_err) and curve.counts.min() == curve.counts.max():
+    # scipy gives an infinite error when it cannot estimate the covariance
+    err = fit.visibility_err if math.isfinite(fit.visibility_err) else None
+    if err is None and curve.counts.min() == curve.counts.max():
         raise FitDidNotConverge(f"the dip does not fix the fit: the expected curve is flat (visibility {v!r}), "
                                 f"so the fitted visibility has error {fit.visibility_err!r}")
 
@@ -372,7 +378,7 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
         "theory_visibility": v,
         "fit": {
             "visibility": fit.visibility,
-            "visibility_err": fit.visibility_err,
+            "visibility_err": err,
             "baseline": fit.baseline,
             "sigma_ns": fit.sigma_ns,
             "center_ns": fit.center_ns,
@@ -395,7 +401,7 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
         series.append((list(curve.delays_ns), list(sampled), "sampled"))
     line_plot(out_dir / "hom_dip.svg", series, title="Two-photon coincidence dip",
               xlabel="relative delay (ns)", ylabel="coincidences")
-    print(f"fit visibility: {fit.visibility:.6f} +- {fit.visibility_err:.6f}")
+    print(f"fit visibility: {fit.visibility:.6f} +- {'n/a' if err is None else f'{err:.6f}'}")
     return EXIT_OK
 
 

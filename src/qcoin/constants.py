@@ -26,6 +26,11 @@ TOL = Tolerances()
 # whose states hold 2**(M+1) amplitudes.
 MAX_SUPERPOSITION_STEPS = 12
 
+# Largest array, in bytes, that one config field may size: the hom-dip delay
+# grid holds 8 bytes a delay, the oracle-check (l, m) grid 16 bytes a point.
+# The config schema checks both before anything is allocated.
+ALLOCATION_BUDGET_BYTES = 2**24
+
 # The long path of block k delays the photon by 2^(k-1) times this base
 # delay, so every outcome string maps to a unique arrival time (a 3-step
 # run spans 0..14 ns).

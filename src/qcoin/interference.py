@@ -200,4 +200,4 @@ def visibility_records_to_json(records: list[VisibilityRecord]) -> str:
                 "process_b": process_json_dict(spec_b, start_b),
             }
         )
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)

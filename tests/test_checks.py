@@ -179,6 +179,69 @@ def test_split_chunks_give_identical_results(monkeypatch):
     assert run_oracle_checks(**SMALL, inject_fault=True) == whole_fault
 
 
+def draw_loop(rng, draws):
+    """The scalar reference for the identity draws: one Generator call per value."""
+    return np.array([(rng.random(), rng.random(), rng.random(), rng.random(),
+                      rng.integers(2), rng.integers(2), rng.integers(1, 4))
+                     for _ in range(draws)]).reshape(-1, 7)
+
+
+def assert_decode_matches(rng, ref_table, ref_state, draws):
+    table = checks._draw_table(rng, draws)
+    assert table.dtype == ref_table.dtype and table.tobytes() == ref_table.tobytes(), draws
+    assert rng.bit_generator.state == ref_state, draws
+
+
+def test_decoded_draws_equal_the_scalar_loop():
+    # the loop runs once per seed; its prefix and state at each length are the references
+    lengths = (1, 2, 3)  # every seed
+    long_lengths = (2047, 2048, 2049, 5001)  # across the 2048-draw chunk, on fewer seeds for time
+    for seed in range(500):
+        ref, done, tables, states = np.random.default_rng(seed), 0, [], {}
+        for draws in lengths + (long_lengths if seed < 20 else ()):
+            tables.append(draw_loop(ref, draws - done))
+            done, states[draws] = draws, ref.bit_generator.state
+        table = np.concatenate(tables)
+        for draws, state in states.items():
+            assert_decode_matches(np.random.default_rng(seed), table[:draws], state, draws)
+
+
+def pcg64_state_with_word(word, value):
+    """A PCG64 state whose raw word number `word` (from 0) is `value`: invert
+    the XSL-RR output (value = rotr64(high ^ low, high >> 58)) at a chosen
+    high half, then step the state back.
+    """
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    mixed = ((value << rot) | (value >> (64 - rot))) & (2**64 - 1)
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": (high << 64) | (high ^ mixed), "inc": 0xDA3E39CB94B95BDB}}
+    return bitgen.advance(2**128 - word - 1).state
+
+
+@pytest.mark.parametrize("word, value", [(5, 0xDEADBEEF00000000), (10, 0xDEADBEEF)],
+                         ids=["first-draw", "second-draw"])
+def test_a_rejected_step_count_draw_falls_back_to_the_loop(word, value):
+    # a zero low (word 5) or high (word 10) half is where integers(1, 4) reads its 32 bits
+    state = pcg64_state_with_word(word, value)
+    rng, ref = np.random.default_rng(), np.random.default_rng()
+    rng.bit_generator.state = ref.bit_generator.state = state
+    assert rng.bit_generator.random_raw(11)[word] == value
+    rng.bit_generator.state = state
+    table = draw_loop(ref, 4)
+    # the rejection read one more 32-bit half, so the loop ends with one buffered
+    assert ref.bit_generator.state["has_uint32"] == 1
+    assert_decode_matches(rng, table, ref.bit_generator.state, 4)
+
+
+def test_a_buffered_half_at_the_start_falls_back_to_the_loop():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    rng.integers(2), ref.integers(2)  # leaves the high half of a word buffered
+    table = draw_loop(ref, 6)
+    assert_decode_matches(rng, table, ref.bit_generator.state, 6)
+
+
 @pytest.mark.parametrize("step_counts", [(1, 2, 3), (3, 1)])
 def test_canary_is_located_at_the_first_grid_point(step_counts):
     result = run_oracle_checks(grid_step=0.5, step_counts=step_counts, identity_draws=5,

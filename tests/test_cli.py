@@ -8,17 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from qcoin.checks import probability_grid
 from qcoin.cli import (
     COMMANDS,
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_OK,
+    MIN_GRID_STEP,
     command_record,
     config_hash,
     load_preset,
     main,
 )
+from qcoin.constants import ALLOCATION_BUDGET_BYTES
+from qcoin.errors import ConfigError
 from qcoin.markov import CausalState, WeightMethod
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,6 +193,16 @@ class TestHomDip:
         assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "hom_dip_fit.json").read_text())
         assert report["fit"]["visibility"] == pytest.approx(0.96, abs=1e-6)
+
+    def test_fit_error_without_a_covariance_estimate_is_null(self, tmp_path, capsys):
+        # a noiseless dip fits exactly, and scipy's covariance comes back all infinite
+        cfg = write_config(tmp_path, {"schema_version": 1, "hom-dip": {
+            **PAIR, "baseline": 10000, "visibility_override": 0.96}})
+        assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "hom_dip_fit.json").read_text())
+        assert report["fit"]["visibility_err"] is None
+        assert report["fit"]["visibility"] == pytest.approx(0.96, abs=1e-6)
+        assert capsys.readouterr().out.rstrip().endswith("+- n/a")
 
     def test_poisson_sampling_is_seeded_and_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -437,11 +451,13 @@ class TestConfigHandling:
     ("futures", {"schema_version": 1, "futures": {"l": 10**400, "m_values": [0.5]}}),
     ("hom-dip", {"schema_version": 1, "hom-dip": {
         **PAIR, "envelope_sigma_ns": 1e-300, "delays_ns": [-1.0, -0.5, 0.0, 0.5, 1.0]}}),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}}),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
         "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
         "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one", "start_states-int",
         "step_counts-int", "envelope_sigma-nan", "baseline-inf-sampled", "l-400-digits",
-        "envelope_sigma-underflow"])
+        "envelope_sigma-underflow", "delay_count-past-the-budget", "grid_step-past-the-budget"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
@@ -467,8 +483,12 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
         {"name": ["a"], "fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5]}}]}},
      "'compare-sweep.series[0].name'"),
     ("futures", {"schema_version": 1, "futures": {"l": "0.5", "m_values": [0.5]}}, "'futures.l'"),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}},
+     "'hom-dip.delays_ns.count' must be an integer >= 5 and <= 2097152"),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}, "'oracle-check.grid_step'"),
 ], ids=["schema_version-bool", "identity_draws-zero", "identity_draws-negative", "fit_max_evals-zero",
-        "start_states-empty", "unknown-key", "series-name-list", "numeric-string"])
+        "start_states-empty", "unknown-key", "series-name-list", "numeric-string", "delay_count-past-the-budget",
+        "grid_step-past-the-budget"])
 def test_config_the_schema_rejects_exits_with_config_error(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -485,6 +505,13 @@ def test_unreadable_json_exits_with_config_error(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     assert main(["futures", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_grid_step_bound_admits_the_grid_that_fills_the_budget():
+    rec = command_record({"oracle-check": {"grid_step": MIN_GRID_STEP}}, "oracle-check")
+    assert len(probability_grid(rec["grid_step"])) * 16 == ALLOCATION_BUDGET_BYTES  # 16 bytes a point
+    with pytest.raises(ConfigError, match="'oracle-check.grid_step'"):
+        command_record({"oracle-check": {"grid_step": MIN_GRID_STEP * 0.999}}, "oracle-check")
 
 
 def test_record_defaults_are_filled_in():
@@ -512,6 +539,17 @@ def payload_digest(path):
             data.pop("run", None)
         payload = json.dumps(data, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_every_bundled_preset_writes_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+
+    for name in COMMANDS:
+        out = tmp_path / name
+        assert main([name, "--out", str(out)]) == EXIT_OK
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def test_figure_presets_match_the_reference_payload_digests(tmp_path):
