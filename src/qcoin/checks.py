@@ -51,12 +51,13 @@ class CheckResult:
         return CheckResult(name, deviation, tolerance, deviation <= tolerance, worst_at)
 
 
-def probability_grid(step: float = 0.05) -> list[tuple[float, float]]:
-    """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2; `step` must divide 1."""
+def probability_grid(step: float = 0.05) -> np.ndarray:
+    """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2, as the rows of an (n, 2)
+    array with stay_tails varying fastest; `step` must divide 1."""
     ticks = np.round(np.arange(0.0, 1.0 + step / 2.0, step), 10)
     if ticks[-1] != 1.0:
         raise InvalidParameter(f"grid_step {step} does not divide 1: the ticks end at {ticks[-1]}, not 1")
-    return [(float(a), float(b)) for a in ticks for b in ticks]
+    return np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def run_oracle_checks(
@@ -75,7 +76,7 @@ def run_oracle_checks(
             raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
     if identity_draws < 1:
         raise InvalidParameter(f"identity_draws must be >= 1, got {identity_draws}")
-    grid = np.array(probability_grid(grid_step))
+    grid = probability_grid(grid_step)
     size = max(1, CHUNK_AMPLITUDES // (4 * 2 ** max(*step_counts, RECONSTRUCTION_STEPS)))
     chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)
               for lo in range(0, len(grid), size)]

@@ -19,8 +19,8 @@ to verify that bookkeeping.  All blocks of a run share one coin, so
 norm after every block and builds one `PhotonState` at the end.  The
 kernels take leading batch axes (coins of a grid, start states) and work on
 real float64 amplitudes, polarization-major (..., 2, bins) so that the long
-bin axis is the inner one; `PhotonState` is the complex128 (bins, 2) edge,
-converted once per run and read back through `_require_real`.
+bin axis is the inner one; `PhotonState` stores that (2, bins) array as the
+kernels hand it over.
 """
 
 from __future__ import annotations
@@ -35,19 +35,17 @@ from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index, index_to_bits
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution
-from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _require_real, causal_pair
-
-# Polarization basis indices.
-H, V = 0, 1
+from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _state_amplitudes, causal_pair
 
 
 @dataclass(frozen=True)
 class PhotonState:
     """Post-selected photon state after `steps_applied` blocks.
 
-    `amplitudes[b, p]` (C-ordered complex128) is the amplitude in time bin b
-    with polarization p (0 = H, 1 = V).  Bin b encodes the outcome string via
-    its binary digits, first outcome in the least-significant bit.
+    `amplitudes[p, b]` (read-only float64, C-ordered (2, 2**steps_applied)) is the
+    amplitude with polarization p (0 = H, 1 = V) in time bin b, polarization-major as
+    the kernels make it.  Bin b encodes the outcome string via its binary digits,
+    first outcome in the least-significant bit.
     `success_probability` is the probability that all post-selections so far succeeded.
     """
 
@@ -56,29 +54,17 @@ class PhotonState:
     success_probability: float
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex, order="C")
-        if amps.shape != (2**self.steps_applied, 2):
-            raise InvalidParameter(
-                f"expected amplitude shape {(2**self.steps_applied, 2)}, got {amps.shape}"
-            )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        _require_normalized(amps, "photon state")
+        object.__setattr__(self, "amplitudes",
+                           _state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
         if not 0.0 < self.success_probability <= 1.0:
             raise InvalidParameter(
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
             )
 
     def to_json_dict(self) -> dict:
-        bins = {
-            str(b): {"H": [row[H].real, row[H].imag], "V": [row[V].real, row[V].imag]}
-            for b, row in enumerate(self.amplitudes.tolist())
-        }
-        return {
-            "steps": self.steps_applied,
-            "success_probability": self.success_probability,
-            "bins": bins,
-        }
+        bins = {str(b): {"H": [h, 0.0], "V": [v, 0.0]}
+                for b, (h, v) in enumerate(zip(*self.amplitudes.tolist()))}
+        return {"steps": self.steps_applied, "success_probability": self.success_probability, "bins": bins}
 
 
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -107,7 +93,7 @@ def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, f
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
     """Photon in time bin 0 with its polarization set to the initial causal state."""
-    return PhotonState(0, causal_pair(coin)[start.index][None, :], 1.0)
+    return PhotonState(0, causal_pair(coin)[start.index][:, None], 1.0)
 
 
 def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
@@ -119,8 +105,7 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     k = state.steps_applied
     if k >= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"cannot apply more than {MAX_SUPERPOSITION_STEPS} blocks")
-    amps = _block(_require_real(state.amplitudes, "photon state").T, causal_pair(coin))
-    return PhotonState(k + 1, amps.T, state.success_probability * 0.5)
+    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)), state.success_probability * 0.5)
 
 
 def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[float, float]:
@@ -129,7 +114,7 @@ def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[floa
     Returns (retained, discarded); for a normalized input these sum to 1
     and each equals 1/2 regardless of the coin and the input state.
     """
-    retained, discarded = _arm_norms(_require_real(state.amplitudes, "photon state").T, causal_pair(coin))
+    retained, discarded = _arm_norms(state.amplitudes, causal_pair(coin))
     return float(retained), float(discarded)
 
 
@@ -147,7 +132,7 @@ def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonSt
     """
     pair = causal_pair(coin)
     amps, success = _run(pair, pair[start.index], steps)
-    return PhotonState(steps, amps.T, success)
+    return PhotonState(steps, amps, success)
 
 
 def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -155,7 +140,7 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     steps = state.steps_applied
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    probs = _bin_probabilities(_require_real(state.amplitudes, "photon state").T)
+    probs = _bin_probabilities(state.amplitudes)
     # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
     return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
@@ -172,13 +157,13 @@ def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
     time; always the projector onto the causal state of the final outcome.
     """
     index = bits_to_index(bits)
-    row = state.amplitudes[index]
-    p = float((row.real**2 + row.imag**2).sum())
+    row = state.amplitudes[:, index]
+    p = float((row * row).sum())
     if p <= TOL.empty_bin:
         bits = index_to_bits(index, state.steps_applied)
         raise EmptyBin(f"bin for {bits!r} carries probability {p!r}")
-    row = row / math.sqrt(p)
-    return DensityMatrix2(np.outer(row, row.conj()))
+    row = row * (1.0 / math.sqrt(p))
+    return DensityMatrix2(np.outer(row, row))
 
 
 def reconstruct_memory_density(

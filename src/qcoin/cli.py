@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_oracle_checks
-from .constants import ALLOCATION_BUDGET_BYTES, TOL
+from .constants import ALLOCATION_BUDGET_BYTES, MAX_SUPERPOSITION_STEPS, TOL
 from .circuit import run_circuit
 from .encoding import all_bitstrings, lexicographic_bins
 from .errors import (
@@ -52,6 +52,7 @@ from .interference import (
     visibility_sweep,
 )
 from .markov import (
+    MAX_ENUMERATION_STEPS,
     CausalState,
     PerturbedCoin,
     WeightMethod,
@@ -164,7 +165,9 @@ def _delays(value, key) -> np.ndarray:
 
 
 PROB = _number(0.0, 1.0, noun="a probability")
-STEPS = _number(1, integer=True)
+# step counts up to the cap of the enumeration (futures, counts) or of the superposition
+ENUMERATION_STEPS = _number(1, MAX_ENUMERATION_STEPS, integer=True)
+SUPERPOSITION_STEPS = _number(1, MAX_SUPERPOSITION_STEPS, integer=True)
 SEED = _number(0, integer=True)
 START = _choice(CausalState.__members__)
 STRING = _is(str, "a string")
@@ -180,13 +183,13 @@ DELAY_RANGE = _record(min=(_number(), REQUIRED), max=(_number(), REQUIRED),
 
 SCHEMAS = {
     "futures": _record(
-        l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED), steps=(STEPS, 3),
+        l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED), steps=(ENUMERATION_STEPS, 3),
         start_states=(_list(START), ["S0", "S1"])),
     "complexity-sweep": _record(
         l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED),
         weight_method=(_choice({m.value: m for m in WeightMethod}), "three-step")),
     "hom-dip": _record(
-        process_a=(PROCESS, REQUIRED), process_b=(PROCESS, REQUIRED), steps=(STEPS, 3),
+        process_a=(PROCESS, REQUIRED), process_b=(PROCESS, REQUIRED), steps=(SUPERPOSITION_STEPS, 3),
         envelope_sigma_ns=(_number(above=0.0), 1.0),
         # numpy's Poisson sampler takes rates up to about 9.2e18
         baseline=(_number(hi=1e18, above=0.0), 10000),
@@ -194,17 +197,17 @@ SCHEMAS = {
         poisson_seed=(_optional(SEED), None), visibility_override=(_optional(PROB), None),
         fit_max_evals=(_number(1, integer=True), 10000)),
     "compare-sweep": _record(
-        steps=(STEPS, 3),
+        steps=(SUPERPOSITION_STEPS, 3),
         series=(_list(_record(
             name=(STRING, "series"), fixed=(PROCESS, REQUIRED),
             varying=(_record(m=(PROB, REQUIRED), start=(START, "S0"), l_values=(_list(PROB), REQUIRED)),
                      REQUIRED))), REQUIRED)),
     "oracle-check": _record(
-        grid_step=(_number(MIN_GRID_STEP, 0.5), 0.05), step_counts=(_list(STEPS), [1, 2, 3, 4]),
+        grid_step=(_number(MIN_GRID_STEP, 0.5), 0.05), step_counts=(_list(SUPERPOSITION_STEPS), [1, 2, 3, 4]),
         identity_draws=(_number(1, integer=True), 1000), seed=(SEED, 7),
         inject_fault=(_is(bool, "true or false"), False)),
     "counts": _record(
-        process=(PROCESS, REQUIRED), steps=(STEPS, 3), n=(_number(1, integer=True), 1_000_000),
+        process=(PROCESS, REQUIRED), steps=(ENUMERATION_STEPS, 3), n=(_number(1, integer=True), 1_000_000),
         seed=(SEED, REQUIRED)),
 }
 

@@ -30,7 +30,11 @@ from .quantum import IdealOutputState, ProcessSpec, process_json_dict
 
 def _amplitudes(state) -> np.ndarray:
     if isinstance(state, (PhotonState, IdealOutputState)):
-        return state.amplitudes
+        # The package's one complex amplitude array, kept on purpose: np.vdot's summation order
+        # fixes the last bits of the visibility, and any other dot (a real vdot in either layout,
+        # or a complex one over the polarization-major array) changes them for most pairs, and
+        # with them the hom-dip and compare-sweep payloads.
+        return np.array(state.amplitudes.T, dtype=complex, order="C")
     return np.asarray(state, dtype=complex)
 
 

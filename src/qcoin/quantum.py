@@ -50,6 +50,18 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
         raise InvalidParameter(f"{what} is not normalized: |.|^2 = {float(np.asarray(norm_sq)[off].flat[0])!r}")
 
 
+def _state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
+    """A state's stored amplitudes: the kernels' real (2, 2**steps) array as read-only C-ordered float64,
+    taken over without a copy when it is one.  Complex input must pass `_require_real`; the norm is checked."""
+    amps = np.asarray(amplitudes)
+    amps = np.ascontiguousarray(_require_real(amps, what) if np.iscomplexobj(amps) else amps, dtype=float)
+    if amps.shape != (2, 2**steps):
+        raise InvalidParameter(f"expected amplitude shape {(2, 2**steps)}, got {amps.shape}")
+    amps.flags.writeable = False
+    _require_normalized(amps, what)
+    return amps
+
+
 def causal_pair(coin: PerturbedCoin) -> np.ndarray:
     """Real float64 (2, 2) array whose rows are |S0> = (sqrt(l), sqrt(1 - l)) and
     |S1> = (sqrt(1 - m), sqrt(m)), (..., 2, 2) for a grid of coins: the square roots of the
@@ -145,33 +157,25 @@ class ProcessSpec:
 class IdealOutputState:
     """The multi-step output superposition of the simulator.
 
-    Amplitudes are stored as a C-ordered complex128 (2**steps, 2) array indexed
-    by (time-bin, memory basis index); the amplitude on a string factorizes as
-    sqrt(p(string)) times the causal-state component of the final outcome.
+    `amplitudes[p, b]` (read-only float64, C-ordered (2, 2**steps)) is the amplitude on
+    memory basis index p and time bin b, polarization-major like `PhotonState`; the amplitude
+    on a string factorizes as sqrt(p(string)) times the causal-state component of the final
+    outcome.
     """
 
     steps: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex, order="C")
-        if amps.shape != (2**self.steps, 2):
-            raise InvalidParameter(
-                f"expected amplitude shape {(2**self.steps, 2)}, got {amps.shape}"
-            )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        _require_normalized(amps, "output state")
+        object.__setattr__(self, "amplitudes", _state_amplitudes(self.amplitudes, self.steps, "output state"))
 
     def marginal_distribution(self) -> OutcomeDistribution:
         """Squared marginal over the memory index: the classical future distribution."""
-        return OutcomeDistribution(self.steps, (np.abs(self.amplitudes) ** 2).sum(axis=1))
+        return OutcomeDistribution(self.steps, (self.amplitudes * self.amplitudes).sum(axis=0))
 
     def to_json_dict(self) -> dict:
-        amps = {
-            index_to_bits(b, self.steps): [[z.real, z.imag] for z in row]
-            for b, row in enumerate(self.amplitudes.tolist())
-        }
+        amps = {index_to_bits(b, self.steps): [[h, 0.0], [v, 0.0]]
+                for b, (h, v) in enumerate(zip(*self.amplitudes.tolist()))}
         return {"steps": self.steps, "amplitudes": amps}
 
 
@@ -182,8 +186,7 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     """
     if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
         raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
-    return IdealOutputState(steps, _superposition(future_distribution(coin, start, steps).bins,
-                                                  causal_pair(coin)).T)
+    return IdealOutputState(steps, _superposition(future_distribution(coin, start, steps).bins, causal_pair(coin)))
 
 
 def _superposition(bins: np.ndarray, pair: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@ loops over the public scalar API, which run the same kernels one coin at a
 time, and check that the batch validation reaches every grid element.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcoin import checks, circuit
 from qcoin.checks import probability_grid, run_oracle_checks
+from qcoin.cli import MIN_GRID_STEP
 from qcoin.circuit import (
     apply_block,
     arrival_time_distribution,
@@ -16,6 +19,7 @@ from qcoin.circuit import (
     reconstruct_memory_density,
     run_circuit,
 )
+from qcoin.constants import ALLOCATION_BUDGET_BYTES
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
     CausalState,
@@ -270,6 +274,30 @@ def test_grid_outside_the_unit_square_is_rejected():
     for grid_step in (0.35, 0.3):
         with pytest.raises(InvalidParameter, match=f"grid_step {grid_step} does not divide 1"):
             run_oracle_checks(grid_step=grid_step, step_counts=(1,), identity_draws=1)
+
+
+def _tuple_grid(step):
+    """The grid as a list of (l, m) tuples from one Python loop over the ticks."""
+    ticks = np.round(np.arange(0.0, 1.0 + step / 2.0, step), 10)
+    return [(float(a), float(b)) for a in ticks for b in ticks]
+
+
+@pytest.mark.parametrize("step", [0.5, 0.25, 0.05, 0.01, 1 / 127])
+def test_grid_rows_equal_the_tuple_loop(step):
+    grid = probability_grid(step)
+    assert grid.dtype == np.float64
+    assert np.array_equal(grid, _tuple_grid(step))
+
+
+def test_finest_admitted_grid_stays_within_a_few_budgets():
+    tracemalloc.start()
+    try:
+        grid = probability_grid(MIN_GRID_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == ALLOCATION_BUDGET_BYTES
+    assert peak < 3 * ALLOCATION_BUDGET_BYTES
 
 
 def _last_bad(good, bad):

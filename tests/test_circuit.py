@@ -9,6 +9,7 @@ from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
 from qcoin.errors import EmptyBin, InternalError, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
+    _run,
     apply_block,
     arrival_time_distribution,
     block_gate_unitary,
@@ -27,7 +28,8 @@ from qcoin.markov import (
     future_distribution,
     stationary_weights,
 )
-from qcoin.quantum import causal_pair, ideal_output_state, memory_density, von_neumann_entropy
+from qcoin.interference import _amplitudes
+from qcoin.quantum import IdealOutputState, causal_pair, ideal_output_state, memory_density, von_neumann_entropy
 
 S0, S1 = CausalState.S0, CausalState.S1
 
@@ -42,16 +44,16 @@ class TestPrepareInput:
         state = prepare_input(PerturbedCoin(0.5, 0.5), S0)
         assert state.steps_applied == 0
         assert state.success_probability == 1.0
-        assert np.allclose(state.amplitudes, [[math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-15)
+        assert np.allclose(state.amplitudes, [[math.sqrt(0.5)], [math.sqrt(0.5)]], atol=1e-15)
 
     def test_deterministic_tails(self):
         state = prepare_input(PerturbedCoin(1.0, 1.0), S1)
-        assert state.amplitudes.tolist() == [[0.0, 1.0]]
+        assert state.amplitudes.tolist() == [[0.0], [1.0]]
 
     def test_derived_square_roots(self):
         state = prepare_input(PerturbedCoin(0.4, 0.9), S0)
-        assert state.amplitudes[0, 0].real == pytest.approx(0.63246, abs=1e-5)
-        assert state.amplitudes[0, 1].real == pytest.approx(0.77460, abs=1e-5)
+        assert state.amplitudes[0, 0] == pytest.approx(0.63246, abs=1e-5)
+        assert state.amplitudes[1, 0] == pytest.approx(0.77460, abs=1e-5)
 
 
 class TestApplyBlock:
@@ -61,29 +63,29 @@ class TestApplyBlock:
         assert state.steps_applied == 1
         assert state.success_probability == 0.5
         s0, s1 = causal_pair(coin)
-        assert np.allclose(state.amplitudes[0], math.sqrt(0.4) * s0, atol=1e-15)
-        assert np.allclose(state.amplitudes[1], math.sqrt(0.6) * s1, atol=1e-15)
+        assert np.allclose(state.amplitudes[:, 0], math.sqrt(0.4) * s0, atol=1e-15)
+        assert np.allclose(state.amplitudes[:, 1], math.sqrt(0.6) * s1, atol=1e-15)
 
     def test_one_block_from_s1(self):
         coin = PerturbedCoin(0.4, 0.7)
         state = apply_block(prepare_input(coin, S1), coin)
         s0, s1 = causal_pair(coin)
-        assert np.allclose(state.amplitudes[0], math.sqrt(0.3) * s0, atol=1e-15)
-        assert np.allclose(state.amplitudes[1], math.sqrt(0.7) * s1, atol=1e-15)
+        assert np.allclose(state.amplitudes[:, 0], math.sqrt(0.3) * s0, atol=1e-15)
+        assert np.allclose(state.amplitudes[:, 1], math.sqrt(0.7) * s1, atol=1e-15)
 
     def test_deterministic_routing_stays_in_bin_zero(self):
         coin = PerturbedCoin(1.0, 1.0)
         state = apply_block(prepare_input(coin, S0), coin)
         assert state.success_probability == 0.5
-        assert state.amplitudes[0].tolist() == [1.0, 0.0]
-        assert state.amplitudes[1].tolist() == [0.0, 0.0]
+        assert state.amplitudes[:, 0].tolist() == [1.0, 0.0]
+        assert state.amplitudes[:, 1].tolist() == [0.0, 0.0]
 
     def test_two_fair_blocks_hand_expansion(self):
         coin = PerturbedCoin(0.5, 0.5)
         state = apply_block(apply_block(prepare_input(coin, S0), coin), coin)
         assert state.success_probability == 0.25
         # every bin holds 1/2 * (sqrt(.5), sqrt(.5)): uniform over 4 bins x 2 pols
-        assert state.amplitudes.shape == (4, 2)
+        assert state.amplitudes.shape == (2, 4)
         assert np.allclose(state.amplitudes, 0.5 * math.sqrt(0.5), atol=1e-12)
 
     def test_block_count_bound(self):
@@ -122,7 +124,7 @@ class TestRunCircuit:
 
     def test_deterministic_chain_all_amplitude_on_bin_zero_h(self):
         state = run_circuit(PerturbedCoin(1.0, 1.0), S0, 3)
-        expected = np.zeros((8, 2), dtype=complex)
+        expected = np.zeros((2, 8))
         expected[0, 0] = 1.0
         assert np.array_equal(state.amplitudes, expected)
 
@@ -315,11 +317,11 @@ class TestPhotonStateContracts:
             PhotonState(1, amps, 0.5)
 
     def test_rejects_bad_success_probability(self):
-        amps = np.zeros((1, 2), dtype=complex)
+        amps = np.zeros((2, 1))
         amps[0, 0] = 1.0
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="success probability"):
             PhotonState(0, amps, 0.0)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="success probability"):
             PhotonState(0, amps, 1.5)
 
     def test_amplitudes_are_immutable(self):
@@ -327,51 +329,71 @@ class TestPhotonStateContracts:
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
 
-    @pytest.mark.parametrize("make", [
-        lambda coin: run_circuit(coin, S1, 1),
-        lambda coin: run_circuit(coin, S1, 12),
-        lambda coin: apply_block(run_circuit(coin, S0, 3), coin),
-        lambda coin: prepare_input(coin, S0),
-        lambda coin: ideal_output_state(coin, S1, 12),
+    @pytest.mark.parametrize("make, steps", [
+        (lambda coin: run_circuit(coin, S1, 1), 1),
+        (lambda coin: run_circuit(coin, S1, 12), 12),
+        (lambda coin: apply_block(run_circuit(coin, S0, 3), coin), 4),
+        (lambda coin: prepare_input(coin, S0), 0),
+        (lambda coin: ideal_output_state(coin, S1, 12), 12),
     ], ids=["run_circuit-1", "run_circuit-12", "apply_block", "prepare_input", "ideal_output_state"])
-    def test_amplitudes_are_c_contiguous_complex(self, make):
-        # the kernels hand over polarization-major transposes; a Fortran-ordered
-        # copy would make every np.vdot of the visibility copy the state first
-        amps = make(PerturbedCoin(0.4, 0.7)).amplitudes
-        assert amps.dtype == np.complex128
-        assert amps.flags.c_contiguous
+    def test_amplitudes_are_c_contiguous_complex(self, make, steps):
+        # the states hold the kernels' real polarization-major arrays; the visibility's
+        # np.vdot reads one C-ordered complex bin-major copy of them
+        state = make(PerturbedCoin(0.4, 0.7))
+        amps = state.amplitudes
+        assert amps.dtype == np.float64
+        assert amps.flags.c_contiguous and not amps.flags.writeable
+        assert amps.shape == (2, 2**steps)
+        edge = _amplitudes(state)
+        assert edge.dtype == np.complex128 and edge.flags.c_contiguous
+        assert np.array_equal(edge, amps.T)
+
+    def test_kernel_output_is_stored_without_a_copy(self):
+        pair = causal_pair(PerturbedCoin(0.4, 0.7))
+        amps, success = _run(pair, pair[S1.index], 5)
+        assert PhotonState(5, amps, success).amplitudes is amps
+        assert IdealOutputState(5, amps).amplitudes is amps
 
 
 def _complex_block(amps, pair):
-    """Reference block on complex128 (..., n, 2) amplitudes, bin-major: the layout of `PhotonState`."""
+    """Reference block on complex128 (..., n, 2) amplitudes, bin-major."""
     out = amps.mT[..., None] * pair.astype(complex)[..., None, :]
     return out.reshape(out.shape[:-3] + (-1, 2))
 
 
-class TestRealPhoton:
-    """The kernels are real: the scalar entry points read a PhotonState's complex
-    amplitudes back through a check on their imaginary parts."""
+def _with_imaginary(make, imag):
+    """A state built by `make` from a complex copy of the real (0.4, 0.7) amplitudes at M = 2,
+    with `imag` added to the imaginary part of one amplitude."""
+    amps = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(complex)
+    amps[1, 1] += 1j * imag
+    return make(amps)
 
-    @staticmethod
-    def with_imaginary(imag):
-        amps = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.copy()
-        amps[1, 1] += 1j * imag
-        return PhotonState(2, amps, 0.25)
+
+STATE_BUILDERS = [lambda amps: PhotonState(2, amps, 0.25), lambda amps: IdealOutputState(2, amps)]
+
+
+class TestRealPhoton:
+    """The kernels are real and the states hold real amplitudes: their constructors take
+    complex input only through a check on its imaginary parts."""
 
     @pytest.mark.parametrize("call", [
         apply_block, block_norm_accounting, lambda state, coin: arrival_time_distribution(state),
     ], ids=["apply_block", "block_norm_accounting", "arrival_time_distribution"])
     def test_imaginary_part_raises(self, call):
+        # the entry points take a PhotonState, whose constructor refuses the residue
         with pytest.raises(InternalError, match="imaginary residue"):
-            call(self.with_imaginary(1e-6), PerturbedCoin(0.4, 0.7))
+            call(_with_imaginary(STATE_BUILDERS[0], 1e-6), PerturbedCoin(0.4, 0.7))
+
+    def test_imaginary_part_raises_in_constructors(self):
+        for make in STATE_BUILDERS:
+            with pytest.raises(InternalError, match="imaginary residue"):
+                _with_imaginary(make, 1e-6)
 
     def test_residue_below_tolerance_reads_as_the_real_state(self):
-        coin = PerturbedCoin(0.3, 0.8)
-        real, residue = self.with_imaginary(0.0), self.with_imaginary(TOL.imag_residue / 2)
-        assert np.array_equal(apply_block(real, coin).amplitudes, apply_block(residue, coin).amplitudes)
-        assert block_norm_accounting(real, coin) == block_norm_accounting(residue, coin)
-        assert np.array_equal(arrival_time_distribution(real)[0].bins,
-                              arrival_time_distribution(residue)[0].bins)
+        for make in STATE_BUILDERS:
+            real, residue = _with_imaginary(make, 0.0), _with_imaginary(make, TOL.imag_residue / 2)
+            assert residue.amplitudes.dtype == np.float64
+            assert np.array_equal(real.amplitudes, residue.amplitudes)
 
     def test_blocks_equal_the_complex_kernel_over_grid(self):
         for l, m in grid(0.1):
@@ -379,8 +401,8 @@ class TestRealPhoton:
             for start in (S0, S1):
                 state = prepare_input(coin, start)
                 for _ in range(4):
-                    expected = _complex_block(state.amplitudes, causal_pair(coin))
+                    expected = _complex_block(state.amplitudes.T.astype(complex), causal_pair(coin))
                     state = apply_block(state, coin)
-                    assert np.array_equal(state.amplitudes, expected)
+                    assert np.array_equal(state.amplitudes, expected.T)
                     probs = (expected.real**2 + expected.imag**2).sum(axis=-1)
                     assert np.array_equal(arrival_time_distribution(state)[0].bins, probs)

@@ -1,14 +1,17 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcoin.checks import probability_grid
+from qcoin.circuit import _run
 from qcoin.cli import (
     COMMANDS,
     EXIT_CHECK,
@@ -22,8 +25,10 @@ from qcoin.cli import (
     main,
 )
 from qcoin.constants import ALLOCATION_BUDGET_BYTES
+from qcoin.encoding import index_to_bits
 from qcoin.errors import ConfigError
-from qcoin.markov import CausalState, WeightMethod
+from qcoin.markov import CausalState, PerturbedCoin, WeightMethod, future_distribution
+from qcoin.quantum import _superposition, causal_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -486,9 +491,22 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}},
      "'hom-dip.delays_ns.count' must be an integer >= 5 and <= 2097152"),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}, "'oracle-check.grid_step'"),
+    # step counts past the enumeration cap (futures, counts) or the superposition cap
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "steps": 21}},
+     "'futures.steps' must be an integer >= 1 and <= 20, got 21"),
+    ("counts", {"schema_version": 1, "counts": {"process": {"l": 0.4, "m": 0.7}, "steps": 21, "seed": 1}},
+     "'counts.steps' must be an integer >= 1 and <= 20, got 21"),
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "steps": 13}},
+     "'hom-dip.steps' must be an integer >= 1 and <= 12, got 13"),
+    ("compare-sweep", {"schema_version": 1, "compare-sweep": {"steps": 13, "series": [
+        {"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5]}}]}},
+     "'compare-sweep.steps' must be an integer >= 1 and <= 12, got 13"),
+    ("oracle-check", {"schema_version": 1, "oracle-check": {"step_counts": [1, 13]}},
+     "'oracle-check.step_counts[1]' must be an integer >= 1 and <= 12, got 13"),
 ], ids=["schema_version-bool", "identity_draws-zero", "identity_draws-negative", "fit_max_evals-zero",
         "start_states-empty", "unknown-key", "series-name-list", "numeric-string", "delay_count-past-the-budget",
-        "grid_step-past-the-budget"])
+        "grid_step-past-the-budget", "futures-steps-past-the-cap", "counts-steps-past-the-cap",
+        "hom-dip-steps-past-the-cap", "compare-sweep-steps-past-the-cap", "step_counts-past-the-cap"])
 def test_config_the_schema_rejects_exits_with_config_error(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -564,6 +582,77 @@ def test_figure_presets_match_the_reference_payload_digests(tmp_path):
         # the config hash is that of the preset as loaded, not of the validated record
         expected = f"# config_sha256: {config_hash(load_preset(preset))}"
         assert expected in (out / next(n for n in files if n.endswith(".csv"))).read_text().splitlines()
+
+
+# The reference the M = 12 payloads are pinned to: a complex128 (2**M, 2) C-order copy of the
+# kernels' real polarization-major amplitudes (the complex state layout of earlier releases),
+# written as [re, im] rows and compared by a complex np.vdot, computed on the machine running the test.
+
+def _edge(amps):
+    return np.array(amps.T, dtype=complex, order="C")
+
+
+def _edge_circuit(coin, start, steps):
+    pair = causal_pair(coin)
+    amps, success = _run(pair, pair[start.index], steps)
+    return _edge(amps), success
+
+
+def _edge_visibility(a, b):
+    num = complex(np.vdot(a, b))
+    return min((num.real * num.real) / (float(np.vdot(a, a).real) * float(np.vdot(b, b).real)), 1.0)
+
+
+def _edge_states(coin, start, steps):
+    circuit, success = _edge_circuit(coin, start, steps)
+    ideal = _edge(_superposition(future_distribution(coin, start, steps).bins, causal_pair(coin)))
+    return {
+        "circuit": {"steps": steps, "success_probability": success, "bins": {
+            str(b): {"H": [row[0].real, row[0].imag], "V": [row[1].real, row[1].imag]}
+            for b, row in enumerate(circuit.tolist())}},
+        "superposition": {"steps": steps, "amplitudes": {
+            index_to_bits(b, steps): [[z.real, z.imag] for z in row] for b, row in enumerate(ideal.tolist())}},
+    }
+
+
+def _assert_same_payload(got, expected):
+    """Equal JSON payloads, header keys aside, as canonical text (so -0.0 and 0.0 differ);
+    a failure shows the first difference, not a diff of the whole text."""
+    got, expected = (json.dumps({k: v for k, v in data.items()
+                                 if k not in ("schema_version", "tool_version", "config_sha256")}, sort_keys=True)
+                     for data in (got, expected))
+    at = next((i for i, (x, y) in enumerate(zip(got, expected)) if x != y), min(len(got), len(expected)))
+    same = got == expected
+    assert same, f"payloads differ at {at}: {got[at - 60:at + 60]!r} vs {expected[at - 60:at + 60]!r}"
+
+
+def test_twelve_step_payloads_equal_the_complex_edge(tmp_path):
+    a, b = (PerturbedCoin(0.4, 0.7), CausalState.S0), (PerturbedCoin(0.45, 0.65), CausalState.S1)
+    pair = {"process_a": {"l": 0.4, "m": 0.7}, "process_b": {"l": 0.45, "m": 0.65, "start": "S1"}, "steps": 12}
+    v = _edge_visibility(_edge_circuit(*a, 12)[0], _edge_circuit(*b, 12)[0])
+    assert 0.0 < v < 1.0
+    runs = {"run": pair, "override": {**pair, "visibility_override": v}}
+    for name, record in runs.items():
+        cfg = write_config(tmp_path, {"schema_version": 1, "hom-dip": record}, name=f"{name}.json")
+        assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+    states = json.loads((tmp_path / "run" / "hom_dip_states.json").read_text(encoding="utf-8"))
+    _assert_same_payload(states, {"process_a": _edge_states(*a, 12), "process_b": _edge_states(*b, 12)})
+    fit, edge_fit = (json.loads((tmp_path / name / "hom_dip_fit.json").read_text(encoding="utf-8")) for name in runs)
+    assert fit["theory_visibility"] == v
+    # the fit written from the edge's visibility, set through the override
+    _assert_same_payload(fit, edge_fit)
+
+    l_values = [0.0, 0.3, 0.45, 0.8, 1.0]
+    cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 12, "series": [
+        {"name": "s", "fixed": {"l": 0.45, "m": 0.65, "start": "S1"}, "varying": {"m": 0.7, "l_values": l_values}}]}})
+    assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    expected = []
+    for l in l_values:
+        vis = _edge_visibility(_edge_circuit(*b, 12)[0], _edge_circuit(PerturbedCoin(l, 0.7), CausalState.S0, 12)[0])
+        expected.append(["s", repr(l), repr(math.sqrt(vis)), repr(vis)])
+    _, columns, rows = read_csv(tmp_path / "sweep" / "compare_sweep.csv")
+    assert columns == ["series", "l", "overlap", "visibility"]
+    assert rows == expected
 
 
 @pytest.mark.parametrize("argv, preset, folded", [

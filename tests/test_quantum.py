@@ -193,13 +193,13 @@ class TestVonNeumannEntropy:
 class TestIdealOutputState:
     def test_deterministic_single_amplitude(self):
         out = ideal_output_state(PerturbedCoin(1.0, 1.0), S0, 3)
-        assert out.amplitudes[bits_to_index("000"), 0] == 1.0
+        assert out.amplitudes[0, bits_to_index("000")] == 1.0
         assert np.vdot(out.amplitudes, out.amplitudes).real == 1.0
-        assert out.amplitudes[bits_to_index("000"), 1] == 0.0
+        assert out.amplitudes[1, bits_to_index("000")] == 0.0
 
     def test_fair_coin_uniform_sixteen_amplitudes(self):
         out = ideal_output_state(PerturbedCoin(0.5, 0.5), S0, 3)
-        assert out.amplitudes.shape == (8, 2)
+        assert out.amplitudes.shape == (2, 8)
         assert np.allclose(out.amplitudes, 0.25, atol=1e-12)
 
     def test_amplitude_factorizes(self):
@@ -209,7 +209,7 @@ class TestIdealOutputState:
         for bits, p in dist.probabilities.items():
             final = causal_pair(coin)[int(bits[-1])]
             for b in range(2):
-                assert out.amplitudes[bits_to_index(bits), b] == pytest.approx(
+                assert out.amplitudes[b, bits_to_index(bits)] == pytest.approx(
                     math.sqrt(p) * final[b], abs=1e-14
                 )
 
@@ -221,7 +221,7 @@ class TestIdealOutputState:
                 for bits in all_bitstrings(12):
                     root = math.sqrt(trajectory_probability(coin, start, bits))
                     for b in range(2):
-                        assert out.amplitudes[bits_to_index(bits), b] == root * finals[int(bits[-1])][b]
+                        assert out.amplitudes[b, bits_to_index(bits)] == root * finals[int(bits[-1])][b]
 
     def test_squared_marginal_reproduces_future_distribution(self):
         coin = PerturbedCoin(0.4, 0.7)
@@ -249,7 +249,7 @@ class TestIdealOutputState:
         assert payload["steps"] == 2
         assert set(payload["amplitudes"]) == {"00", "01", "10", "11"}
         re, im = payload["amplitudes"]["11"][1]
-        assert complex(re, im) == out.amplitudes[bits_to_index("11"), 1]
+        assert complex(re, im) == out.amplitudes[1, bits_to_index("11")]
 
 
 class TestOutputOverlap:
