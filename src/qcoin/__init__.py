@@ -63,12 +63,10 @@ from .circuit import (
 from .interference import (
     DipCurve,
     VisibilityFit,
-    VisibilityRecord,
     dip_curve_from_visibility,
     dip_model,
     fit_visibility,
     visibility,
-    visibility_records_to_json,
     visibility_sweep,
 )
 from .checks import CheckResult, probability_grid, run_oracle_checks
@@ -121,12 +119,10 @@ __all__ = [
     "run_circuit",
     "DipCurve",
     "VisibilityFit",
-    "VisibilityRecord",
     "dip_curve_from_visibility",
     "dip_model",
     "fit_visibility",
     "visibility",
-    "visibility_records_to_json",
     "visibility_sweep",
     "CheckResult",
     "probability_grid",

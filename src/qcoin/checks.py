@@ -23,9 +23,9 @@ import numpy as np
 
 from .circuit import _arm_norms, _bin_probabilities, _propagate, _reconstruction
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
-from .errors import InvalidParameter, StepCountTooLarge
+from .errors import InvalidParameter
 from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
-                     _require_weights, _stationary, transition_matrix)
+                     _require_weights, _stationary, require_steps, transition_matrix)
 from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
                       _superposition, causal_pair)
 
@@ -72,8 +72,7 @@ def run_oracle_checks(
     """
     step_counts = tuple(step_counts)
     for steps in step_counts:
-        if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
-            raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
+        require_steps(steps, MAX_SUPERPOSITION_STEPS)
     if identity_draws < 1:
         raise InvalidParameter(f"identity_draws must be >= 1, got {identity_draws}")
     grid = probability_grid(grid_step)

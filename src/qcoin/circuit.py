@@ -34,7 +34,8 @@ import numpy as np
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index, index_to_bits
 from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
-from .markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution,
+                     require_steps)
 from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _state_amplitudes, causal_pair
 
 
@@ -86,8 +87,7 @@ def _propagate(amps: np.ndarray, pair: np.ndarray):
 
 def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
     """((..., 2, 2**steps) amplitudes, success probability) after `steps` blocks from `start` (..., 2)."""
-    if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
+    require_steps(steps, MAX_SUPERPOSITION_STEPS)
     return next(islice(_propagate(start[..., None], pair), steps - 1, None))
 
 

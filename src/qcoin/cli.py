@@ -48,7 +48,6 @@ from .interference import (
     dip_curve_from_visibility,
     fit_visibility,
     visibility,
-    visibility_records_to_json,
     visibility_sweep,
 )
 from .markov import (
@@ -63,7 +62,7 @@ from .markov import (
     sample_trajectories,
     stationary_weights,
 )
-from .quantum import ideal_output_state, memory_density, von_neumann_entropy, ProcessSpec
+from .quantum import ideal_output_state, memory_density, von_neumann_entropy
 from .svgplot import line_plot
 
 SCHEMA_VERSION = 1
@@ -409,24 +408,27 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
 
 
 def cmd_compare_sweep(rec: dict, digest: str, out_dir: Path) -> int:
-    rows, plot_series, all_records = [], [], []
+    rows, plot_series, records = [], [], []
     for entry in rec["series"]:
         name, (fixed_coin, fixed_start), varying = entry["name"], entry["fixed"], entry["varying"]
-        l_values = varying["l_values"]
-        pairs = [
-            (ProcessSpec(PerturbedCoin(l, varying["m"]), label=f"{name} l={l:g}"), varying["start"])
-            for l in l_values
-        ]
-        records = visibility_sweep((ProcessSpec(fixed_coin, label=f"{name}-fixed"), fixed_start),
-                                   pairs, rec["steps"])
-        all_records.extend(records)
-        for l, vis in zip(l_values, records):
-            rows.append([name, _float_str(l), _float_str(math.sqrt(vis.visibility)), _float_str(vis.visibility)])
-        plot_series.append((l_values, [vis.visibility for vis in records], name))
+        m, start, l_values = varying["m"], varying["start"], varying["l_values"]
+        fixed = {"label": f"{name}-fixed", "l": fixed_coin.stay_heads, "m": fixed_coin.stay_tails,
+                 "start": fixed_start.name}
+        visibilities = visibility_sweep((fixed_coin, fixed_start),
+                                        [(PerturbedCoin(l, m), start) for l in l_values], rec["steps"])
+        for l, vis in zip(l_values, visibilities):
+            overlap = math.sqrt(vis)
+            rows.append([name, _float_str(l), _float_str(overlap), _float_str(vis)])
+            records.append({"overlap": overlap, "visibility": vis, "coincidence_min": 0.5 * (1.0 - vis),
+                            "process_a": fixed,
+                            "process_b": {"label": f"{name} l={l:g}", "l": l, "m": m, "start": start.name}})
+        plot_series.append((l_values, visibilities, name))
     write_csv(out_dir / "compare_sweep.csv", "compare-sweep", digest,
               ["series", "l", "overlap", "visibility"], rows)
-    (out_dir / "compare_sweep.json").write_text(
-        visibility_records_to_json(all_records) + "\n", encoding="utf-8")
+    # A bare list in insertion order, not write_json's headed, key-sorted object: its payload
+    # digest is pinned in benchmarks/reference_digests.json and changes only with that file.
+    (out_dir / "compare_sweep.json").write_text(json.dumps(records, indent=2, allow_nan=False) + "\n",
+                                                encoding="utf-8")
     line_plot(out_dir / "compare_sweep.svg", plot_series,
               title="Statistical-future comparison by interference visibility",
               xlabel="l of the varying process", ylabel="visibility")

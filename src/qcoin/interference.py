@@ -9,8 +9,6 @@ computed where they are written out.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,8 +22,8 @@ from .errors import (
     InternalError,
     InvalidParameter,
 )
-from .markov import CausalState
-from .quantum import IdealOutputState, ProcessSpec, process_json_dict
+from .markov import CausalState, PerturbedCoin
+from .quantum import IdealOutputState
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -38,8 +36,8 @@ def _amplitudes(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def _overlap_squared(psi, phi) -> float:
-    """|<phi|psi>|^2 normalized by the actual state norms.
+def visibility(psi, phi) -> float:
+    """HOM dip visibility: |<phi|psi>|^2 normalized by the actual state norms.
 
     Numerator and denominator are the same floating-point sums when the two
     amplitude arrays are equal, so identical states give exactly 1.
@@ -58,11 +56,6 @@ def _overlap_squared(psi, phi) -> float:
     if v > 1.0 + TOL.state_norm:
         raise InternalError(f"squared overlap {v!r} exceeds 1 beyond rounding")
     return min(v, 1.0)
-
-
-def visibility(psi, phi) -> float:
-    """HOM dip visibility: the squared magnitude of the state overlap."""
-    return _overlap_squared(psi, phi)
 
 
 def dip_model(delay_ns, baseline: float, vis: float, sigma_ns: float, center_ns: float = 0.0):
@@ -112,15 +105,14 @@ class VisibilityFit:
     baseline: float
     sigma_ns: float
     center_ns: float
-    covariance: np.ndarray
 
 
-def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000) -> VisibilityFit:
+def fit_visibility(samples, max_evals: int = 10000) -> VisibilityFit:
     """Fit the dip model to (delay, counts) samples.
 
     Free parameters: baseline, visibility, envelope sigma and dip center.
-    With `assume_poisson` the points are weighted by sqrt(counts) errors,
-    which gives calibrated uncertainties on counting data.
+    The points are weighted by Poisson sqrt(counts) errors, taken as
+    absolute, which gives calibrated uncertainties on counting data.
     """
     from scipy.optimize import OptimizeWarning, curve_fit  # here: most of `import qcoin`'s time
 
@@ -135,7 +127,7 @@ def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000)
     vis0 = min(max(1.0 - float(counts.min()) / top, 0.0), 1.0)
     span = float(delays.max() - delays.min())
     sigma0 = span / 6.0 if span > 0.0 else 1.0
-    weights = np.sqrt(np.clip(counts, 1.0, None)) if assume_poisson else None
+    weights = np.sqrt(np.clip(counts, 1.0, None))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OptimizeWarning)
@@ -145,7 +137,7 @@ def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000)
                 counts,
                 p0=[top, vis0, sigma0, center0],
                 sigma=weights,
-                absolute_sigma=assume_poisson,
+                absolute_sigma=True,
                 maxfev=max_evals,
             )
     except RuntimeError as exc:
@@ -156,24 +148,15 @@ def fit_visibility(samples, assume_poisson: bool = True, max_evals: int = 10000)
         baseline=float(popt[0]),
         sigma_ns=abs(float(popt[2])),
         center_ns=float(popt[3]),
-        covariance=pcov,
     )
 
 
-@dataclass(frozen=True)
-class VisibilityRecord:
-    """Interference visibility of one process pair."""
-
-    visibility: float
-    process_pair: tuple[tuple[ProcessSpec, CausalState], tuple[ProcessSpec, CausalState]]
-
-
 def visibility_sweep(
-    fixed: tuple[ProcessSpec, CausalState],
-    varying: list[tuple[ProcessSpec, CausalState]],
+    fixed: tuple[PerturbedCoin, CausalState],
+    varying: list[tuple[PerturbedCoin, CausalState]],
     steps: int,
-) -> list[VisibilityRecord]:
-    """Interference visibility of one fixed process against a list of others.
+) -> list[float]:
+    """Interference visibility of one fixed (coin, start) process against each of a list of others.
 
     Visibility is 1 exactly when the pair's future distributions and final
     causal states coincide, which makes the sweep a comparison of the two
@@ -181,27 +164,5 @@ def visibility_sweep(
     """
     if not varying:
         raise InvalidParameter("the varying list must be nonempty")
-    spec_a, start_a = fixed
-    psi = run_circuit(spec_a.coin, start_a, steps)
-    records = []
-    for spec_b, start_b in varying:
-        phi = run_circuit(spec_b.coin, start_b, steps)
-        v = visibility(psi, phi)
-        records.append(VisibilityRecord(v, ((spec_a, start_a), (spec_b, start_b))))
-    return records
-
-
-def visibility_records_to_json(records: list[VisibilityRecord]) -> str:
-    payload = []
-    for rec in records:
-        (spec_a, start_a), (spec_b, start_b) = rec.process_pair
-        payload.append(
-            {
-                "overlap": math.sqrt(rec.visibility),
-                "visibility": rec.visibility,
-                "coincidence_min": 0.5 * (1.0 - rec.visibility),
-                "process_a": process_json_dict(spec_a, start_a),
-                "process_b": process_json_dict(spec_b, start_b),
-            }
-        )
-    return json.dumps(payload, indent=2, allow_nan=False)
+    psi = run_circuit(*fixed, steps)
+    return [visibility(psi, run_circuit(coin, start, steps)) for coin, start in varying]

@@ -34,6 +34,12 @@ MAX_ENUMERATION_STEPS = 20
 CHUNK_DRAWS = 2**14  # trajectories per sampler pass: one chunk's uniforms fill 128 KiB
 
 
+def require_steps(steps: int, cap: int = MAX_ENUMERATION_STEPS) -> None:
+    """The one step-count bound: 1 <= steps <= cap, else StepCountTooLarge."""
+    if not 1 <= steps <= cap:
+        raise StepCountTooLarge(f"steps must be in 1..{cap}, got {steps}")
+
+
 class CausalState(enum.Enum):
     """Causal state of the perturbed coin: the last emitted outcome."""
 
@@ -191,26 +197,18 @@ class OutcomeDistribution:
     """Probabilities of all 2**steps outcome strings, as a read-only float64
     array over the time-bin index (see `encoding`).
 
-    `bins` may also be given as a dict from outcome string to probability,
-    the form of the CSV/JSON edge; `probabilities` gives that map back, in
-    lexicographic string order.  Zero-probability strings are explicit.
+    `probabilities` maps each outcome string to its probability, in
+    lexicographic string order, for the CSV/JSON edge.  Zero-probability
+    strings are explicit.
     """
 
     steps: int
     bins: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.steps <= MAX_ENUMERATION_STEPS:
-            raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {self.steps}")
+        require_steps(self.steps)
         size = 2**self.steps
-        values = self.bins
-        if isinstance(values, dict):
-            strings = all_bitstrings(self.steps)
-            if set(values) != set(strings):
-                raise InvalidParameter(f"expected one entry per outcome string of length {self.steps}")
-            # string order to bin order: the bit reversal is its own inverse
-            values = np.array([values[bits] for bits in strings])[lexicographic_bins(self.steps)]
-        p = np.array(values, dtype=np.float64)
+        p = np.array(self.bins, dtype=np.float64)
         if p.shape != (size,):
             raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
         p.flags.writeable = False
@@ -256,8 +254,7 @@ def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> 
     recurrence.  Factors multiply in the order of `trajectory_probability`,
     so every bin is bit-identical to it.
     """
-    if not 1 <= steps <= MAX_ENUMERATION_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {steps}")
+    require_steps(steps)
     t = transition_matrix(coin)
     return OutcomeDistribution(steps, next(islice(_recurrence(t, t[start.index]), steps - 1, None)))
 
@@ -276,8 +273,7 @@ def sample_trajectories(
     """
     if draws < 1:
         raise InvalidParameter(f"draws must be >= 1, got {draws}")
-    if not 1 <= steps <= MAX_ENUMERATION_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_ENUMERATION_STEPS}, got {steps}")
+    require_steps(steps)
     if seed is None:
         raise InvalidParameter("an explicit seed is required")
     streams = [np.random.Generator(np.random.PCG64(seed).advance(k * draws)) for k in range(steps)]

@@ -14,14 +14,9 @@ import numpy as np
 
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
-from .errors import (
-    InternalError,
-    InvalidParameter,
-    NonPhysicalState,
-    StepCountTooLarge,
-)
+from .errors import InternalError, InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
-                     future_distribution, transition_matrix)
+                     future_distribution, require_steps, transition_matrix)
 
 
 def _require_real(value, what: str):
@@ -184,8 +179,7 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
 
     The lower half of the bins ends in outcome 0 (memory S0), the upper in 1.
     """
-    if not 1 <= steps <= MAX_SUPERPOSITION_STEPS:
-        raise StepCountTooLarge(f"steps must be in 1..{MAX_SUPERPOSITION_STEPS}, got {steps}")
+    require_steps(steps, MAX_SUPERPOSITION_STEPS)
     return IdealOutputState(steps, _superposition(future_distribution(coin, start, steps).bins, causal_pair(coin)))
 
 
@@ -241,12 +235,3 @@ def bhattacharyya_futures(
 def _bhattacharyya(bins_a: np.ndarray, bins_b: np.ndarray):
     """sum_x sqrt(p_A(x) p_B(x)) over the last axis."""
     return np.sqrt(bins_a * bins_b).sum(axis=-1)
-
-
-def process_json_dict(spec: ProcessSpec, start: CausalState) -> dict:
-    return {
-        "label": spec.label,
-        "l": spec.coin.stay_heads,
-        "m": spec.coin.stay_tails,
-        "start": start.name,
-    }

@@ -279,6 +279,31 @@ class TestCompareSweep:
         payload = json.loads((tmp_path / "compare_sweep.json").read_text())
         assert len(payload) == len(rows)
 
+    def test_json_records_carry_the_labels_and_match_the_csv(self, tmp_path):
+        cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 2, "series": [
+            {"name": "cyan", "fixed": {"l": 0.3, "m": 0.8, "start": "S1", "label": "not written"},
+             "varying": {"m": 0.6, "start": "S1", "l_values": [0.0, 0.123456789, 1.0]}},
+            {"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5]}},
+        ]}})
+        assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "compare_sweep.csv")
+        text = (tmp_path / "compare_sweep.json").read_text(encoding="utf-8")
+        assert text.endswith("]\n")
+        payload = json.loads(text)
+        assert len(payload) == len(rows) == 4
+        fixed = [("cyan", 0.3, 0.8, "S1")] * 3 + [("series", 0.5, 0.5, "S0")]
+        varying = [(0.0, 0.6, "S1"), (0.123456789, 0.6, "S1"), (1.0, 0.6, "S1"), (0.5, 0.5, "S0")]
+        for rec, row, (name, la, ma, sa), (l, m, start) in zip(payload, rows, fixed, varying):
+            assert list(rec) == ["overlap", "visibility", "coincidence_min", "process_a", "process_b"]
+            assert rec["process_a"] == {"label": f"{name}-fixed", "l": la, "m": ma, "start": sa}
+            assert rec["process_b"] == {"label": f"{name} l={l:g}", "l": l, "m": m, "start": start}
+            v = rec["visibility"]
+            assert rec["overlap"] == math.sqrt(v)
+            assert rec["coincidence_min"] == 0.5 * (1 - v)
+            assert row == [name, repr(l), repr(rec["overlap"]), repr(v)]
+        assert payload[1]["process_b"]["label"] == "cyan l=0.123457"
+        assert (payload[3]["visibility"], payload[3]["overlap"], payload[3]["coincidence_min"]) == (1.0, 1.0, 0.0)
+
     def test_rejects_missing_series(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 3}})
         assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from qcoin.interference import (
     dip_model,
     fit_visibility,
     visibility,
-    visibility_records_to_json,
     visibility_sweep,
 )
 from qcoin.markov import CausalState, PerturbedCoin
@@ -214,65 +212,47 @@ class TestFitVisibility:
 
 class TestVisibilitySweep:
     def fixed_fair(self):
-        return (ProcessSpec(PerturbedCoin(0.5, 0.5), label="fixed"), S0)
+        return (PerturbedCoin(0.5, 0.5), S0)
 
     def test_identity_point_is_exactly_one(self):
-        records = visibility_sweep(
-            self.fixed_fair(), [(ProcessSpec(PerturbedCoin(0.5, 0.5)), S0)], 3
-        )
-        assert records[0].visibility == 1.0
-        payload = json.loads(visibility_records_to_json(records))
-        assert payload[0]["overlap"] == 1.0
-        assert payload[0]["coincidence_min"] == 0.0
+        assert visibility_sweep(self.fixed_fair(), [(PerturbedCoin(0.5, 0.5), S0)], 3) == [1.0]
 
     def test_magenta_series_matches_closed_form(self):
         l_values = [0.00, 0.10, 0.30, 0.50, 0.70, 0.90, 0.99]
-        varying = [(ProcessSpec(PerturbedCoin(l, 0.5)), S0) for l in l_values]
-        records = visibility_sweep(self.fixed_fair(), varying, 3)
-        for l, rec in zip(l_values, records):
+        varying = [(PerturbedCoin(l, 0.5), S0) for l in l_values]
+        visibilities = visibility_sweep(self.fixed_fair(), varying, 3)
+        for l, v in zip(l_values, visibilities):
             expected = eq7_oracle(0.5, 0.5, 0, l, 0.5, 0) ** 2
-            assert rec.visibility == pytest.approx(expected, abs=1e-12)
+            assert v == pytest.approx(expected, abs=1e-12)
 
     def test_turquoise_series_closed_form_is_l_fourth(self):
         # fixed process deterministic heads: overlap = sqrt(l^3) * sqrt(l) = l^2
-        fixed = (ProcessSpec(PerturbedCoin(1.0, 1.0), label="fixed"), S0)
+        fixed = (PerturbedCoin(1.0, 1.0), S0)
         l_values = [0.25, 0.50, 0.70, 0.85, 0.95, 1.0]
-        varying = [(ProcessSpec(PerturbedCoin(l, 0.5)), S0) for l in l_values]
-        records = visibility_sweep(fixed, varying, 3)
-        for l, rec in zip(l_values, records):
-            assert rec.visibility == pytest.approx(l**4, abs=1e-12)
-            assert rec.visibility == pytest.approx(eq7_oracle(1.0, 1.0, 0, l, 0.5, 0) ** 2, abs=1e-12)
-        assert max(r.visibility for r in records) == records[-1].visibility == 1.0
+        varying = [(PerturbedCoin(l, 0.5), S0) for l in l_values]
+        visibilities = visibility_sweep(fixed, varying, 3)
+        for l, v in zip(l_values, visibilities):
+            assert v == pytest.approx(l**4, abs=1e-12)
+            assert v == pytest.approx(eq7_oracle(1.0, 1.0, 0, l, 0.5, 0) ** 2, abs=1e-12)
+        assert max(visibilities) == visibilities[-1] == 1.0
 
     def test_swapping_processes_preserves_visibility(self):
-        a = (ProcessSpec(PerturbedCoin(0.3, 0.8)), S1)
-        b = (ProcessSpec(PerturbedCoin(0.7, 0.2)), S0)
-        forward = visibility_sweep(a, [b], 3)[0].visibility
-        backward = visibility_sweep(b, [a], 3)[0].visibility
+        a = (PerturbedCoin(0.3, 0.8), S1)
+        b = (PerturbedCoin(0.7, 0.2), S0)
+        forward = visibility_sweep(a, [b], 3)[0]
+        backward = visibility_sweep(b, [a], 3)[0]
         assert abs(forward - backward) <= 1e-12
 
     def test_rejects_empty_varying_list(self):
         with pytest.raises(InvalidParameter):
             visibility_sweep(self.fixed_fair(), [], 3)
 
-    def test_json_serialization(self):
-        records = visibility_sweep(
-            self.fixed_fair(), [(ProcessSpec(PerturbedCoin(0.7, 0.5), label="var"), S0)], 3
-        )
-        payload = json.loads(visibility_records_to_json(records))
-        assert payload[0]["process_b"]["l"] == 0.7
-        assert payload[0]["process_b"]["start"] == "S0"
-        v = records[0].visibility
-        assert payload[0]["visibility"] == v
-        assert payload[0]["overlap"] == math.sqrt(v)
-        assert payload[0]["coincidence_min"] == 0.5 * (1 - v)
-
 
 def test_visibility_sweep_agrees_with_output_overlap():
     rng = np.random.default_rng(47)
-    fixed_spec = ProcessSpec(PerturbedCoin(rng.random(), rng.random()))
-    varying = [(ProcessSpec(PerturbedCoin(rng.random(), rng.random())), S1) for _ in range(10)]
-    records = visibility_sweep((fixed_spec, S0), varying, 3)
-    for (spec, start), rec in zip(varying, records):
-        closed = output_overlap(fixed_spec, S0, spec, start, 3)
-        assert rec.visibility == pytest.approx(closed**2, abs=1e-12)
+    fixed_coin = PerturbedCoin(rng.random(), rng.random())
+    varying = [(PerturbedCoin(rng.random(), rng.random()), S1) for _ in range(10)]
+    visibilities = visibility_sweep((fixed_coin, S0), varying, 3)
+    for (coin, start), v in zip(varying, visibilities):
+        closed = output_overlap(ProcessSpec(fixed_coin), S0, ProcessSpec(coin), start, 3)
+        assert v == pytest.approx(closed**2, abs=1e-12)

@@ -33,6 +33,12 @@ GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
 SAMPLER_COINS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 0.7)]
 
 
+def bins_of(steps, by_bits):
+    """Bin array of a map from outcome string to value: the values in string
+    order, reindexed by `lexicographic_bins` (the bit reversal is its own inverse)."""
+    return np.array([by_bits[bits] for bits in all_bitstrings(steps)])[lexicographic_bins(steps)]
+
+
 def one_shot_sample(coin, start, steps, draws, seed):
     """The sampler's reference: all draws of a step in one call of one
     generator, counted per outcome string, then mapped to bin indices."""
@@ -360,20 +366,14 @@ class TestSampleTrajectories:
 
 
 class TestOutcomeDistribution:
-    def test_requires_all_strings(self):
-        with pytest.raises(InvalidParameter):
-            OutcomeDistribution(2, {"00": 0.5, "11": 0.5})
-
     def test_requires_normalization(self):
-        probs = {b: 0.2 for b in all_bitstrings(2)}
         with pytest.raises(InvalidParameter):
-            OutcomeDistribution(2, probs)
+            OutcomeDistribution(2, np.full(4, 0.2))
 
     def test_string_map_and_bin_array_agree(self):
         by_bits = {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}
-        from_map = OutcomeDistribution(2, by_bits)
         # bin index: first outcome is the least-significant bit
-        assert from_map.bins.tolist() == [0.1, 0.3, 0.2, 0.4]
+        assert bins_of(2, by_bits).tolist() == [0.1, 0.3, 0.2, 0.4]
         assert OutcomeDistribution(2, np.array([0.1, 0.3, 0.2, 0.4])).probabilities == by_bits
 
     def test_bins_are_read_only_copies(self):
@@ -402,14 +402,12 @@ class TestOutcomeDistribution:
         assert payload.pop("steps") == 3
         assert payload["111"] == dist.probabilities["111"]
         assert payload == dist.probabilities
-        assert OutcomeDistribution(3, payload).bins.tolist() == dist.bins.tolist()
+        assert OutcomeDistribution(3, bins_of(3, dist.probabilities)).bins.tolist() == dist.bins.tolist()
 
 
 class TestClassicalFidelity:
     def point_mass(self, steps, bits):
-        return OutcomeDistribution(
-            steps, {b: (1.0 if b == bits else 0.0) for b in all_bitstrings(steps)}
-        )
+        return OutcomeDistribution(steps, bins_of(steps, {b: float(b == bits) for b in all_bitstrings(steps)}))
 
     def test_identical_is_one(self):
         dist = future_distribution(PerturbedCoin(0.4, 0.7), S1, 3)
@@ -419,7 +417,7 @@ class TestClassicalFidelity:
         assert classical_fidelity(self.point_mass(3, "000"), self.point_mass(3, "111")) == 0.0
 
     def test_uniform_vs_point_mass(self):
-        uniform = OutcomeDistribution(3, {b: 0.125 for b in all_bitstrings(3)})
+        uniform = OutcomeDistribution(3, np.full(8, 0.125))
         f = classical_fidelity(uniform, self.point_mass(3, "010"))
         assert f == pytest.approx(math.sqrt(0.125), abs=1e-12)
 
@@ -444,15 +442,15 @@ class TestClassicalFidelity:
         baseline = classical_fidelity(a, b)
         strings = all_bitstrings(3)
         relabel = dict(zip(strings, rng.permutation(strings)))
-        a2 = OutcomeDistribution(3, {relabel[k]: v for k, v in a.probabilities.items()})
-        b2 = OutcomeDistribution(3, {relabel[k]: v for k, v in b.probabilities.items()})
+        a2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in a.probabilities.items()}))
+        b2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in b.probabilities.items()}))
         assert classical_fidelity(a2, b2) == pytest.approx(baseline, abs=1e-12)
 
     def test_rounding_below_zero_counts_as_zero(self):
         # entries down to -TOL.exact are accepted, so their products must not reach sqrt
         assert 5e-13 <= TOL.exact
-        skewed = OutcomeDistribution(1, {"0": 1.0 + 5e-13, "1": -5e-13})
-        uniform = OutcomeDistribution(1, {"0": 0.5, "1": 0.5})
+        skewed = OutcomeDistribution(1, np.array([1.0 + 5e-13, -5e-13]))
+        uniform = OutcomeDistribution(1, np.array([0.5, 0.5]))
         assert classical_fidelity(skewed, uniform) == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert classical_fidelity(uniform, skewed) == classical_fidelity(skewed, uniform)
 
