@@ -2,10 +2,11 @@
 
 Each check pits two independently-implemented routes against each other:
 the photonic circuit against the closed-form output superposition, the
-quantum output overlap against the one-step-ahead classical Bhattacharyya
-coefficient, the tomography-style reconstruction against the direct memory
-mixture, the post-selection bookkeeping against the dual-arm norm account,
-and the quantum against the classical complexity.
+quantum output overlap's bin sum against the one-step-ahead classical
+Bhattacharyya coefficient and against the transfer-matrix power, the
+tomography-style reconstruction against the direct memory mixture, the
+post-selection bookkeeping against the dual-arm norm account, and the
+quantum against the classical complexity.
 
 The suites are array passes over the whole (l, m) grid through the kernels
 the scalar API runs on one coin, with every check of its dataclasses
@@ -27,7 +28,7 @@ from .errors import InvalidParameter
 from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
                      _require_weights, _stationary, require_steps, transition_matrix)
 from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
-                      _superposition, causal_pair)
+                      _superposition, _transfer_overlap, causal_pair)
 
 # Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
@@ -80,8 +81,10 @@ def run_oracle_checks(
     chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)
               for lo in range(0, len(grid), size)]
     circuit, success, reconstruction, complexity = (_first_max(parts) for parts in zip(*chunks))
+    bhattacharyya, transfer = _overlap_identity(identity_draws, seed)
     checks = [("circuit_vs_superposition", circuit, TOL.exact),
-              ("overlap_vs_bhattacharyya", _overlap_identity(identity_draws, seed), TOL.exact),
+              ("overlap_vs_bhattacharyya", bhattacharyya, TOL.exact),
+              ("transfer_matrix_vs_bin_sum", transfer, TOL.exact),
               ("reconstruction_vs_direct_density", reconstruction, TOL.exact),
               ("success_probability", success, TOL.exact),
               ("quantum_below_classical_complexity", complexity, TOL.prob_sum)]
@@ -170,29 +173,30 @@ def _weight_suites(coins: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
     return reconstruction, complexity
 
 
-def _overlap_identity(draws: int, seed: int) -> tuple[float, dict | None]:
-    """M-step output overlap against the (M + 1)-step Bhattacharyya
-    coefficient on random process pairs, M in 1..3.  Each chunk of draws is
-    one `_draw_table` (bit-identical to per-draw Generator calls, so a seed
-    gives the same draws), evaluated grouped by M.
+def _overlap_identity(draws: int, seed: int) -> tuple:
+    """The M-step output overlap's bin sum against the (M + 1)-step
+    Bhattacharyya coefficient and against the transfer-matrix power, on
+    random process pairs, M in 1..3: a (worst, location) per route.  Each
+    chunk of draws is one `_draw_table` (bit-identical to per-draw Generator
+    calls, so a seed gives the same draws), evaluated grouped by M.
     """
     rng = np.random.default_rng(seed)
     size = CHUNK_AMPLITUDES // 32
-    parts = [(-np.inf, None)]
+    parts = [((-np.inf, None),) * 2]
     for lo in range(0, draws, size):
         table = _draw_table(rng, min(size, draws - lo))
-        dev = np.empty(len(table))
+        devs = np.empty((2, len(table)))
         for steps in np.unique(table[:, 6]).astype(int):
             rows = table[:, 6] == steps
-            dev[rows] = _overlap_deviation(table[rows], steps)
+            devs[:, rows] = _overlap_deviations(table[rows], steps)
 
         def at(row: int, draw: np.ndarray = table, lo: int = lo) -> dict:
             l_a, m_a, l_b, m_b, start_a, start_b, steps = draw[row].tolist()
             return {"draw": lo + row, "steps": int(steps),
                     "process_a": {"l": l_a, "m": m_a, "start": _STARTS[int(start_a)]},
                     "process_b": {"l": l_b, "m": m_b, "start": _STARTS[int(start_b)]}}
-        parts.append(_worst(dev, at))
-    return _first_max(parts)
+        parts.append(tuple(_worst(dev, at) for dev in devs))
+    return tuple(_first_max(route) for route in zip(*parts))
 
 
 def _draw_loop(rng: np.random.Generator, draws: int) -> np.ndarray:
@@ -226,8 +230,8 @@ def _draw_table(rng: np.random.Generator, draws: int) -> np.ndarray:
     return np.concatenate([table.reshape(-1, 7), _draw_loop(rng, draws % 2)])
 
 
-def _overlap_deviation(table: np.ndarray, steps: int) -> np.ndarray:
-    """|overlap - Bhattacharyya| for draws that share the step count."""
+def _overlap_deviations(table: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """|bin sum - Bhattacharyya| and |transfer matrix - bin sum| for draws that share the step count."""
     routes = []
     for l_col, m_col, start_col in ((0, 1, 4), (2, 3, 5)):
         coin = PerturbedCoin(table[:, l_col], table[:, m_col])
@@ -236,6 +240,8 @@ def _overlap_deviation(table: np.ndarray, steps: int) -> np.ndarray:
         bins = list(islice(_recurrence(t, first), steps - 1, steps + 1))  # M and M + 1 steps
         for b in bins:
             _require_distribution(b)
-        routes.append((causal_pair(coin), *bins))
-    (pair_a, a_m, a_next), (pair_b, b_m, b_next) = routes
-    return np.abs(_overlap(a_m, b_m, pair_a, pair_b) - _bhattacharyya(a_next, b_next))
+        routes.append((t, first, causal_pair(coin), *bins))
+    (t_a, first_a, pair_a, a_m, a_next), (t_b, first_b, pair_b, b_m, b_next) = routes
+    bin_sum = _overlap(a_m, b_m, pair_a, pair_b)
+    transfer = _transfer_overlap(t_a, t_b, first_a * first_b, np.vecdot(pair_a, pair_b), steps)
+    return np.abs(bin_sum - _bhattacharyya(a_next, b_next)), np.abs(transfer - bin_sum)

@@ -26,6 +26,12 @@ TOL = Tolerances()
 # whose states hold 2**(M+1) amplitudes.
 MAX_SUPERPOSITION_STEPS = 12
 
+# Cap on the step count M of `quantum.output_overlap`, a power of a 2x2
+# transfer matrix whose cost is O(log M).  The products round each entry
+# with a relative error near M * 2**-53, and 2**13 is the largest power of two
+# that keeps this bound (2**-40) below TOL.exact.
+MAX_OVERLAP_STEPS = 2**13
+
 # Largest array, in bytes, that one config field may size: the hom-dip delay
 # grid holds 8 bytes a delay, the oracle-check (l, m) grid 16 bytes a point.
 # The config schema checks both before anything is allocated.

@@ -2,7 +2,9 @@
 
 Causal-state vectors over the polarization basis, the memory density matrix
 and its von Neumann entropy, the ideal multi-step output superposition, and
-closed-form overlaps between the statistical futures of two processes.
+overlaps between the statistical futures of two processes.  `output_overlap`
+is the fast route, a transfer-matrix power; the bin sum `_overlap` and
+`bhattacharyya_futures` enumerate all 2**M futures and serve as its oracles.
 As in `markov`, the kernels and validators take leading batch axes.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MAX_SUPERPOSITION_STEPS, TOL
+from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
 from .errors import InternalError, InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
@@ -198,16 +200,30 @@ def output_overlap(
     start_b: CausalState,
     steps: int,
 ) -> float:
-    """Overlap of the two simulators' output superpositions, in closed form:
-    sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM>.
+    """Overlap of the two simulators' output superpositions,
+    sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM>: the fast route, a 2x2 transfer-matrix power
+    (`_transfer_overlap`) in O(log M) time and O(1) memory, for 1 <= steps <= MAX_OVERLAP_STEPS.
+    The bin sum `_overlap` and `bhattacharyya_futures` enumerate 2**M strings and are its oracles.
     """
-    return float(_overlap(future_distribution(proc_a.coin, start_a, steps).bins,
-                          future_distribution(proc_b.coin, start_b, steps).bins,
-                          causal_pair(proc_a.coin), causal_pair(proc_b.coin)))
+    require_steps(steps, MAX_OVERLAP_STEPS)
+    ta, tb = transition_matrix(proc_a.coin), transition_matrix(proc_b.coin)
+    finals = np.vecdot(causal_pair(proc_a.coin), causal_pair(proc_b.coin))
+    return float(_transfer_overlap(ta, tb, ta[start_a.index] * tb[start_b.index], finals, steps))
+
+
+def _transfer_overlap(ta: np.ndarray, tb: np.ndarray, first: np.ndarray, finals: np.ndarray, steps: int):
+    """u^T K^(steps - 1) c over leading batch axes: K = sqrt(Ta Tb) elementwise, u = sqrt(`first`) for the
+    product of the two first-step rows, c = `finals`, the <S_j|T_j>.  The chain has Markov order one, so
+    this is the bin sum `_overlap`.  The contraction is written out so a batch gives one pair's bits."""
+    power = np.linalg.matrix_power(np.sqrt(ta * tb), steps - 1)
+    u = np.sqrt(first)
+    row = u[..., 0, None] * power[..., 0, :] + u[..., 1, None] * power[..., 1, :]
+    return row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1]
 
 
 def _overlap(bins_a: np.ndarray, bins_b: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray):
-    """sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM> over the last axis of the bins."""
+    """sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM> over the last axis of the bins: the enumerating oracle
+    of `_transfer_overlap`."""
     roots = np.sqrt(bins_a * bins_b)
     ends = roots.reshape(roots.shape[:-1] + (2, -1)).sum(axis=-1)  # halves ending in outcome 0 and 1
     finals = np.vecdot(pair_a, pair_b)  # <S_j|T_j> per j
@@ -221,10 +237,11 @@ def bhattacharyya_futures(
     start_b: CausalState,
     steps: int,
 ) -> float:
-    """Bhattacharyya coefficient of the two classical future distributions.
+    """Bhattacharyya coefficient of the two classical future distributions, by enumeration.
 
     Because the chain has Markov order one, the output overlap over M steps
-    equals this coefficient taken one step further ahead (M+1 outcomes).
+    equals this coefficient taken one step further ahead (M+1 outcomes), so
+    it is the independent oracle of `output_overlap`.
     """
     if steps < 1:
         raise InvalidParameter(f"steps must be >= 1, got {steps}")

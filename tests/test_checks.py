@@ -34,9 +34,11 @@ from qcoin.markov import (
 from qcoin.quantum import (
     ProcessSpec,
     _entropy,
+    _overlap,
     _require_density,
     _require_normalized,
     bhattacharyya_futures,
+    causal_pair,
     ideal_output_state,
     memory_density,
     output_overlap,
@@ -46,10 +48,12 @@ from qcoin.quantum import (
 STARTS = (CausalState.S0, CausalState.S1)
 SMALL = {"grid_step": 0.25, "step_counts": (1, 2, 3), "identity_draws": 50, "seed": 11}
 # The bundled preset's deviations when the suites became grid passes
-# (printed by oracle-check as 5.551e-16, 3.331e-16, 7.772e-16, 9.992e-16, 0).
+# (printed by oracle-check as 5.551e-16, 3.331e-16, 7.772e-16, 9.992e-16, 0),
+# and of the transfer-matrix check when it was added (4.441e-16).
 PRESET_CEILINGS = {
     "circuit_vs_superposition": 5.551115123125783e-16,
     "overlap_vs_bhattacharyya": 3.3306690738754696e-16,
+    "transfer_matrix_vs_bin_sum": 4.440892098500626e-16,
     "reconstruction_vs_direct_density": 7.771561172376096e-16,
     "success_probability": 9.992007221626409e-16,
     "quantum_below_classical_complexity": 0.0,
@@ -87,19 +91,35 @@ def circuit_loop(grid, step_counts):
     return worst
 
 
-def overlap_loop(draws, seed):
+def identity_draws(draws, seed):
+    """The identity suite's process pairs, one Generator call per value, each
+    with its location and the scalar bin sum of its M-step output overlap."""
     rng = np.random.default_rng(seed)
-    worst = Worst()
     for i in range(draws):
         la, ma, lb, mb = rng.random(), rng.random(), rng.random(), rng.random()
         start_a, start_b = STARTS[rng.integers(2)], STARTS[rng.integers(2)]
         steps = int(rng.integers(1, 4))
         proc_a, proc_b = ProcessSpec(PerturbedCoin(la, ma)), ProcessSpec(PerturbedCoin(lb, mb))
-        dev = abs(output_overlap(proc_a, start_a, proc_b, start_b, steps)
-                  - bhattacharyya_futures(proc_a, start_a, proc_b, start_b, steps + 1))
-        worst.add(dev, {"draw": i, "steps": steps,
-                        "process_a": {"l": la, "m": ma, "start": start_a.name},
-                        "process_b": {"l": lb, "m": mb, "start": start_b.name}})
+        bin_sum = _overlap(future_distribution(proc_a.coin, start_a, steps).bins,
+                           future_distribution(proc_b.coin, start_b, steps).bins,
+                           causal_pair(proc_a.coin), causal_pair(proc_b.coin))
+        at = {"draw": i, "steps": steps,
+              "process_a": {"l": la, "m": ma, "start": start_a.name},
+              "process_b": {"l": lb, "m": mb, "start": start_b.name}}
+        yield (proc_a, start_a, proc_b, start_b, steps), bin_sum, at
+
+
+def overlap_loop(draws, seed):
+    worst = Worst()
+    for (proc_a, start_a, proc_b, start_b, steps), bin_sum, at in identity_draws(draws, seed):
+        worst.add(abs(bin_sum - bhattacharyya_futures(proc_a, start_a, proc_b, start_b, steps + 1)), at)
+    return worst
+
+
+def transfer_loop(draws, seed):
+    worst = Worst()
+    for args, bin_sum, at in identity_draws(draws, seed):
+        worst.add(abs(output_overlap(*args) - bin_sum), at)
     return worst
 
 
@@ -155,6 +175,7 @@ def test_each_suite_equals_a_per_coin_loop_over_the_scalar_api():
     expected = [
         circuit_loop(grid, SMALL["step_counts"]),
         overlap_loop(SMALL["identity_draws"], SMALL["seed"]),
+        transfer_loop(SMALL["identity_draws"], SMALL["seed"]),
         reconstruction_loop(grid),
         success_loop(grid, SMALL["step_counts"]),
         complexity_loop(grid),

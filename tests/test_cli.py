@@ -324,6 +324,7 @@ class TestOracleCheck:
         assert names == {
             "circuit_vs_superposition",
             "overlap_vs_bhattacharyya",
+            "transfer_matrix_vs_bin_sum",
             "reconstruction_vs_direct_density",
             "success_probability",
             "quantum_below_classical_complexity",

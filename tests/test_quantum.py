@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcoin import quantum
-from qcoin.constants import TOL
+from qcoin.constants import MAX_OVERLAP_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
@@ -21,6 +21,7 @@ from qcoin.markov import (
 from qcoin.quantum import (
     DensityMatrix2,
     ProcessSpec,
+    _overlap,
     bhattacharyya_futures,
     causal_pair,
     ideal_output_state,
@@ -283,6 +284,81 @@ class TestOutputOverlap:
             backward = output_overlap(pb, sb, pa, sa, 3)
             assert forward == pytest.approx(backward, abs=1e-12)
             assert -1e-12 <= forward <= 1.0 + 1e-12
+
+
+EDGE_PROCESSES = [(l, m, start) for l in (0.0, 0.3, 1.0) for m in (0.0, 0.3, 1.0) for start in (S0, S1)]
+
+
+def futures(processes, steps):
+    """Each (l, m, start)'s M-step future bins."""
+    return {p: future_distribution(PerturbedCoin(p[0], p[1]), p[2], steps).bins for p in processes}
+
+
+def bin_sum(a, b, bins):
+    """The enumerating route: `_overlap` over both future distributions."""
+    pair_a, pair_b = (causal_pair(PerturbedCoin(l, m)) for l, m, _ in (a, b))
+    return float(_overlap(bins[a], bins[b], pair_a, pair_b))
+
+
+def transfer(a, b, steps):
+    (la, ma, sa), (lb, mb, sb) = a, b
+    return output_overlap(ProcessSpec(PerturbedCoin(la, ma)), sa, ProcessSpec(PerturbedCoin(lb, mb)), sb, steps)
+
+
+def sequential_product(a, b, steps):
+    """u K K ... K c in Python floats, one vector-matrix product per step."""
+    (la, ma, sa), (lb, mb, sb) = a, b
+    ta, tb = ([[l, 1.0 - l], [1.0 - m, m]] for l, m in ((la, ma), (lb, mb)))
+    k = [[math.sqrt(ta[i][j] * tb[i][j]) for j in range(2)] for i in range(2)]
+    c = [sum(math.sqrt(ta[j][x]) * math.sqrt(tb[j][x]) for x in range(2)) for j in range(2)]
+    u = [math.sqrt(ta[sa.index][j] * tb[sb.index][j]) for j in range(2)]
+    for _ in range(steps - 1):
+        u = [u[0] * k[0][j] + u[1] * k[1][j] for j in range(2)]
+    return u[0] * c[0] + u[1] * c[1]
+
+
+class TestTransferMatrixOverlap:
+    def test_grid_edges_match_the_bin_sum(self):
+        # l or m in {0, 1}, the reducible chain (1, 1), and both starts, M = 1..20
+        for steps in range(1, 21):
+            bins = futures(EDGE_PROCESSES, steps)
+            for a, b in itertools.combinations_with_replacement(EDGE_PROCESSES, 2):
+                assert abs(transfer(a, b, steps) - bin_sum(a, b, bins)) <= TOL.exact, (a, b, steps)
+
+    def test_orthogonal_outputs_are_exactly_zero(self):
+        for steps in range(1, 21):
+            for x in (0.0, 0.3, 1.0):
+                a, b = (1.0, x, S0), (0.0, x, S0)
+                assert transfer(a, b, steps) == 0.0 == bin_sum(a, b, futures((a, b), steps)), (x, steps)
+
+    def test_identical_processes_give_one(self):
+        for steps in range(1, 21):
+            for a in EDGE_PROCESSES + [(0.4, 0.7, S0), (0.45, 0.7, S1)]:
+                assert abs(transfer(a, a, steps) - 1.0) <= TOL.exact, (a, steps)
+
+    def test_thousand_steps_match_a_sequential_product(self):
+        rng = np.random.default_rng(3)
+        pairs = [((0.4, 0.7, S0), (0.45, 0.7, S0))]
+        pairs += [((*rng.random(2), (S0, S1)[rng.integers(2)]), (*rng.random(2), (S0, S1)[rng.integers(2)]))
+                  for _ in range(20)]
+        for a, b in pairs:
+            assert abs(transfer(a, b, 1000) - sequential_product(a, b, 1000)) <= TOL.exact, (a, b)
+        assert transfer(*pairs[0], 1000) ** 2 == pytest.approx(0.414708, abs=5e-7)
+
+    @pytest.mark.parametrize("steps", [21, MAX_OVERLAP_STEPS])
+    def test_steps_past_the_enumeration_cap_are_accepted(self, steps):
+        a, b = (0.4, 0.7, S0), (0.45, 0.7, S1)
+        assert abs(transfer(a, b, steps) - sequential_product(a, b, steps)) <= TOL.exact
+
+    @pytest.mark.parametrize("steps", [0, -1, MAX_OVERLAP_STEPS + 1])
+    def test_steps_outside_the_cap_are_rejected(self, steps):
+        with pytest.raises(StepCountTooLarge, match=f"1..{MAX_OVERLAP_STEPS}, got {steps}"):
+            transfer((0.4, 0.7, S0), (0.45, 0.7, S0), steps)
+
+    def test_causal_state_norms_are_checked(self, monkeypatch):
+        monkeypatch.setattr(quantum, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidParameter, match="causal-state vector is not normalized"):
+            transfer((0.4, 0.7, S0), (0.45, 0.7, S0), 3)
 
 
 class TestBhattacharyyaFutures:
