@@ -61,7 +61,6 @@ from .circuit import (
     run_circuit,
 )
 from .interference import (
-    DipCurve,
     VisibilityFit,
     dip_curve_from_visibility,
     dip_model,
@@ -117,7 +116,6 @@ __all__ = [
     "prepare_input",
     "reconstruct_memory_density",
     "run_circuit",
-    "DipCurve",
     "VisibilityFit",
     "dip_curve_from_visibility",
     "dip_model",

@@ -46,11 +46,6 @@ class CheckResult:
     passed: bool
     worst_at: dict | None = None  # inputs of the largest deviation
 
-    @staticmethod
-    def from_deviation(name: str, deviation: float, tolerance: float,
-                       worst_at: dict | None = None) -> "CheckResult":
-        return CheckResult(name, deviation, tolerance, deviation <= tolerance, worst_at)
-
 
 def probability_grid(step: float = 0.05) -> np.ndarray:
     """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2, as the rows of an (n, 2)
@@ -89,7 +84,7 @@ def run_oracle_checks(
               ("success_probability", success, TOL.exact),
               ("quantum_below_classical_complexity", complexity, TOL.prob_sum)]
     # a deviation below 0 (a complexity gap) or an empty suite counts as 0
-    return [CheckResult.from_deviation(name, max(dev, 0.0), tol, at) for name, (dev, at), tol in checks]
+    return [CheckResult(name, max(dev, 0.0), tol, dev <= tol, at) for name, (dev, at), tol in checks]
 
 
 def _worst(dev: np.ndarray, locate) -> tuple[float, dict | None]:

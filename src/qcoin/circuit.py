@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index, index_to_bits
-from .errors import EmptyBin, InvalidParameter, StepCountTooLarge
+from .errors import EmptyBin, InvalidParameter
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution,
                      require_steps)
 from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _state_amplitudes, causal_pair
@@ -103,8 +103,7 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     the coin's causal states and the new `PhotonState` on every call.
     """
     k = state.steps_applied
-    if k >= MAX_SUPERPOSITION_STEPS:
-        raise StepCountTooLarge(f"cannot apply more than {MAX_SUPERPOSITION_STEPS} blocks")
+    require_steps(k + 1, MAX_SUPERPOSITION_STEPS)
     return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)), state.success_probability * 0.5)
 
 

@@ -193,8 +193,7 @@ SCHEMAS = {
         # numpy's Poisson sampler takes rates up to about 9.2e18
         baseline=(_number(hi=1e18, above=0.0), 10000),
         delays_ns=(_delays, {"min": -5.0, "max": 5.0, "count": 41}),
-        poisson_seed=(_optional(SEED), None), visibility_override=(_optional(PROB), None),
-        fit_max_evals=(_number(1, integer=True), 10000)),
+        poisson_seed=(_optional(SEED), None), visibility_override=(_optional(PROB), None)),
     "compare-sweep": _record(
         steps=(SUPERPOSITION_STEPS, 3),
         series=(_list(_record(
@@ -360,20 +359,20 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
     v = visibility(psi, phi)
     if rec["visibility_override"] is not None:
         v = rec["visibility_override"]
-    curve = dip_curve_from_visibility(v, rec["envelope_sigma_ns"], rec["delays_ns"], rec["baseline"])
+    delays = rec["delays_ns"]
+    counts = dip_curve_from_visibility(v, rec["envelope_sigma_ns"], delays, rec["baseline"])
 
     sampled = (None if poisson_seed is None
-               else np.random.default_rng(poisson_seed).poisson(curve.counts).astype(float))
-    fit_input = sampled if sampled is not None else curve.counts
-    fit = fit_visibility(zip(curve.delays_ns, fit_input), max_evals=rec["fit_max_evals"])
+               else np.random.default_rng(poisson_seed).poisson(counts).astype(float))
+    fit = fit_visibility(zip(delays, counts if sampled is None else sampled))
     # scipy gives an infinite error when it cannot estimate the covariance
     err = fit.visibility_err if math.isfinite(fit.visibility_err) else None
-    if err is None and curve.counts.min() == curve.counts.max():
+    if err is None and counts.min() == counts.max():
         raise FitDidNotConverge(f"the dip does not fix the fit: the expected curve is flat (visibility {v!r}), "
                                 f"so the fitted visibility has error {fit.visibility_err!r}")
 
     columns = ["delay_ns", "expected_counts"] + (["sampled_counts"] if sampled is not None else [])
-    table = [curve.delays_ns, curve.counts] + ([sampled] if sampled is not None else [])
+    table = [delays, counts] + ([sampled] if sampled is not None else [])
     rows = [[_float_str(x) for x in row] for row in zip(*table)]
     write_csv(out_dir / "hom_dip.csv", "hom-dip", digest, columns, rows)
     write_json(out_dir / "hom_dip_fit.json", {
@@ -398,9 +397,9 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
             "superposition": ideal_output_state(coin_b, start_b, steps).to_json_dict(),
         },
     }, digest)
-    series = [(list(curve.delays_ns), list(curve.counts), "expected")]
+    series = [(list(delays), list(counts), "expected")]
     if sampled is not None:
-        series.append((list(curve.delays_ns), list(sampled), "sampled"))
+        series.append((list(delays), list(sampled), "sampled"))
     line_plot(out_dir / "hom_dip.svg", series, title="Two-photon coincidence dip",
               xlabel="relative delay (ns)", ylabel="coincidences")
     print(f"fit visibility: {fit.visibility:.6f} +- {'n/a' if err is None else f'{err:.6f}'}")
@@ -521,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         if command.seed_key:
             p.add_argument("--seed", type=int, metavar="N",
                            help=f"override the config's {command.seed_key!r}")
-        if name == "complexity-sweep":
-            p.add_argument("--paper-params", action="store_true",
-                           help="use the implemented (not nominal) sweep parameters of the fig5a preset")
     return parser
 
 
@@ -532,12 +528,9 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = load_config(args.config, args.command)
         record = config.get(args.command)
-        # the flags are folded into the config as loaded, so its hash covers the effective run
+        # --seed is folded into the config as loaded, so its hash covers the effective run
         if isinstance(record, dict) and getattr(args, "seed", None) is not None:
             record[COMMANDS[args.command].seed_key] = args.seed
-        if isinstance(record, dict) and getattr(args, "paper_params", False):
-            implemented = load_preset("fig5a")["complexity-sweep"]
-            record.update(l=implemented["l"], m_values=implemented["m_values"])
         digest = config_hash(config)
         rec = command_record(config, args.command)
         return COMMANDS[args.command].run(rec, digest, _out_dir(args))

@@ -66,34 +66,24 @@ def dip_model(delay_ns, baseline: float, vis: float, sigma_ns: float, center_ns:
     return baseline * (1.0 - vis * np.exp(-(tau**2) / (2.0 * sigma_ns**2)))
 
 
-@dataclass(frozen=True)
-class DipCurve:
-    """Expected coincidence counts over a grid of relative delays."""
-
-    delays_ns: np.ndarray
-    counts: np.ndarray
-    envelope_sigma_ns: float
-    baseline: float
-
-
 def dip_curve_from_visibility(
     vis: float,
     envelope_sigma_ns: float,
     delays_ns,
     baseline: float,
-) -> DipCurve:
+) -> np.ndarray:
+    """Expected coincidence counts at each delay of `delays_ns`, checked to be finite."""
     if envelope_sigma_ns <= 0.0:
         raise InvalidParameter(f"envelope sigma must be positive, got {envelope_sigma_ns}")
     if baseline <= 0.0:
         raise InvalidParameter(f"baseline must be positive, got {baseline}")
     if not 0.0 <= vis <= 1.0:
         raise InvalidParameter(f"visibility must be in [0, 1], got {vis}")
-    delays = np.asarray(delays_ns, dtype=float)
     with np.errstate(all="ignore"):  # e.g. a sigma whose square underflows gives 0/0 at zero delay
-        counts = dip_model(delays, baseline, vis, envelope_sigma_ns)
+        counts = dip_model(delays_ns, baseline, vis, envelope_sigma_ns)
     if not np.isfinite(counts).all():
         raise InvalidParameter(f"the dip curve is not finite at envelope sigma {envelope_sigma_ns} ns")
-    return DipCurve(delays, counts, envelope_sigma_ns, baseline)
+    return counts
 
 
 @dataclass(frozen=True)

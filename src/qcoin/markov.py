@@ -91,16 +91,13 @@ def transition_matrix(coin: PerturbedCoin) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationaryWeights:
-    """Probabilities of finding the memory in causal state S0 / S1.
-
-    `method` records how the weights were obtained; None means they were
-    supplied explicitly by the caller (the only option for the reducible
-    chain where both stay probabilities are 1).
+    """Probabilities of finding the memory in causal state S0 / S1; the
+    caller supplies them explicitly for the reducible chain where both stay
+    probabilities are 1.
     """
 
     s0: float
     s1: float
-    method: WeightMethod | None = None
 
     def __post_init__(self) -> None:
         _require_weights(self.s0, self.s1)
@@ -132,7 +129,7 @@ def stationary_weights(
     vanishes, which happens exactly when both stay probabilities are 1.
     """
     s0, s1 = _stationary(coin, method)
-    return StationaryWeights(float(s0), float(s1), method)
+    return StationaryWeights(float(s0), float(s1))
 
 
 def _stationary(coin: PerturbedCoin, method: WeightMethod) -> tuple:

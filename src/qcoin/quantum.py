@@ -237,14 +237,13 @@ def bhattacharyya_futures(
     start_b: CausalState,
     steps: int,
 ) -> float:
-    """Bhattacharyya coefficient of the two classical future distributions, by enumeration.
+    """Bhattacharyya coefficient of the two classical future distributions, by enumeration, for
+    1 <= steps <= MAX_ENUMERATION_STEPS.
 
     Because the chain has Markov order one, the output overlap over M steps
     equals this coefficient taken one step further ahead (M+1 outcomes), so
     it is the independent oracle of `output_overlap`.
     """
-    if steps < 1:
-        raise InvalidParameter(f"steps must be >= 1, got {steps}")
     return float(_bhattacharyya(future_distribution(proc_a.coin, start_a, steps).bins,
                                 future_distribution(proc_b.coin, start_b, steps).bins))
 

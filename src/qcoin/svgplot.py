@@ -38,7 +38,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    draw_lines: bool = True,
 ) -> None:
     """Write an SVG with one polyline + markers per (xs, ys, label) series."""
     xs_all = [x for xs, _, _ in series for x in xs]
@@ -92,7 +91,7 @@ def line_plot(
     for i, (xs, ys, label) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        if draw_lines and len(xs) > 1:
+        if len(xs) > 1:
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         for x, y in zip(xs, ys):
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>')

@@ -22,6 +22,7 @@ from qcoin.circuit import (
     run_circuit,
 )
 from qcoin.cli import EXIT_OK, main
+from qcoin.constants import TOL
 from qcoin.interference import dip_model, fit_visibility, visibility
 from qcoin.markov import (
     CausalState,
@@ -44,7 +45,7 @@ from qcoin.quantum import (
 
 S0, S1 = CausalState.S0, CausalState.S1
 
-# The paper's as-implemented stay-tails sweep, which `--paper-params` selects.
+# The paper's as-implemented stay-tails sweep, held by the fig5a preset that complexity-sweep runs by default.
 IMPLEMENTED_STAY_TAILS_VALUES = (0.101, 0.197, 0.297, 0.391, 0.490, 0.588, 0.685, 0.784, 0.882, 0.994)
 
 GRID_21 = [
@@ -115,7 +116,7 @@ def test_criterion_2_fig4_theory_layer(tmp_path):
 
 
 def test_criterion_3_fig5a_theory_layer(tmp_path):
-    assert main(["complexity-sweep", "--out", str(tmp_path), "--paper-params"]) == EXIT_OK
+    assert main(["complexity-sweep", "--out", str(tmp_path)]) == EXIT_OK
     _, rows = _read_csv(tmp_path / "complexity.csv")
     assert [float(r[0]) for r in rows] == list(IMPLEMENTED_STAY_TAILS_VALUES)
     for row in rows:
@@ -126,7 +127,7 @@ def test_criterion_3_fig5a_theory_layer(tmp_path):
         # independent oracle: LAPACK eigen-decomposition instead of the closed form
         eigs = np.linalg.eigvalsh(memory_density(coin, weights).matrix)
         oracle = float(-sum(v * math.log2(v) for v in eigs if v > 0.0))
-        assert c_q == pytest.approx(oracle, abs=1e-10)
+        assert c_q == pytest.approx(oracle, abs=TOL.entropy_oracle)
     symmetric = PerturbedCoin(0.397, 0.397)
     for method in WeightMethod:
         assert classical_complexity(stationary_weights(symmetric, method)) == 1.0
@@ -143,7 +144,7 @@ def test_criterion_4_identity_interference_and_fit_roundtrip():
     delays = np.linspace(-5.0, 5.0, 41)
     for target in (0.25, 0.5, 0.96, 1.0):
         fit = fit_visibility(zip(delays, dip_model(delays, 10000.0, target, 1.0)))
-        assert fit.visibility == pytest.approx(target, abs=1e-6)
+        assert fit.visibility == pytest.approx(target, abs=TOL.fit_roundtrip)
     _report(4, "identity-process visibility is 1 across the grid; "
                "noiseless fits recover v within 1e-6 (incl. v = 0.96)")
 

@@ -135,13 +135,13 @@ class TestOverlapAndCoincidence:
 class TestDipCurve:
     def test_full_dip_at_zero_delay(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
-        curve = dip_curve_from_visibility(visibility(psi, psi), 1.0, [0.0], 1000.0)
-        assert curve.counts[0] == pytest.approx(0.0, abs=1e-9)
+        counts = dip_curve_from_visibility(visibility(psi, psi), 1.0, [0.0], 1000.0)
+        assert counts[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_baseline_recovered_far_from_dip(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
-        curve = dip_curve_from_visibility(visibility(psi, psi), 2.0, [-10.0, 10.0], 1000.0)
-        assert np.all(np.abs(curve.counts - 1000.0) <= 1e-4 * 1000.0)
+        counts = dip_curve_from_visibility(visibility(psi, psi), 2.0, [-10.0, 10.0], 1000.0)
+        assert np.all(np.abs(counts - 1000.0) <= 1e-4 * 1000.0)
 
     def test_formula_value(self):
         counts = dip_model(0.0, 1000.0, 0.96, 1.0)
@@ -163,19 +163,19 @@ class TestFitVisibility:
     def test_perfect_visibility_roundtrip(self):
         delays = np.linspace(-5, 5, 41)
         fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 1.0, 1.0)))
-        assert fit.visibility == pytest.approx(1.0, abs=1e-6)
+        assert fit.visibility == pytest.approx(1.0, abs=TOL.fit_roundtrip)
 
     def test_partial_visibility_roundtrip(self):
         delays = np.linspace(-5, 5, 41)
         fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 0.96, 1.0)))
-        assert fit.visibility == pytest.approx(0.96, abs=1e-6)
+        assert fit.visibility == pytest.approx(0.96, abs=TOL.fit_roundtrip)
 
     def test_noiseless_recovery_over_v_sigma_grid(self):
         for v in np.linspace(0.0, 1.0, 6):
             for sigma in (0.1, 0.7, 2.0, 10.0):
                 delays = np.linspace(-5 * sigma, 5 * sigma, 41)
                 fit = fit_visibility(zip(delays, dip_model(delays, 2000.0, v, sigma)))
-                assert fit.visibility == pytest.approx(float(v), abs=1e-6)
+                assert fit.visibility == pytest.approx(float(v), abs=TOL.fit_roundtrip)
                 if v > 0.0:
                     assert fit.sigma_ns == pytest.approx(sigma, rel=1e-4)
 
@@ -183,7 +183,7 @@ class TestFitVisibility:
         delays = np.linspace(-5, 5, 41)
         fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 0.8, 1.0, center_ns=0.7)))
         assert fit.center_ns == pytest.approx(0.7, abs=1e-6)
-        assert fit.visibility == pytest.approx(0.8, abs=1e-6)
+        assert fit.visibility == pytest.approx(0.8, abs=TOL.fit_roundtrip)
 
     def test_poisson_calibration_100_trials(self):
         # >= 95 of 100 seeded fits must land within 3 reported sigma of truth

@@ -161,8 +161,7 @@ class TestStationaryWeights:
         assert stationary_weights(PerturbedCoin(1.0, 0.5), WeightMethod.THREE_STEP_MARGINAL).s0 == 1.0
 
     def test_explicit_weights_validate(self):
-        w = StationaryWeights(0.5, 0.5)
-        assert w.method is None
+        StationaryWeights(0.5, 0.5)
         with pytest.raises(InvalidParameter):
             StationaryWeights(0.6, 0.6)
         with pytest.raises(InvalidParameter):

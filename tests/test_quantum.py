@@ -10,6 +10,7 @@ from qcoin.constants import MAX_OVERLAP_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
+    MAX_ENUMERATION_STEPS,
     CausalState,
     PerturbedCoin,
     StationaryWeights,
@@ -159,7 +160,7 @@ class TestVonNeumannEntropy:
             coin = PerturbedCoin(l, m)
             rho = memory_density(coin, stationary_weights(coin))
             assert von_neumann_entropy(rho) == pytest.approx(
-                entropy_oracle(rho.matrix), abs=1e-10
+                entropy_oracle(rho.matrix), abs=TOL.entropy_oracle
             )
 
     def test_quantum_memory_never_exceeds_classical_over_grid(self):
@@ -384,9 +385,11 @@ class TestBhattacharyyaFutures:
             assert abs(lhs - rhs) <= 1e-12
 
     def test_rejects_zero_steps(self):
+        # and every other count outside 1..MAX_ENUMERATION_STEPS
         proc = ProcessSpec(PerturbedCoin(0.4, 0.7))
-        with pytest.raises(InvalidParameter):
-            bhattacharyya_futures(proc, S0, proc, S0, 0)
+        for steps in (0, -1, 21):
+            with pytest.raises(StepCountTooLarge, match=f"1..{MAX_ENUMERATION_STEPS}, got {steps}"):
+                bhattacharyya_futures(proc, S0, proc, S0, steps)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(

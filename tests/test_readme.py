@@ -1,5 +1,7 @@
-"""The README's library example runs against the installed public API, whose names all resolve."""
+"""The README's library example runs against the installed public API, whose names all resolve, and its
+config table and usage block match the CLI."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import qcoin
+from qcoin.cli import COMMANDS, build_parser, command_record, load_preset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +32,24 @@ def test_every_public_name_resolves_once():
     assert len(set(qcoin.__all__)) == len(qcoin.__all__)
     missing = [name for name in qcoin.__all__ if not hasattr(qcoin, name)]
     assert missing == []
+
+
+def test_config_table_lists_every_key_of_each_record():
+    # the validated record has every schema field, defaults filled in
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").split("| command | key |", 1)[1].splitlines()[2:]
+    listed, command = {}, None
+    for line in itertools.takewhile(lambda s: s.startswith("|"), lines):
+        cells = [cell.strip() for cell in line.split("|")[1:3]]
+        command = cells[0].strip("`") or command
+        listed.setdefault(command, set()).update(key.strip(" `") for key in cells[1].split(","))
+    assert listed == {name: set(command_record(load_preset(c.preset), name)) for name, c in COMMANDS.items()}
+
+
+def test_usage_block_flags_are_options_of_the_commands_named():
+    usage = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    for line in usage.splitlines():
+        names, options = re.fullmatch(r"qcoin (\S+) (.*)", line).groups()
+        commands = list(COMMANDS) if names == "<command>" else names.split("|")
+        for flag in re.findall(r"\[(--[\w-]+)", options):
+            for name in commands:
+                build_parser().parse_args([name, flag, "1"])  # an unknown option raises ConfigError
