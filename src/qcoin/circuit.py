@@ -189,39 +189,34 @@ def _reconstruction(pair: np.ndarray, weights: np.ndarray, steps: int) -> np.nda
     _require_distribution(probs)
     used = (probs > TOL.empty_bin) & (weights[..., None] != 0.0)
     rows = amps / np.sqrt(np.where(used, probs, 1.0))[..., None]
-    states = rows[..., :, None] * rows.conj()[..., None, :]
+    states = rows[..., :, None] * rows[..., None, :]
     _require_density(states[used])
     terms = np.where(used[..., None, None], (weights[..., None] * probs)[..., None, None] * states, 0.0)
     return sum(np.moveaxis(terms.reshape(terms.shape[:-4] + (-1, 2, 2)), -3, 0))
 
 
 def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
-    """Gate-level model of one block on the basis |memory> x |outcome>.
+    """Gate-level model of one block on the basis |memory> x |outcome>, as a real float64 (4, 4) matrix.
 
     Composition: a controlled-X copying the memory onto the fresh outcome
     qubit, a rotation R on the memory with R|0> = |S0>, and an
     outcome-controlled V with V R|1> = |S1>.  R and V are only fixed up to
-    signs/phases on the orthogonal subspace; the real-rotation solution is
+    signs on the orthogonal subspace; the real-rotation solution is
     used here.  Basis index is 2*memory + outcome.
     """
     root_stay = math.sqrt(coin.stay_heads)
     root_flip = math.sqrt(1.0 - coin.stay_heads)
-    r = np.array([[root_stay, -root_flip], [root_flip, root_stay]], dtype=complex)
-    r_one = r @ np.array([0.0, 1.0], dtype=complex)
+    r = np.array([[root_stay, -root_flip], [root_flip, root_stay]])
+    r_one = r @ np.array([0.0, 1.0])
     s1 = causal_pair(coin)[CausalState.S1.index]
-    delta = math.atan2(s1[1], s1[0]) - math.atan2(r_one[1].real, r_one[0].real)
-    v = np.array(
-        [[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]],
-        dtype=complex,
-    )
-    cx = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    cv = np.eye(4, dtype=complex)
+    delta = math.atan2(s1[1], s1[0]) - math.atan2(r_one[1], r_one[0])
+    v = np.array([[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]])
+    cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+    cv = np.eye(4)
     for mem_out in range(2):
         for mem_in in range(2):
             cv[2 * mem_out + 1, 2 * mem_in + 1] = v[mem_out, mem_in]
-    return cv @ np.kron(r, np.eye(2, dtype=complex)) @ cx
+    return cv @ np.kron(r, np.eye(2)) @ cx
 
 
 def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
@@ -232,7 +227,7 @@ def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
     pair = causal_pair(coin)
     worst = 0.0
     for mem_in in pair:
-        gate_out = u @ np.kron(mem_in, np.array([1.0, 0.0], dtype=complex))
+        gate_out = u @ np.kron(mem_in, np.array([1.0, 0.0]))
         block_out = _block(mem_in[:, None], pair)  # (memory, outcome)
         for outcome in range(2):
             for mem in range(2):

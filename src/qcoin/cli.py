@@ -122,12 +122,10 @@ def _optional(item):
     return lambda value, key: None if value is None else item(value, key)
 
 
-def _list(item, min_len: int = 1):
-    what = "a nonempty list" if min_len == 1 else f"a list of at least {min_len} entries"
-
+def _list(item):
     def parse(value, key):
-        if not isinstance(value, list) or len(value) < min_len:
-            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key {key!r} must be a nonempty list, got {value!r}")
         return [item(v, f"{key}[{i}]") for i, v in enumerate(value)]
     return parse
 
@@ -152,11 +150,9 @@ def _record(build=dict, /, **fields):
 
 
 def _delays(value, key) -> np.ndarray:
-    """The delay grid: a list of delays, or a {min, max, count} linspace.  The
-    fit has four free parameters, so the grid needs at least five delays.
+    """The delay grid, a {min, max, count} linspace.  The fit has four free
+    parameters, so the grid needs at least five delays.
     """
-    if isinstance(value, list):
-        return np.asarray(_list(_number(), 5)(value, key))
     grid = DELAY_RANGE(value, key)
     if grid["max"] <= grid["min"]:
         raise ConfigError(f"config key {key!r} needs max > min, got {value!r}")
@@ -285,7 +281,10 @@ def write_json(path: Path, payload: dict, digest: str) -> None:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an existing file, or a path through one
+        raise ConfigError(f"cannot use {out!r} as the output directory: {exc.strerror}") from exc
     return path
 
 

@@ -14,7 +14,6 @@ class Tolerances:
     state_norm: float = 1e-9        # state-vector norms
     psd_floor: float = -1e-12       # density-matrix eigenvalue floor at construction
     entropy_floor: float = -1e-9    # eigenvalue floor before entropy evaluation
-    imag_residue: float = 1e-12     # largest tolerated imaginary part of a real observable
     empty_bin: float = 1e-15        # smallest bin probability that can be conditioned on
     entropy_oracle: float = 1e-10   # agreement with the independent eigenvalue oracle
     fit_roundtrip: float = 1e-6     # noiseless visibility-fit recovery

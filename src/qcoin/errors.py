@@ -34,7 +34,7 @@ class FitDidNotConverge(QCoinError):
 
 
 class InternalError(QCoinError):
-    """An internal consistency check failed, e.g. a complex residue on a real observable."""
+    """An internal consistency check failed, e.g. a squared overlap above 1 beyond rounding."""
 
 
 class ConfigError(QCoinError, ValueError):

@@ -26,33 +26,28 @@ from .markov import CausalState, PerturbedCoin
 from .quantum import IdealOutputState
 
 
-def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, (PhotonState, IdealOutputState)):
-        # The package's one complex amplitude array, kept on purpose: np.vdot's summation order
-        # fixes the last bits of the visibility, and any other dot (a real vdot in either layout,
-        # or a complex one over the polarization-major array) changes them for most pairs, and
-        # with them the hom-dip and compare-sweep payloads.
-        return np.array(state.amplitudes.T, dtype=complex, order="C")
-    return np.asarray(state, dtype=complex)
+def _amplitudes(state: PhotonState | IdealOutputState) -> np.ndarray:
+    # The package's one complex amplitude array, kept on purpose: np.vdot's summation order
+    # fixes the last bits of the visibility, and any other dot (a real vdot in either layout,
+    # or a complex one over the polarization-major array) changes them for most pairs, and
+    # with them the hom-dip and compare-sweep payloads.
+    return np.array(state.amplitudes.T, dtype=complex, order="C")
 
 
-def visibility(psi, phi) -> float:
+def visibility(psi: PhotonState | IdealOutputState, phi: PhotonState | IdealOutputState) -> float:
     """HOM dip visibility: |<phi|psi>|^2 normalized by the actual state norms.
 
     Numerator and denominator are the same floating-point sums when the two
-    amplitude arrays are equal, so identical states give exactly 1.
+    amplitude arrays are equal, so identical states give exactly 1.  The
+    copies are of real amplitudes, so the overlap's imaginary part is exactly
+    zero, and the states are normalized on construction, so no norm is zero.
     """
     a = _amplitudes(psi)
     b = _amplitudes(phi)
     if a.shape != b.shape:
         raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
-    num = complex(np.vdot(a, b))
-    if abs(num.imag) > TOL.imag_residue:
-        raise InternalError(f"state overlap has imaginary residue {num.imag!r}")
-    norms = float(np.vdot(a, a).real) * float(np.vdot(b, b).real)
-    if norms == 0.0:
-        raise InvalidParameter("cannot normalize the overlap of a zero-norm state")
-    v = (num.real * num.real) / norms
+    num = float(np.vdot(a, b).real)
+    v = (num * num) / (float(np.vdot(a, a).real) * float(np.vdot(b, b).real))
     if v > 1.0 + TOL.state_norm:
         raise InternalError(f"squared overlap {v!r} exceeds 1 beyond rounding")
     return min(v, 1.0)

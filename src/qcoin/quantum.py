@@ -16,17 +16,17 @@ import numpy as np
 
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
-from .errors import InternalError, InvalidParameter, NonPhysicalState
+from .errors import InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
                      future_distribution, require_steps, transition_matrix)
 
 
-def _require_real(value, what: str):
-    """Real part of a numpy complex value or array, imaginary parts checked against TOL.imag_residue."""
-    off = abs(value.imag) > TOL.imag_residue
-    if _any(off):
-        raise InternalError(f"{what} has imaginary residue {float(np.asarray(value.imag)[off].flat[0])!r}")
-    return value.real
+def _real_array(value, what: str) -> np.ndarray:
+    """`value` as a numpy array; a complex dtype is refused, whatever its imaginary parts."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise InvalidParameter(f"{what} must be real, got dtype {arr.dtype}")
+    return arr
 
 
 def _norm_sq(amps: np.ndarray, axes: int):
@@ -34,9 +34,9 @@ def _norm_sq(amps: np.ndarray, axes: int):
     state, np.vecdot over a batch (the two agree bit for bit).
     """
     if amps.ndim == axes:
-        return float(np.vdot(amps, amps).real)
+        return float(np.vdot(amps, amps))
     flat = amps.reshape(amps.shape[:-axes] + (-1,)) if axes > 1 else amps
-    return np.vecdot(flat, flat).real
+    return np.vecdot(flat, flat)
 
 
 def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm, axes: int = 2) -> None:
@@ -49,9 +49,8 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
 
 def _state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
     """A state's stored amplitudes: the kernels' real (2, 2**steps) array as read-only C-ordered float64,
-    taken over without a copy when it is one.  Complex input must pass `_require_real`; the norm is checked."""
-    amps = np.asarray(amplitudes)
-    amps = np.ascontiguousarray(_require_real(amps, what) if np.iscomplexobj(amps) else amps, dtype=float)
+    taken over without a copy when it is one.  Complex input is refused; the norm is checked."""
+    amps = np.ascontiguousarray(_real_array(amplitudes, what), dtype=float)
     if amps.shape != (2, 2**steps):
         raise InvalidParameter(f"expected amplitude shape {(2, 2**steps)}, got {amps.shape}")
     amps.flags.writeable = False
@@ -70,31 +69,27 @@ def causal_pair(coin: PerturbedCoin) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix2:
-    """2x2 density matrix: Hermitian, unit trace, positive semidefinite."""
+    """2x2 density matrix of the real causal states: read-only float64, symmetric, unit trace,
+    positive semidefinite."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex).reshape(2, 2).copy()
+        m = np.array(_real_array(self.matrix, "density matrix"), dtype=float).reshape(2, 2)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         _require_density(m)
 
-    def eigenvalues(self) -> tuple[float, float]:
-        return _eigenvalues_2x2(self.matrix)
-
     def to_json_dict(self) -> dict:
-        return {
-            "re": [[float(x.real) for x in row] for row in self.matrix],
-            "im": [[float(x.imag) for x in row] for row in self.matrix],
-        }
+        # "im" stays in the payload, all zeros, so the pinned memory_densities.json is unchanged
+        return {"re": self.matrix.tolist(), "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def _require_density(m: np.ndarray) -> None:
-    """The `DensityMatrix2` checks on (..., 2, 2) matrices: Hermitian, real unit trace, PSD."""
-    if (abs(m - m.swapaxes(-1, -2).conj()) > TOL.exact).any():
-        raise InvalidParameter("matrix is not Hermitian")
-    trace = _require_real(m[..., 0, 0] + m[..., 1, 1], "density-matrix trace")
+    """The `DensityMatrix2` checks on real (..., 2, 2) matrices: symmetric, unit trace, PSD."""
+    if (abs(m - m.mT) > TOL.exact).any():
+        raise InvalidParameter("matrix is not symmetric")
+    trace = m[..., 0, 0] + m[..., 1, 1]
     off = abs(trace - 1.0) > TOL.exact
     if _any(off):
         raise InvalidParameter(f"trace must be 1, got {float(np.asarray(trace)[off].flat[0])!r}")
@@ -103,23 +98,22 @@ def _require_density(m: np.ndarray) -> None:
 
 
 def _eigenvalues_2x2(m: np.ndarray) -> tuple:
-    """Eigenvalues (low, high) of Hermitian (..., 2, 2) matrices from trace and determinant."""
-    trace = (m[..., 0, 0] + m[..., 1, 1]).real
-    det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
+    """Eigenvalues (low, high) of symmetric (..., 2, 2) matrices from trace and determinant."""
+    trace = m[..., 0, 0] + m[..., 1, 1]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     disc = trace * trace - 4.0 * det
     root = np.sqrt(np.maximum(disc, 0.0))
     return (trace - root) / 2.0, (trace + root) / 2.0
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho: DensityMatrix2) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits.
 
     Eigenvalues come from the closed form (tr +- sqrt(tr^2 - 4 det)) / 2
     and are clamped to [0, 1] after checking they are not significantly
-    negative.  Accepts a DensityMatrix2 or a raw 2x2 array.
+    negative.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix2) else np.asarray(rho, dtype=complex)
-    return float(_entropy(m))
+    return float(_entropy(rho.matrix))
 
 
 def _entropy(m: np.ndarray):
@@ -137,7 +131,7 @@ def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMa
 
 def _mixture(pair: np.ndarray, s0, s1) -> np.ndarray:
     """s0 |S0><S0| + s1 |S1><S1| for (..., 2, 2) pairs and weights of the leading shape."""
-    projectors = pair[..., :, :, None] * pair.conj()[..., :, None, :]
+    projectors = pair[..., :, :, None] * pair[..., :, None, :]
     return (np.asarray(s0)[..., None, None] * projectors[..., 0, :, :]
             + np.asarray(s1)[..., None, None] * projectors[..., 1, :, :])
 

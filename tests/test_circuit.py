@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcoin.constants import TOL, block_delay_ns
 from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
-from qcoin.errors import EmptyBin, InternalError, InvalidParameter, StepCountTooLarge
+from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
     _run,
@@ -293,7 +293,8 @@ class TestGateDecomposition:
     def test_unitary(self):
         for l, m in grid(0.25):
             u = block_gate_unitary(PerturbedCoin(l, m))
-            assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
+            assert u.dtype == np.float64  # real rotations: orthogonal
+            assert np.abs(u @ u.T - np.eye(4)).max() <= 1e-12
 
     def test_matches_optical_block_over_grid(self):
         for l, m in grid(0.2):
@@ -311,9 +312,9 @@ class TestPhotonStateContracts:
         assert complex(h_re, h_im) == complex(state.amplitudes[0, 0])
 
     def test_rejects_denormalized_state(self):
-        amps = np.zeros((2, 2), dtype=complex)
+        amps = np.zeros((2, 2))
         amps[0, 0] = 0.5
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="photon state is not normalized"):
             PhotonState(1, amps, 0.5)
 
     def test_rejects_bad_success_probability(self):
@@ -373,27 +374,28 @@ STATE_BUILDERS = [lambda amps: PhotonState(2, amps, 0.25), lambda amps: IdealOut
 
 
 class TestRealPhoton:
-    """The kernels are real and the states hold real amplitudes: their constructors take
-    complex input only through a check on its imaginary parts."""
+    """The kernels are real and the states hold real amplitudes: their constructors refuse
+    complex input and name its dtype, whatever its imaginary parts."""
 
     @pytest.mark.parametrize("call", [
         apply_block, block_norm_accounting, lambda state, coin: arrival_time_distribution(state),
     ], ids=["apply_block", "block_norm_accounting", "arrival_time_distribution"])
     def test_imaginary_part_raises(self, call):
-        # the entry points take a PhotonState, whose constructor refuses the residue
-        with pytest.raises(InternalError, match="imaginary residue"):
+        # the entry points take a PhotonState, whose constructor refuses complex amplitudes
+        with pytest.raises(InvalidParameter, match="photon state must be real, got dtype complex128"):
             call(_with_imaginary(STATE_BUILDERS[0], 1e-6), PerturbedCoin(0.4, 0.7))
 
     def test_imaginary_part_raises_in_constructors(self):
         for make in STATE_BUILDERS:
-            with pytest.raises(InternalError, match="imaginary residue"):
+            with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
                 _with_imaginary(make, 1e-6)
 
-    def test_residue_below_tolerance_reads_as_the_real_state(self):
+    def test_zero_imaginary_parts_are_refused(self):
         for make in STATE_BUILDERS:
-            real, residue = _with_imaginary(make, 0.0), _with_imaginary(make, TOL.imag_residue / 2)
-            assert residue.amplitudes.dtype == np.float64
-            assert np.array_equal(real.amplitudes, residue.amplitudes)
+            with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
+                _with_imaginary(make, 0.0)
+        with pytest.raises(InvalidParameter, match="must be real, got dtype complex64"):
+            PhotonState(2, run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(np.complex64), 0.25)
 
     def test_blocks_equal_the_complex_kernel_over_grid(self):
         for l, m in grid(0.1):

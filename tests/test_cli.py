@@ -476,7 +476,7 @@ class TestConfigHandling:
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "baseline": float("inf"), "poisson_seed": 1}}),
     ("futures", {"schema_version": 1, "futures": {"l": 10**400, "m_values": [0.5]}}),
     ("hom-dip", {"schema_version": 1, "hom-dip": {
-        **PAIR, "envelope_sigma_ns": 1e-300, "delays_ns": [-1.0, -0.5, 0.0, 0.5, 1.0]}}),
+        **PAIR, "envelope_sigma_ns": 1e-300, "delays_ns": {"min": -1.0, "max": 1.0, "count": 5}}}),
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
@@ -492,6 +492,17 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     )
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["out-is-a-file", "out-below-a-file"])
+def test_unusable_out_dir_exits_with_config_error(tmp_path, out):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = str(tmp_path / out)
+    proc = subprocess.run([sys.executable, "-m", "qcoin", "futures", "--out", out],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CONFIG
+    assert f"config error: cannot use {out!r} as the output directory" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -512,6 +523,9 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     ("futures", {"schema_version": 1, "futures": {"l": "0.5", "m_values": [0.5]}}, "'futures.l'"),
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}},
      "'hom-dip.delays_ns.count' must be an integer >= 5 and <= 2097152"),
+    # the delay grid has one form, the {min, max, count} record
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": [-1.0, -0.5, 0.0, 0.5, 1.0]}},
+     "config key 'hom-dip.delays_ns' must be a record"),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}, "'oracle-check.grid_step'"),
     # step counts past the enumeration cap (futures, counts) or the superposition cap
     ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "steps": 21}},
@@ -527,7 +541,7 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
      "'oracle-check.step_counts[1]' must be an integer >= 1 and <= 12, got 13"),
 ], ids=["schema_version-bool", "identity_draws-zero", "identity_draws-negative", "fit_max_evals-zero",
         "start_states-empty", "unknown-key", "series-name-list", "numeric-string", "delay_count-past-the-budget",
-        "grid_step-past-the-budget", "futures-steps-past-the-cap", "counts-steps-past-the-cap",
+        "delays_ns-list", "grid_step-past-the-budget", "futures-steps-past-the-cap", "counts-steps-past-the-cap",
         "hom-dip-steps-past-the-cap", "compare-sweep-steps-past-the-cap", "step_counts-past-the-cap"])
 def test_config_the_schema_rejects_exits_with_config_error(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, payload)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcoin import interference
-from qcoin.circuit import run_circuit
+from qcoin.circuit import PhotonState, run_circuit
 from qcoin.constants import TOL
 from qcoin.errors import DimensionMismatch, FitDidNotConverge, InternalError, InvalidParameter
 from qcoin.interference import (
@@ -17,7 +17,7 @@ from qcoin.interference import (
     visibility_sweep,
 )
 from qcoin.markov import CausalState, PerturbedCoin
-from qcoin.quantum import ProcessSpec, ideal_output_state, output_overlap
+from qcoin.quantum import IdealOutputState, ProcessSpec, ideal_output_state, output_overlap
 
 S0, S1 = CausalState.S0, CausalState.S1
 
@@ -111,10 +111,11 @@ class TestOverlapAndCoincidence:
             visibility(psi, phi)
 
     def test_zero_norm_state_is_rejected(self):
-        with pytest.raises(InvalidParameter):
-            visibility(np.zeros((2, 2)), np.ones((2, 2)) / 2.0)
-        with pytest.raises(InvalidParameter):
-            visibility(np.ones((2, 2)) / 2.0, np.zeros((2, 2)))
+        # visibility takes state objects, and a zero-norm state cannot be built
+        with pytest.raises(InvalidParameter, match="photon state is not normalized"):
+            PhotonState(1, np.zeros((2, 2)), 0.5)
+        with pytest.raises(InvalidParameter, match="output state is not normalized"):
+            IdealOutputState(1, np.zeros((2, 2)))
 
     def test_excess_over_one_bound_is_the_state_norm_tolerance(self, monkeypatch):
         psi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)

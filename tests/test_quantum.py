@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcoin import quantum
-from qcoin.constants import MAX_OVERLAP_STEPS, TOL
+from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
@@ -103,7 +103,7 @@ class TestCausalOverlap:
 
 class TestDensityMatrix2:
     def test_validates_hermiticity_trace_and_psd(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="not symmetric"):
             DensityMatrix2(np.array([[0.5, 0.2], [0.3, 0.5]]))
         with pytest.raises(InvalidParameter):
             DensityMatrix2(np.array([[0.7, 0.0], [0.0, 0.7]]))
@@ -115,6 +115,17 @@ class TestDensityMatrix2:
         payload = rho.to_json_dict()
         assert set(payload) == {"re", "im"}
         assert (np.array(payload["re"]) + 1j * np.array(payload["im"]) == rho.matrix).all()
+        assert payload["im"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_stores_read_only_float64(self):
+        rho = DensityMatrix2([[0.5, 0.0], [0.0, 0.5]])
+        assert rho.matrix.dtype == np.float64 and not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_refuses_complex_input(self, imag):
+        matrix = np.array([[0.5, 1j * imag], [-1j * imag, 0.5]])
+        with pytest.raises(InvalidParameter, match="density matrix must be real, got dtype complex128"):
+            DensityMatrix2(matrix)
 
 
 class TestMemoryDensity:
@@ -141,12 +152,12 @@ class TestMemoryDensity:
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_is_one_bit(self):
-        assert von_neumann_entropy(np.diag([0.5, 0.5])) == 1.0
+        assert von_neumann_entropy(DensityMatrix2(np.diag([0.5, 0.5]))) == 1.0
 
     def test_pure_projector_is_zero(self):
         for l in (0.0, 0.3, 1.0):
             v = causal_pair(PerturbedCoin(l, 0.5))[S0.index]
-            assert von_neumann_entropy(np.outer(v, v.conj())) == pytest.approx(0.0, abs=1e-12)
+            assert von_neumann_entropy(DensityMatrix2(np.outer(v, v))) == pytest.approx(0.0, abs=1e-12)
 
     def test_quantum_below_classical_for_example(self):
         coin = PerturbedCoin(0.4, 0.7)
@@ -182,14 +193,40 @@ class TestVonNeumannEntropy:
                 assert c_mu - c_q > 1e-9
 
     def test_nonphysical_state_raises(self):
+        # a DensityMatrix2 refuses such a matrix, so the entropy kernel's own floor is tested directly
         with pytest.raises(NonPhysicalState):
-            von_neumann_entropy(np.array([[1.5, 0.0], [0.0, -0.5]]))
+            quantum._entropy(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
     def test_near_degenerate_eigenvalues_clamped(self):
         # eigenvalues exactly (0.5, 0.5); discriminant may round slightly negative
         v = np.array([math.sqrt(0.5), math.sqrt(0.5)])
         rho = 0.5 * np.outer(v, v) + 0.5 * np.outer(v[::-1] * [1, -1], v[::-1] * [1, -1])
-        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
+        assert von_neumann_entropy(DensityMatrix2(rho)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNormSq:
+    """`_norm_sq` reads one state with np.vdot and a batch with np.vecdot; the two agree bit for bit,
+    so a state's norm does not depend on whether it was checked alone or in a batch."""
+
+    @staticmethod
+    def _agree(batch, axes):
+        alone = [quantum._norm_sq(state, axes) for state in batch]
+        assert all(type(x) is float for x in alone)
+        assert np.array_equal(quantum._norm_sq(batch, axes), alone)
+
+    @pytest.mark.parametrize("steps", range(MAX_SUPERPOSITION_STEPS + 1))
+    def test_states_alone_and_in_a_batch(self, steps):
+        pairs = causal_pair(PerturbedCoin(np.array([0.0, 0.4, 0.97]), np.array([0.5, 0.7, 1.0])))
+        bins = future_distribution(PerturbedCoin(0.4, 0.7), S1, steps).bins if steps else np.ones(1)
+        states = pairs.reshape(-1, 2, 1) if steps == 0 else quantum._superposition(bins, pairs)
+        self._agree(states, 2)
+        self._agree(pairs.reshape(-1, 2), 1)
+
+    @pytest.mark.parametrize("steps", range(MAX_SUPERPOSITION_STEPS + 1))
+    def test_random_batches(self, steps):
+        rng = np.random.default_rng(steps)
+        self._agree(rng.standard_normal((20, 2, 2**steps)), 2)
+        self._agree(rng.standard_normal((20, 2**steps)), 1)
 
 
 class TestIdealOutputState:
