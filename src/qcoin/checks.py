@@ -26,7 +26,7 @@ from .circuit import _arm_norms, _bin_probabilities, _propagate, _reconstruction
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter
 from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
-                     _require_weights, _stationary, require_steps, transition_matrix)
+                     _require_weights, _stationary, require_count, require_steps, transition_matrix)
 from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
                       _superposition, _transfer_overlap, causal_pair)
 
@@ -69,8 +69,8 @@ def run_oracle_checks(
     step_counts = tuple(step_counts)
     for steps in step_counts:
         require_steps(steps, MAX_SUPERPOSITION_STEPS)
-    if identity_draws < 1:
-        raise InvalidParameter(f"identity_draws must be >= 1, got {identity_draws}")
+    require_count(identity_draws, "identity_draws", 1)
+    require_count(seed, "seed", 0)
     grid = probability_grid(grid_step)
     size = max(1, CHUNK_AMPLITUDES // (4 * 2 ** max(*step_counts, RECONSTRUCTION_STEPS)))
     chunks = [_grid_suites(grid[lo:lo + size], step_counts, inject_fault and lo == 0)

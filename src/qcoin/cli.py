@@ -11,6 +11,9 @@ unknown keys, missing required keys and out-of-range, non-numeric or
 non-finite values are a ConfigError, and the runners read the validated
 record with its defaults filled in.  The bundled presets fig4, fig5a, fig5b
 and fig5c reproduce the theory layer of those figures with one command.
+Each runner returns an `Output`, and `emit` alone writes it: the CSV table,
+each JSON document as one compact line with its header first, the SVG plots
+and the stdout summary.
 
 Exit codes: 0 success, 2 config error, 3 numerical-check failure,
 4 fit failure.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +32,7 @@ import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,32 +254,53 @@ def config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# output: each command returns an Output, and `emit` is the one place that writes files and stdout
 
-def _float_str(x) -> str:
-    return repr(float(x))
+class Output(NamedTuple):
+    """What one command made."""
+    payloads: dict  # JSON documents by file name
+    table: tuple[str, list[str], list] | None = None  # (CSV file name, columns, rows of numbers and strings)
+    plots: Sequence = ()  # (SVG file name, series, title, x label, y label) per plot
+    summary: str | None = None  # stdout; None reports the CSV file and its row count
+    code: int = EXIT_OK
 
 
-def write_csv(path: Path, command: str, digest: str, columns: list[str], rows: list[list[str]]) -> None:
+def _header(digest: str) -> dict:
+    """The provenance each output file starts with."""
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__, "config_sha256": digest}
+
+
+def write_csv(path: Path, command: str, digest: str, columns: list[str], rows: list) -> None:
+    """The header as comment lines, then the rows; csv writes each float, numpy's too, by float.__repr__."""
+    tolerances = f"exact={TOL.exact:g} prob_sum={TOL.prob_sum:g} state_norm={TOL.state_norm:g}"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# qcoin {command}\n")
-        fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
-        fh.write(f"# tool_version: {__version__}\n")
-        fh.write(f"# config_sha256: {digest}\n")
-        fh.write(
-            f"# tolerances: exact={TOL.exact:g} prob_sum={TOL.prob_sum:g} "
-            f"state_norm={TOL.state_norm:g}\n"
-        )
+        fh.writelines(f"# {key}: {value}\n" for key, value in {**_header(digest), "tolerances": tolerances}.items())
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
 
 
-def write_json(path: Path, payload: dict, digest: str) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
-               "config_sha256": digest, **payload}
+def write_json(path: Path, payload: dict | list, digest: str) -> None:
+    """One compact line in insertion order, so json's C encoder writes it.  An object payload gets the
+    header first; a list stays bare (compare_sweep.json, whose pinned digest covers the list alone)."""
+    if isinstance(payload, dict):
+        payload = {**_header(digest), **payload}
     # a non-finite float raises here rather than reach the file as invalid JSON
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, allow_nan=False) + "\n", encoding="utf-8")
+
+
+def emit(output: Output, command: str, digest: str, out_dir: Path) -> int:
+    """Write `output`'s files into `out_dir`, print its summary and return its exit code."""
+    if output.table is not None:
+        csv_name, columns, rows = output.table
+        write_csv(out_dir / csv_name, command, digest, columns, rows)
+    for name, payload in output.payloads.items():
+        write_json(out_dir / name, payload, digest)
+    for name, series, title, xlabel, ylabel in output.plots:
+        line_plot(out_dir / name, series, title=title, xlabel=xlabel, ylabel=ylabel)
+    print(f"wrote {out_dir / csv_name} ({len(rows)} rows)" if output.summary is None else output.summary)
+    return output.code
 
 
 def _out_dir(args) -> Path:
@@ -289,36 +314,28 @@ def _out_dir(args) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes the validated record, the config hash and the output directory
+# commands: each takes the validated record and returns its Output
 
-def cmd_futures(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_futures(rec: dict) -> Output:
     stay_heads, steps = rec["l"], rec["steps"]
-    rows, distributions = [], []
-    series_by_start: dict[str, list[tuple[list[float], list[float], str]]] = {}
+    rows, distributions, plots = [], [], []
     for start in rec["start_states"]:
         series = []
         for m in rec["m_values"]:
             dist = future_distribution(PerturbedCoin(stay_heads, m), start, steps)
             items = list(dist.probabilities.items())  # in bitstring order
-            for bits, p in items:
-                rows.append([start.name, _float_str(m), bits, _float_str(p)])
+            rows += [[start.name, m, bits, p] for bits, p in items]
             series.append((list(range(len(items))), [p for _, p in items], f"m={m:g}"))
             distributions.append(
                 {"start": start.name, "l": stay_heads, "m": m, "distribution": dist.to_json_dict()}
             )
-        series_by_start[start.name] = series
-    write_csv(out_dir / "futures.csv", "futures", digest,
-              ["start_state", "m", "bitstring", "probability"], rows)
-    write_json(out_dir / "futures.json", {"distributions": distributions}, digest)
-    for name, series in series_by_start.items():
-        line_plot(out_dir / f"futures_{name}.svg", series,
-                  title=f"Future distributions from {name} (l={stay_heads:g})",
-                  xlabel="outcome string index", ylabel="probability")
-    print(f"wrote {out_dir / 'futures.csv'} ({len(rows)} rows)")
-    return EXIT_OK
+        plots.append((f"futures_{start.name}.svg", series, f"Future distributions from {start.name} "
+                      f"(l={stay_heads:g})", "outcome string index", "probability"))
+    return Output({"futures.json": {"distributions": distributions}},
+                  ("futures.csv", ["start_state", "m", "bitstring", "probability"], rows), plots)
 
 
-def cmd_complexity_sweep(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_complexity_sweep(rec: dict) -> Output:
     stay_heads, method = rec["l"], rec["weight_method"]
     rows, densities = [], []
     xs, classical, quantum = [], [], []
@@ -327,30 +344,23 @@ def cmd_complexity_sweep(rec: dict, digest: str, out_dir: Path) -> int:
         try:
             weights = stationary_weights(coin, method)
         except ReducibleChain as exc:
-            rows.append([_float_str(m), "", "", str(exc)])
+            rows.append([m, "", "", str(exc)])
             continue
         rho = memory_density(coin, weights)
         c_mu = classical_complexity(weights)
         c_q = von_neumann_entropy(rho)
-        rows.append([_float_str(m), _float_str(c_mu), _float_str(c_q), ""])
+        rows.append([m, c_mu, c_q, ""])
         densities.append({"m": m, "memory_density": rho.to_json_dict()})
         xs.append(m)
         classical.append(c_mu)
         quantum.append(c_q)
-    write_csv(out_dir / "complexity.csv", "complexity-sweep", digest,
-              ["m", "c_mu", "c_q", "error"], rows)
-    write_json(out_dir / "memory_densities.json",
-               {"l": stay_heads, "weight_method": method.value, "densities": densities}, digest)
-    if xs:
-        line_plot(out_dir / "complexity.svg",
-                  [(xs, quantum, "C_q"), (xs, classical, "C_mu")],
-                  title=f"Memory vs stay-tails probability (l={stay_heads:g}, {method.value} weights)",
-                  xlabel="m", ylabel="bits")
-    print(f"wrote {out_dir / 'complexity.csv'} ({len(rows)} rows)")
-    return EXIT_OK
+    plots = [("complexity.svg", [(xs, quantum, "C_q"), (xs, classical, "C_mu")],
+              f"Memory vs stay-tails probability (l={stay_heads:g}, {method.value} weights)", "m", "bits")]
+    return Output({"memory_densities.json": {"l": stay_heads, "weight_method": method.value, "densities": densities}},
+                  ("complexity.csv", ["m", "c_mu", "c_q", "error"], rows), plots if xs else ())
 
 
-def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_hom_dip(rec: dict) -> Output:
     (coin_a, start_a), (coin_b, start_b) = rec["process_a"], rec["process_b"]
     steps, poisson_seed = rec["steps"], rec["poisson_seed"]
     psi = run_circuit(coin_a, start_a, steps)
@@ -370,42 +380,28 @@ def cmd_hom_dip(rec: dict, digest: str, out_dir: Path) -> int:
         raise FitDidNotConverge(f"the dip does not fix the fit: the expected curve is flat (visibility {v!r}), "
                                 f"so the fitted visibility has error {fit.visibility_err!r}")
 
-    columns = ["delay_ns", "expected_counts"] + (["sampled_counts"] if sampled is not None else [])
-    table = [delays, counts] + ([sampled] if sampled is not None else [])
-    rows = [[_float_str(x) for x in row] for row in zip(*table)]
-    write_csv(out_dir / "hom_dip.csv", "hom-dip", digest, columns, rows)
-    write_json(out_dir / "hom_dip_fit.json", {
-        "theory_visibility": v,
-        "fit": {
-            "visibility": fit.visibility,
-            "visibility_err": err,
-            "baseline": fit.baseline,
-            "sigma_ns": fit.sigma_ns,
-            "center_ns": fit.center_ns,
+    curves = {"expected": counts} if sampled is None else {"expected": counts, "sampled": sampled}
+    series = [(list(delays), list(curve), name) for name, curve in curves.items()]
+    payloads = {
+        "hom_dip_fit.json": {
+            "theory_visibility": v,
+            "fit": {**asdict(fit), "visibility_err": err},
+            "poisson_seed": poisson_seed,
         },
-        "poisson_seed": poisson_seed,
-    }, digest)
-    # both routes to the interfering states, for side-by-side inspection
-    write_json(out_dir / "hom_dip_states.json", {
-        "process_a": {
-            "circuit": psi.to_json_dict(),
-            "superposition": ideal_output_state(coin_a, start_a, steps).to_json_dict(),
+        # both routes to the interfering states, for side-by-side inspection
+        "hom_dip_states.json": {
+            name: {"circuit": state.to_json_dict(),
+                   "superposition": ideal_output_state(coin, start, steps).to_json_dict()}
+            for name, state, coin, start in (("process_a", psi, coin_a, start_a), ("process_b", phi, coin_b, start_b))
         },
-        "process_b": {
-            "circuit": phi.to_json_dict(),
-            "superposition": ideal_output_state(coin_b, start_b, steps).to_json_dict(),
-        },
-    }, digest)
-    series = [(list(delays), list(counts), "expected")]
-    if sampled is not None:
-        series.append((list(delays), list(sampled), "sampled"))
-    line_plot(out_dir / "hom_dip.svg", series, title="Two-photon coincidence dip",
-              xlabel="relative delay (ns)", ylabel="coincidences")
-    print(f"fit visibility: {fit.visibility:.6f} +- {'n/a' if err is None else f'{err:.6f}'}")
-    return EXIT_OK
+    }
+    columns = ["delay_ns"] + [f"{name}_counts" for name in curves]
+    return Output(payloads, ("hom_dip.csv", columns, list(zip(delays, *curves.values()))),
+                  [("hom_dip.svg", series, "Two-photon coincidence dip", "relative delay (ns)", "coincidences")],
+                  f"fit visibility: {fit.visibility:.6f} +- {'n/a' if err is None else f'{err:.6f}'}")
 
 
-def cmd_compare_sweep(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_compare_sweep(rec: dict) -> Output:
     rows, plot_series, records = [], [], []
     for entry in rec["series"]:
         name, (fixed_coin, fixed_start), varying = entry["name"], entry["fixed"], entry["varying"]
@@ -416,67 +412,56 @@ def cmd_compare_sweep(rec: dict, digest: str, out_dir: Path) -> int:
                                         [(PerturbedCoin(l, m), start) for l in l_values], rec["steps"])
         for l, vis in zip(l_values, visibilities):
             overlap = math.sqrt(vis)
-            rows.append([name, _float_str(l), _float_str(overlap), _float_str(vis)])
+            rows.append([name, l, overlap, vis])
             records.append({"overlap": overlap, "visibility": vis, "coincidence_min": 0.5 * (1.0 - vis),
                             "process_a": fixed,
                             "process_b": {"label": f"{name} l={l:g}", "l": l, "m": m, "start": start.name}})
         plot_series.append((l_values, visibilities, name))
-    write_csv(out_dir / "compare_sweep.csv", "compare-sweep", digest,
-              ["series", "l", "overlap", "visibility"], rows)
-    # A bare list in insertion order, not write_json's headed, key-sorted object: its payload
-    # digest is pinned in benchmarks/reference_digests.json and changes only with that file.
-    (out_dir / "compare_sweep.json").write_text(json.dumps(records, indent=2, allow_nan=False) + "\n",
-                                                encoding="utf-8")
-    line_plot(out_dir / "compare_sweep.svg", plot_series,
-              title="Statistical-future comparison by interference visibility",
-              xlabel="l of the varying process", ylabel="visibility")
-    print(f"wrote {out_dir / 'compare_sweep.csv'} ({len(rows)} rows)")
-    return EXIT_OK
+    return Output({"compare_sweep.json": records},
+                  ("compare_sweep.csv", ["series", "l", "overlap", "visibility"], rows),
+                  [("compare_sweep.svg", plot_series, "Statistical-future comparison by interference visibility",
+                    "l of the varying process", "visibility")])
 
 
-def cmd_oracle_check(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_oracle_check(rec: dict) -> Output:
     results = run_oracle_checks(**rec)  # the record's keys are the suite's parameters
     all_passed = all(r.passed for r in results)
-    write_json(out_dir / "oracle_report.json", {
-        "all_passed": all_passed,
-        "checks": [asdict(r) for r in results],  # name, max_abs_deviation, tolerance, passed, worst_at
-    }, digest)
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.name}: max deviation {r.max_abs_deviation:.3e} (tol {r.tolerance:g})")
-    return EXIT_OK if all_passed else EXIT_CHECK
+    return Output(
+        {"oracle_report.json": {
+            "all_passed": all_passed,
+            "checks": [asdict(r) for r in results],  # name, max_abs_deviation, tolerance, passed, worst_at
+        }},
+        summary="\n".join(f"{'pass' if r.passed else 'FAIL'}  {r.name}: max deviation "
+                          f"{r.max_abs_deviation:.3e} (tol {r.tolerance:g})" for r in results),
+        code=EXIT_OK if all_passed else EXIT_CHECK)
 
 
-def cmd_counts(rec: dict, digest: str, out_dir: Path) -> int:
+def cmd_counts(rec: dict) -> Output:
     (coin, start), steps, draws, seed = rec["process"], rec["steps"], rec["n"], rec["seed"]
     counts = sample_trajectories(coin, start, steps, draws, seed)
     empirical = counts_to_distribution(counts, steps)
     theory = future_distribution(coin, start, steps)
     fidelity = classical_fidelity(empirical, theory)
 
-    rows = [
-        [bits, str(c), _float_str(e), _float_str(t)]
-        for bits, c, e, t in zip(all_bitstrings(steps), counts[lexicographic_bins(steps)].tolist(),
-                                 empirical.probabilities.values(), theory.probabilities.values())
-    ]
-    write_csv(out_dir / "counts.csv", "counts", digest,
-              ["bitstring", "count", "empirical_probability", "theory_probability"], rows)
-    write_json(out_dir / "counts_report.json", {
-        "fidelity": fidelity,
-        "n": draws,
-        "seed": seed,
-        "process": {"l": coin.stay_heads, "m": coin.stay_tails, "start": start.name},
-        "steps": steps,
-    }, digest)
-    print(f"classical fidelity to theory: {fidelity:.6f} ({draws} draws)")
-    return EXIT_OK
+    rows = list(zip(all_bitstrings(steps), counts[lexicographic_bins(steps)].tolist(),
+                    empirical.probabilities.values(), theory.probabilities.values()))
+    return Output(
+        {"counts_report.json": {
+            "fidelity": fidelity,
+            "n": draws,
+            "seed": seed,
+            "process": {"l": coin.stay_heads, "m": coin.stay_tails, "start": start.name},
+            "steps": steps,
+        }},
+        ("counts.csv", ["bitstring", "count", "empirical_probability", "theory_probability"], rows),
+        summary=f"classical fidelity to theory: {fidelity:.6f} ({draws} draws)")
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 class Command(NamedTuple):
-    run: Callable[[dict, str, Path], int]
+    run: Callable[[dict], Output]
     preset: str  # the bundled config the command runs without --config
     help: str
     seed_key: str | None  # the record key --seed sets; no --seed option without one
@@ -503,6 +488,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process: building the six subparsers costs about a millisecond
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qcoin",
@@ -532,12 +518,13 @@ def main(argv: list[str] | None = None) -> int:
             record[COMMANDS[args.command].seed_key] = args.seed
         digest = config_hash(config)
         rec = command_record(config, args.command)
-        return COMMANDS[args.command].run(rec, digest, _out_dir(args))
+        out_dir = _out_dir(args)  # an unusable --out exits 2 before any work is done
+        return emit(COMMANDS[args.command].run(rec), args.command, digest, out_dir)
     except (ConfigError, InvalidParameter, StepCountTooLarge) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except FitDidNotConverge as exc:
-        print(f"fit failure: {exc}", file=sys.stderr)
+        sys.stderr.write(f"fit failure: {exc}\n")
         return EXIT_FIT
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -34,10 +35,23 @@ MAX_ENUMERATION_STEPS = 20
 CHUNK_DRAWS = 2**14  # trajectories per sampler pass: one chunk's uniforms fill 128 KiB
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_steps(steps: int, cap: int = MAX_ENUMERATION_STEPS) -> None:
-    """The one step-count bound: 1 <= steps <= cap, else StepCountTooLarge."""
-    if not 1 <= steps <= cap:
+    """The one step-count bound: 1 <= steps <= cap, else StepCountTooLarge; a non-integer is InvalidParameter."""
+    if not 1 <= _integer(steps, "steps") <= cap:
         raise StepCountTooLarge(f"steps must be in 1..{cap}, got {steps}")
+
+
+def require_count(value: int, name: str, low: int) -> None:
+    """A seed or a draw count: an integer >= low, else InvalidParameter naming `name`."""
+    if _integer(value, name) < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value}")
 
 
 class CausalState(enum.Enum):
@@ -268,11 +282,9 @@ def sample_trajectories(
     k*draws .. (k+1)*draws - 1 of the seed's PCG64 stream through its own
     advanced generator, `CHUNK_DRAWS` trajectories at a time.
     """
-    if draws < 1:
-        raise InvalidParameter(f"draws must be >= 1, got {draws}")
+    require_count(draws, "draws", 1)
     require_steps(steps)
-    if seed is None:
-        raise InvalidParameter("an explicit seed is required")
+    require_count(seed, "seed", 0)
     streams = [np.random.Generator(np.random.PCG64(seed).advance(k * draws)) for k in range(steps)]
     emit_zero = transition_matrix(coin)[:, 0]
     counts = np.zeros(2**steps, dtype=np.int64)

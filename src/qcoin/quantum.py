@@ -21,11 +21,13 @@ from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, Stationary
                      future_distribution, require_steps, transition_matrix)
 
 
-def _real_array(value, what: str) -> np.ndarray:
-    """`value` as a numpy array; a complex dtype is refused, whatever its imaginary parts."""
+def _real_array(value, what: str, shape: tuple) -> np.ndarray:
+    """`value` as a numpy array of `shape`; a complex dtype is refused, whatever its imaginary parts."""
     arr = np.asarray(value)
     if np.iscomplexobj(arr):
         raise InvalidParameter(f"{what} must be real, got dtype {arr.dtype}")
+    if arr.shape != shape:
+        raise InvalidParameter(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -50,9 +52,7 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
 def _state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
     """A state's stored amplitudes: the kernels' real (2, 2**steps) array as read-only C-ordered float64,
     taken over without a copy when it is one.  Complex input is refused; the norm is checked."""
-    amps = np.ascontiguousarray(_real_array(amplitudes, what), dtype=float)
-    if amps.shape != (2, 2**steps):
-        raise InvalidParameter(f"expected amplitude shape {(2, 2**steps)}, got {amps.shape}")
+    amps = np.ascontiguousarray(_real_array(amplitudes, what, (2, 2**steps)), dtype=float)
     amps.flags.writeable = False
     _require_normalized(amps, what)
     return amps
@@ -75,7 +75,7 @@ class DensityMatrix2:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(_real_array(self.matrix, "density matrix"), dtype=float).reshape(2, 2)
+        m = np.array(_real_array(self.matrix, "density matrix", (2, 2)), dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         _require_density(m)

@@ -290,6 +290,15 @@ def test_identity_check_needs_a_draw(draws):
         run_oracle_checks(grid_step=0.5, step_counts=(1,), identity_draws=draws)
 
 
+@pytest.mark.parametrize("draws, seed, message", [
+    (1, -1, "seed must be >= 0, got -1"),
+    (2.5, 7, "identity_draws must be an integer, got 2.5"),
+], ids=["negative-seed", "fractional-draws"])
+def test_seed_and_identity_draws_must_be_integers_in_range(draws, seed, message):
+    with pytest.raises(InvalidParameter, match=message):
+        run_oracle_checks(grid_step=0.5, step_counts=(1,), identity_draws=draws, seed=seed)
+
+
 def test_grid_outside_the_unit_square_is_rejected():
     # a 0.35 grid has a tick at 1.05, a 0.3 grid stops at 0.9
     for grid_step in (0.35, 0.3):

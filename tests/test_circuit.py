@@ -179,6 +179,8 @@ class TestRunCircuit:
             run_circuit(coin, S0, 0)
         with pytest.raises(StepCountTooLarge):
             run_circuit(coin, S0, 13)
+        with pytest.raises(InvalidParameter, match="steps must be an integer, got 2.0"):
+            run_circuit(coin, S0, 2.0)
 
 
 class TestArrivalTimes:

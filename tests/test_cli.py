@@ -19,6 +19,7 @@ from qcoin.cli import (
     EXIT_FIT,
     EXIT_OK,
     MIN_GRID_STEP,
+    build_parser,
     command_record,
     config_hash,
     load_preset,
@@ -603,7 +604,10 @@ def test_every_bundled_preset_writes_strict_json(tmp_path):
         out = tmp_path / name
         assert main([name, "--out", str(out)]) == EXIT_OK
         for path in out.glob("*.json"):
-            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+            text = path.read_text(encoding="utf-8")
+            json.loads(text, parse_constant=reject)
+            assert text.endswith("\n") and text.count("\n") == 1, f"{name}: {path.name} is not one compact line"
+    assert build_parser() is build_parser()  # built once per process
 
 
 def test_figure_presets_match_the_reference_payload_digests(tmp_path):

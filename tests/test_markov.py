@@ -303,6 +303,8 @@ class TestFutureDistribution:
             future_distribution(coin, S0, 0)
         with pytest.raises(StepCountTooLarge):
             future_distribution(coin, S0, 21)
+        with pytest.raises(InvalidParameter, match="steps must be an integer, got 3.0"):
+            future_distribution(coin, S0, 3.0)
 
 
 class TestSampleTrajectories:
@@ -362,6 +364,15 @@ class TestSampleTrajectories:
             sample_trajectories(coin, S0, 3, 0, seed=1)
         with pytest.raises(InvalidParameter):
             sample_trajectories(coin, S0, 3, 10, seed=None)
+
+    @pytest.mark.parametrize("draws, seed, message", [
+        (10, -1, "seed must be >= 0, got -1"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (2.5, 1, "draws must be an integer, got 2.5"),
+    ], ids=["negative-seed", "fractional-seed", "fractional-draws"])
+    def test_seed_and_draws_must_be_integers_in_range(self, draws, seed, message):
+        with pytest.raises(InvalidParameter, match=message):
+            sample_trajectories(PerturbedCoin(0.3, 0.8), S0, 3, draws, seed)
 
 
 class TestOutcomeDistribution:

@@ -121,6 +121,12 @@ class TestDensityMatrix2:
         rho = DensityMatrix2([[0.5, 0.0], [0.0, 0.5]])
         assert rho.matrix.dtype == np.float64 and not rho.matrix.flags.writeable
 
+    @pytest.mark.parametrize("matrix", [[0.5, 0.5, 0.0], np.eye(3) / 3, [0.5, 0.0, 0.0, 0.5]],
+                             ids=["three-entries", "3x3", "four-flat-entries"])
+    def test_refuses_shapes_other_than_2x2(self, matrix):
+        with pytest.raises(InvalidParameter, match=r"density matrix must have shape \(2, 2\), got"):
+            DensityMatrix2(matrix)
+
     @pytest.mark.parametrize("imag", [0.0, 1e-3])
     def test_refuses_complex_input(self, imag):
         matrix = np.array([[0.5, 1j * imag], [-1j * imag, 0.5]])
@@ -392,6 +398,10 @@ class TestTransferMatrixOverlap:
     def test_steps_outside_the_cap_are_rejected(self, steps):
         with pytest.raises(StepCountTooLarge, match=f"1..{MAX_OVERLAP_STEPS}, got {steps}"):
             transfer((0.4, 0.7, S0), (0.45, 0.7, S0), steps)
+
+    def test_a_fractional_step_count_is_refused(self):
+        with pytest.raises(InvalidParameter, match="steps must be an integer, got 2.5"):
+            transfer((0.4, 0.7, S0), (0.45, 0.7, S0), 2.5)
 
     def test_causal_state_norms_are_checked(self, monkeypatch):
         monkeypatch.setattr(quantum, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
