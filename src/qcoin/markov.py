@@ -32,7 +32,7 @@ from .errors import (
 
 # Full enumeration of 2**steps outcome strings caps the step count.
 MAX_ENUMERATION_STEPS = 20
-CHUNK_DRAWS = 2**14  # trajectories per sampler pass: one chunk's uniforms fill 128 KiB
+CHUNK_DRAWS = 2**14  # draws per pass; a chunk holds their uniforms, 2 bool masks, 2 bin codes, bincount's intp copy
 
 
 def _integer(value, name: str) -> int:
@@ -280,23 +280,33 @@ def sample_trajectories(
     """Sample `draws` trajectories of the chain; int64 counts over the time-bin
     index, zeros included, the same for the same seed.  Step k reads uniforms
     k*draws .. (k+1)*draws - 1 of the seed's PCG64 stream through its own
-    advanced generator, `CHUNK_DRAWS` trajectories at a time.
+    advanced generator, one `CHUNK_DRAWS` chunk at a time, and emits 1 where
+    u >= emit_zero[last outcome], i.e. (u >= high) | ((u >= low) & last outcome
+    selects low) for low, high = sorted(emit_zero): exact at ties, with no gather.
     """
     require_count(draws, "draws", 1)
     require_steps(steps)
     require_count(seed, "seed", 0)
-    streams = [np.random.Generator(np.random.PCG64(seed).advance(k * draws)) for k in range(steps)]
+    if np.ndim(coin.stay_heads) or np.ndim(coin.stay_tails):
+        raise InvalidParameter(f"sample_trajectories takes one coin, got a grid: {coin!r}")
     emit_zero = transition_matrix(coin)[:, 0]
+    low, high = sorted(emit_zero.tolist())
+    select = np.logical_and if emit_zero[1] < emit_zero[0] else np.greater  # a & e, or a & ~e as bool a > e
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(k * draws)) for k in range(steps)]
     counts = np.zeros(2**steps, dtype=np.int64)
-    uniforms = np.empty(min(CHUNK_DRAWS, draws))
+    code_type = np.min_scalar_type(counts.size - 1)
+    size = min(CHUNK_DRAWS, draws)
+    buffers = (np.empty(size), *np.empty((2, size), dtype=bool), *np.empty((2, size), dtype=code_type))
     for lo in range(0, draws, CHUNK_DRAWS):
-        u = uniforms[:min(CHUNK_DRAWS, draws - lo)]
-        emitted, bins = start.index, np.zeros(u.size, dtype=np.intp)
-        for k, stream in enumerate(streams):
-            stream.random(out=u)
-            emitted = (u >= emit_zero[emitted]).astype(np.intp)
-            bins |= emitted << k
-        counts += np.bincount(bins, minlength=counts.size)
+        u, e, a, code, bit = (b[:draws - lo] for b in buffers)
+        streams[0].random(out=u)
+        np.copyto(code, np.greater_equal(u, emit_zero[start.index], out=e))
+        for k in range(1, steps):
+            streams[k].random(out=u)
+            select(np.greater_equal(u, low, out=a), e, out=e)
+            np.logical_or(e, np.greater_equal(u, high, out=a), out=e)
+            np.bitwise_or(code, np.multiply(e, code_type.type(1 << k), out=bit), out=code)
+        counts += np.bincount(code, minlength=counts.size)
     return counts
 
 

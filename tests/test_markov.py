@@ -29,8 +29,9 @@ from qcoin.markov import (
 
 S0, S1 = CausalState.S0, CausalState.S1
 GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
-# the four corner coins, then an interior one
-SAMPLER_COINS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 0.7)]
+# the four corner coins, then interior ones: emit_zero[1] < emit_zero[0] at (0.4, 0.7), the other
+# order at (0.2, 0.3), and an exact tie at (0.25, 0.75) (1 - 0.7 is not 0.3 in float64)
+SAMPLER_COINS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.4, 0.7), (0.2, 0.3), (0.25, 0.75)]
 
 
 def bins_of(steps, by_bits):
@@ -334,25 +335,43 @@ class TestSampleTrajectories:
             expected = one_shot_sample(coin, start, steps, n, seed)
             assert np.array_equal(sample_trajectories(coin, start, steps, n, seed), expected)
 
+    # the widths of the bin code: uint8 to 8 steps, uint16 to 16, uint32 above
+    @pytest.mark.parametrize("steps", [8, 9, 16, 17])
+    def test_streaming_counts_equal_one_shot_reference_at_code_width_edges(self, steps):
+        for (l, m), start in itertools.product(SAMPLER_COINS, (S0, S1)):
+            coin = PerturbedCoin(l, m)
+            expected = one_shot_sample(coin, start, steps, CHUNK_DRAWS + 1, 5)
+            assert np.array_equal(sample_trajectories(coin, start, steps, CHUNK_DRAWS + 1, 5), expected)
+
+    # the reference's string route costs about 10 s at 20 steps; but step k reads the same uniforms
+    # at any step count, so the last three steps summed out leave the 17-step counts checked above
+    def test_counts_at_the_step_cap_sum_to_the_seventeen_step_counts(self):
+        for (l, m), start in itertools.product(SAMPLER_COINS, (S0, S1)):
+            coin = PerturbedCoin(l, m)
+            capped = sample_trajectories(coin, start, 20, CHUNK_DRAWS + 1, 5)
+            assert np.array_equal(capped.reshape(8, 2**17).sum(axis=0),
+                                  sample_trajectories(coin, start, 17, CHUNK_DRAWS + 1, 5))
+
     # a subset: the whole product above at 10**6 draws takes about a minute,
     # the suite's whole budget
     @pytest.mark.parametrize("l, m, seeds, step_counts", [
         (0.4, 0.7, range(10), (3,)),
         (0.4, 0.7, (0,), (1, 7, 12)),
-        *[(l, m, (0,), (3,)) for l, m in SAMPLER_COINS[:4]],
+        *[(l, m, (0,), (3,)) for l, m in SAMPLER_COINS if (l, m) != (0.4, 0.7)],
     ], ids=["0.4-0.7-seeds0to9-M3", "0.4-0.7-seed0-M1,7,12", "0-0-seed0-M3", "0-1-seed0-M3",
-            "1-0-seed0-M3", "1-1-seed0-M3"])
+            "1-0-seed0-M3", "1-1-seed0-M3", "0.2-0.3-seed0-M3", "0.25-0.75-seed0-M3"])
     def test_streaming_counts_equal_one_shot_reference_at_a_million_draws(self, l, m, seeds, step_counts):
         coin = PerturbedCoin(l, m)
         for seed, steps, start in itertools.product(seeds, step_counts, (S0, S1)):
             expected = one_shot_sample(coin, start, steps, 10**6, seed)
             assert np.array_equal(sample_trajectories(coin, start, steps, 10**6, seed), expected)
 
-    @pytest.mark.parametrize("n", [2 * 10**5, 2 * 10**6])
-    def test_memory_does_not_grow_with_draws(self, n):
+    @pytest.mark.parametrize("n, steps", [(2 * 10**5, 3), (2 * 10**6, 3), (2 * 10**5, 12), (2 * 10**6, 12)],
+                             ids=["200000", "2000000", "200000-M12", "2000000-M12"])
+    def test_memory_does_not_grow_with_draws(self, n, steps):
         tracemalloc.start()
         try:
-            sample_trajectories(PerturbedCoin(0.4, 0.7), S1, 3, n, seed=1)
+            sample_trajectories(PerturbedCoin(0.4, 0.7), S1, steps, n, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,6 +383,15 @@ class TestSampleTrajectories:
             sample_trajectories(coin, S0, 3, 0, seed=1)
         with pytest.raises(InvalidParameter):
             sample_trajectories(coin, S0, 3, 10, seed=None)
+
+    @pytest.mark.parametrize("heads, tails", [
+        (np.array([0.2, 0.3]), np.array([0.5, 0.6])),
+        (np.array([0.2, 0.3]), 0.5),
+        (0.2, np.array([[0.5]])),
+    ], ids=["grid", "grid-heads", "one-element-grid-tails"])
+    def test_a_grid_coin_is_refused(self, heads, tails):
+        with pytest.raises(InvalidParameter, match="sample_trajectories takes one coin, got a grid: PerturbedCoin"):
+            sample_trajectories(PerturbedCoin(heads, tails), S0, 3, 10, seed=1)
 
     @pytest.mark.parametrize("draws, seed, message", [
         (10, -1, "seed must be >= 0, got -1"),
