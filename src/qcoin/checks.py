@@ -181,7 +181,7 @@ def _overlap_identity(draws: int, seed: int) -> tuple:
     for lo in range(0, draws, size):
         table = _draw_table(rng, min(size, draws - lo))
         devs = np.empty((2, len(table)))
-        for steps in np.unique(table[:, 6]).astype(int):
+        for steps in sorted(set(table[:, 6].astype(int).tolist())):  # np.unique would load numpy.ma
             rows = table[:, 6] == steps
             devs[:, rows] = _overlap_deviations(table[rows], steps)
 

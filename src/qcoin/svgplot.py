@@ -7,12 +7,15 @@ can be eyeballed without further tooling.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 PALETTE = ("#c2185b", "#00897b", "#3949ab", "#f9a825", "#6d4c41", "#455a64")
 
 _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 40, 56
+
+
+def _escape(text: str) -> str:  # xml.sax.saxutils.escape, whose import loads urllib.request, http and ssl
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
@@ -65,7 +68,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2}" y="{_TOP - 14}" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
@@ -81,12 +84,12 @@ def line_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_LEFT + plot_w / 2}" y="{_HEIGHT - 12}" text-anchor="middle">{escape(xlabel)}</text>'
+            f'<text x="{_LEFT + plot_w / 2}" y="{_HEIGHT - 12}" text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="18" y="{_TOP + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {_TOP + plot_h / 2})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 18 {_TOP + plot_h / 2})">{_escape(ylabel)}</text>'
         )
     for i, (xs, ys, label) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -99,7 +102,7 @@ def line_plot(
             ly = _TOP + 16 + 16 * i
             lx = _LEFT + plot_w - 150
             parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(label)}</text>')
+            parts.append(f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

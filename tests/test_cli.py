@@ -717,13 +717,31 @@ def test_integral_float_accepted_for_integer_field(tmp_path):
     assert len(rows) == 8
 
 
+def loaded_modules(code: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules in or under `packages` that a fresh interpreter holds after running `code`."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+             f"if any(m == p or m.startswith(p + '.') for p in {packages!r}))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.optimize is most of the import time; only the visibility fit loads it
-    code = "import sys, qcoin, qcoin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert loaded_modules("import qcoin, qcoin.cli", ("scipy",)) == []
+
+
+def test_cli_import_leaves_network_stack_unloaded():
+    # xml.sax.saxutils would bring in urllib.request, http.client, email and ssl
+    network = ("xml", "urllib.request", "http", "email", "ssl")
+    assert loaded_modules("import qcoin, qcoin.cli", network) == []
+
+
+def test_oracle_check_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique calls np.ma.is_masked, which imports numpy.ma
+    code = f"from qcoin.cli import main\nassert main(['oracle-check', '--out', {str(tmp_path)!r}]) == 0"
+    assert loaded_modules(code, ("numpy.ma",)) == []
 
 
 def test_module_entry_point_smoke():

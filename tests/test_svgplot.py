@@ -22,6 +22,16 @@ def test_writes_well_formed_svg_with_axes_points_and_lines(tmp_path):
     assert "demo &amp; check" in body
 
 
+def test_escapes_markup_in_titles_labels_and_legend(tmp_path):
+    # the bytes xml.sax.saxutils.escape gives: &, < and > escaped, quotes kept
+    path = tmp_path / "marks.svg"
+    text = """a & b < c > d " e ' f"""
+    line_plot(path, [([0.0, 1.0], [0.0, 1.0], text)], title=text, xlabel=text, ylabel=text)
+    ET.parse(path)
+    body = path.read_text(encoding="utf-8")
+    assert body.count(""">a &amp; b &lt; c &gt; d " e ' f</text>""") == 4
+
+
 def test_single_point_series_and_flat_bounds(tmp_path):
     path = tmp_path / "flat.svg"
     line_plot(path, [([1.0], [0.0], "")], title="flat")
