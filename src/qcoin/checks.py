@@ -34,7 +34,6 @@ from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_den
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
 CHUNK_AMPLITUDES = 2**16
 RECONSTRUCTION_STEPS = 3
-_HALF_SHIFTS = np.array([0, 32] * 3, dtype=np.uint64)  # low, high half of a raw word
 _STARTS = ("S0", "S1")
 
 
@@ -172,8 +171,9 @@ def _overlap_identity(draws: int, seed: int) -> tuple:
     """The M-step output overlap's bin sum against the (M + 1)-step
     Bhattacharyya coefficient and against the transfer-matrix power, on
     random process pairs, M in 1..3: a (worst, location) per route.  Each
-    chunk of draws is one `_draw_table` (bit-identical to per-draw Generator
-    calls, so a seed gives the same draws), evaluated grouped by M.
+    chunk of draws is one `_draw_table`, evaluated grouped by M.  Every double
+    takes one raw word and leaves nothing buffered, so a seed gives the same
+    draws whatever the chunk size, equal to a per-draw `rng.random(7)` loop.
     """
     rng = np.random.default_rng(seed)
     size = CHUNK_AMPLITUDES // 32
@@ -194,35 +194,13 @@ def _overlap_identity(draws: int, seed: int) -> tuple:
     return tuple(_first_max(route) for route in zip(*parts))
 
 
-def _draw_loop(rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Rows (l_a, m_a, l_b, m_b, start_a, start_b, M), one Generator call per value."""
-    return np.array([(rng.random(), rng.random(), rng.random(), rng.random(),
-                      rng.integers(2), rng.integers(2), rng.integers(1, 4))
-                     for _ in range(draws)]).reshape(-1, 7)
-
-
 def _draw_table(rng: np.random.Generator, draws: int) -> np.ndarray:
-    """`_draw_loop(rng, draws)` decoded from 11 raw PCG64 words per pair of
-    draws, leaving `rng` in the same state.  Words 0-3 and 6-9 are the
-    doubles, (w >> 11) * 2^-53.  The integers read 32-bit halves, low half
-    first with the high half buffered: words 4, 4, 5 for the first draw and
-    5, 10, 10 for the second.  integers(2) is u >> 31; integers(1, 4) is
-    1 + (3u >> 32), which numpy's Lemire sampler rejects only at u = 0.  On
-    such a word, or a half already buffered, the chunk is drawn by the loop,
-    as is an odd last draw.
-    """
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    words = bitgen.random_raw((draws // 2, 11))
-    halves = (words[:, [4, 4, 5, 5, 10, 10]] >> _HALF_SHIFTS & 0xFFFFFFFF).reshape(-1, 2, 3)
-    if saved["has_uint32"] or not halves[..., 2].all():
-        bitgen.state = saved
-        return _draw_loop(rng, draws)
-    if len(words):  # the loop leaves its last high half in the emptied buffer
-        bitgen.state = {**bitgen.state, "uinteger": int(halves[-1, -1, -1])}
-    doubles = (words[:, [[0, 1, 2, 3], [6, 7, 8, 9]]] >> 11) * 2.0**-53
-    table = np.concatenate([doubles, halves[..., :2] >> 31, 1 + (halves[..., 2:] * 3 >> 32)], axis=-1)
-    return np.concatenate([table.reshape(-1, 7), _draw_loop(rng, draws % 2)])
+    """Rows (l_a, m_a, l_b, m_b, start_a, start_b, M) from one table of doubles u: a start is
+    S1 where u >= 1/2, and M is 1 + floor(3u)."""
+    table = rng.random((draws, 7))
+    table[:, 4:6] = table[:, 4:6] >= 0.5
+    table[:, 6] = 1.0 + np.floor(3.0 * table[:, 6])
+    return table
 
 
 def _overlap_deviations(table: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:

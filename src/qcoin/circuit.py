@@ -32,8 +32,8 @@ from itertools import islice
 import numpy as np
 
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
-from .encoding import bits_to_index, index_to_bits
-from .errors import EmptyBin, InvalidParameter
+from .encoding import bits_to_index
+from .errors import DimensionMismatch, EmptyBin, InvalidParameter
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution,
                      require_steps)
 from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _state_amplitudes, causal_pair
@@ -156,10 +156,12 @@ def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
     time; always the projector onto the causal state of the final outcome.
     """
     index = bits_to_index(bits)
+    if len(bits) != state.steps_applied:
+        raise DimensionMismatch(
+            f"outcome string {bits!r} has {len(bits)} outcomes, the state {state.steps_applied} steps")
     row = state.amplitudes[:, index]
     p = float((row * row).sum())
     if p <= TOL.empty_bin:
-        bits = index_to_bits(index, state.steps_applied)
         raise EmptyBin(f"bin for {bits!r} carries probability {p!r}")
     row = row * (1.0 / math.sqrt(p))
     return DensityMatrix2(np.outer(row, row))

@@ -225,6 +225,8 @@ def load_config(config_arg: str | None, command: str) -> dict:
     if path.is_file():
         try:
             config = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:  # e.g. no read permission
+            raise ConfigError(f"config {path} cannot be read: {exc}") from exc
         except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):

@@ -25,6 +25,8 @@ from .errors import (
 from .markov import CausalState, PerturbedCoin
 from .quantum import IdealOutputState
 
+FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
+
 
 def _amplitudes(state: PhotonState | IdealOutputState) -> np.ndarray:
     # The package's one complex amplitude array, kept on purpose: np.vdot's summation order
@@ -92,7 +94,7 @@ class VisibilityFit:
     center_ns: float
 
 
-def fit_visibility(samples, max_evals: int = 10000) -> VisibilityFit:
+def fit_visibility(samples) -> VisibilityFit:
     """Fit the dip model to (delay, counts) samples.
 
     Free parameters: baseline, visibility, envelope sigma and dip center.
@@ -123,7 +125,7 @@ def fit_visibility(samples, max_evals: int = 10000) -> VisibilityFit:
                 p0=[top, vis0, sigma0, center0],
                 sigma=weights,
                 absolute_sigma=True,
-                maxfev=max_evals,
+                maxfev=FIT_MAX_EVALS,
             )
     except RuntimeError as exc:
         raise FitDidNotConverge(str(exc)) from exc

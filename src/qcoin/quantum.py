@@ -17,8 +17,8 @@ import numpy as np
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
 from .errors import InvalidParameter, NonPhysicalState
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _any, _entropy_bits,
-                     future_distribution, require_steps, transition_matrix)
+from .markov import (CausalState, PerturbedCoin, StationaryWeights, _any, _entropy_bits, future_distribution,
+                     require_steps, transition_matrix)
 
 
 def _real_array(value, what: str, shape: tuple) -> np.ndarray:
@@ -159,10 +159,6 @@ class IdealOutputState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _state_amplitudes(self.amplitudes, self.steps, "output state"))
-
-    def marginal_distribution(self) -> OutcomeDistribution:
-        """Squared marginal over the memory index: the classical future distribution."""
-        return OutcomeDistribution(self.steps, (self.amplitudes * self.amplitudes).sum(axis=0))
 
     def to_json_dict(self) -> dict:
         amps = {index_to_bits(b, self.steps): [[h, 0.0], [v, 0.0]]

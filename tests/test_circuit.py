@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcoin.constants import TOL, block_delay_ns
 from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
-from qcoin.errors import EmptyBin, InvalidParameter, StepCountTooLarge
+from qcoin.errors import DimensionMismatch, EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
     _run,
@@ -255,6 +255,13 @@ class TestConditionalPolarization:
         state = run_circuit(PerturbedCoin(1.0, 1.0), S0, 3)
         with pytest.raises(EmptyBin):
             conditional_polarization(state, "100")
+
+    @pytest.mark.parametrize("bits", ["1", "1111"], ids=["short", "long"])
+    def test_outcome_string_of_another_length_raises(self, bits):
+        # a short string would read the bin of its zero-padded extension, a long one no bin
+        state = run_circuit(PerturbedCoin(0.4, 0.7), S0, 3)
+        with pytest.raises(DimensionMismatch, match=f"{bits!r} has {len(bits)} outcomes, the state 3 steps"):
+            conditional_polarization(state, bits)
 
 
 class TestReconstructMemoryDensity:

@@ -328,6 +328,17 @@ class TestOracleCheck:
         for check in report["checks"]:
             assert check["max_abs_deviation"] <= check["tolerance"]
 
+    def test_seed_reproduces_the_report_and_moves_only_the_identity_rows(self, tmp_path):
+        reports = []
+        for run, seed in enumerate((3, 3, 4)):
+            out = tmp_path / str(run)
+            assert main(["oracle-check", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            reports.append((out / "oracle_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        first, other = ({c["name"]: c for c in json.loads(r)["checks"]} for r in (reports[0], reports[2]))
+        assert {name for name in first if first[name] != other[name]} == {"overlap_vs_bhattacharyya",
+                                                                          "transfer_matrix_vs_bin_sum"}
+
     def test_injected_fault_fails_with_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema_version": 1,
@@ -560,6 +571,18 @@ def test_unreadable_json_exits_with_config_error(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     assert main(["futures", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_config_that_cannot_be_read_exits_with_config_error(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5]}})
+
+    def deny(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(Path, "read_text", deny)
+    assert main(["futures", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config {cfg} cannot be read" in err and "Permission denied" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_step_bound_admits_the_grid_that_fills_the_budget():

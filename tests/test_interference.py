@@ -203,12 +203,13 @@ class TestFitVisibility:
         with pytest.raises(InvalidParameter):
             fit_visibility([(0.0, 10.0), (1.0, 10.0), (2.0, 10.0), (3.0, 10.0)])
 
-    def test_fit_failure_raises(self):
+    def test_fit_failure_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
         delays = np.linspace(-5, 5, 41)
         counts = rng.random(41) * 1000.0 + 10.0
+        monkeypatch.setattr(interference, "FIT_MAX_EVALS", 4)
         with pytest.raises(FitDidNotConverge):
-            fit_visibility(zip(delays, counts), max_evals=4)
+            fit_visibility(zip(delays, counts))
 
 
 class TestVisibilitySweep:
