@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import asdict
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,19 +55,10 @@ from .interference import (
     visibility,
     visibility_sweep,
 )
-from .markov import (
-    MAX_ENUMERATION_STEPS,
-    CausalState,
-    PerturbedCoin,
-    WeightMethod,
-    classical_complexity,
-    classical_fidelity,
-    counts_to_distribution,
-    future_distribution,
-    sample_trajectories,
-    stationary_weights,
-)
-from .quantum import ideal_output_state, memory_density, von_neumann_entropy
+from .markov import (MAX_ENUMERATION_STEPS, CausalState, PerturbedCoin, WeightMethod, _entropy_bits, _recurrence,
+                     _require_distribution, _require_weights, _stationary, classical_fidelity, counts_to_distribution,
+                     future_distribution, sample_trajectories, stationary_weights, transition_matrix)
+from .quantum import _density_json, _entropy, _mixture, _require_density, causal_pair, ideal_output_state
 from .svgplot import line_plot
 
 SCHEMA_VERSION = 1
@@ -293,14 +285,18 @@ def write_json(path: Path, payload: dict | list, digest: str) -> None:
 
 
 def emit(output: Output, command: str, digest: str, out_dir: Path) -> int:
-    """Write `output`'s files into `out_dir`, print its summary and return its exit code."""
-    if output.table is not None:
-        csv_name, columns, rows = output.table
-        write_csv(out_dir / csv_name, command, digest, columns, rows)
-    for name, payload in output.payloads.items():
-        write_json(out_dir / name, payload, digest)
-    for name, series, title, xlabel, ylabel in output.plots:
-        line_plot(out_dir / name, series, title=title, xlabel=xlabel, ylabel=ylabel)
+    """Write `output`'s files into `out_dir`, print its summary and return its exit code; a file that
+    cannot be written is a ConfigError naming it."""
+    try:
+        if output.table is not None:
+            csv_name, columns, rows = output.table
+            write_csv(path := out_dir / csv_name, command, digest, columns, rows)
+        for name, payload in output.payloads.items():
+            write_json(path := out_dir / name, payload, digest)
+        for name, series, title, xlabel, ylabel in output.plots:
+            line_plot(path := out_dir / name, series, title=title, xlabel=xlabel, ylabel=ylabel)
+    except OSError as exc:  # e.g. a directory in the file's place
+        raise ConfigError(f"cannot write the output file {str(path)!r}: {exc.strerror or exc}") from exc
     print(f"wrote {out_dir / csv_name} ({len(rows)} rows)" if output.summary is None else output.summary)
     return output.code
 
@@ -319,18 +315,20 @@ def _out_dir(args) -> Path:
 # commands: each takes the validated record and returns its Output
 
 def cmd_futures(rec: dict) -> Output:
-    stay_heads, steps = rec["l"], rec["steps"]
+    """One doubling recurrence over every (start, m) pair; each bin has the bits of `future_distribution`."""
+    stay_heads, m_values, steps, starts = rec["l"], rec["m_values"], rec["steps"], rec["start_states"]
+    t = transition_matrix(PerturbedCoin(np.full(len(m_values), stay_heads), np.array(m_values)))
+    bins = next(islice(_recurrence(t, t[:, [s.index for s in starts]].swapaxes(0, 1)), steps - 1, None))
+    _require_distribution(bins)
+    strings, outcomes = all_bitstrings(steps), list(range(2**steps))
     rows, distributions, plots = [], [], []
-    for start in rec["start_states"]:
+    for start, per_m in zip(starts, bins[..., lexicographic_bins(steps)].tolist()):  # in bitstring order
         series = []
-        for m in rec["m_values"]:
-            dist = future_distribution(PerturbedCoin(stay_heads, m), start, steps)
-            items = list(dist.probabilities.items())  # in bitstring order
-            rows += [[start.name, m, bits, p] for bits, p in items]
-            series.append((list(range(len(items))), [p for _, p in items], f"m={m:g}"))
-            distributions.append(
-                {"start": start.name, "l": stay_heads, "m": m, "distribution": dist.to_json_dict()}
-            )
+        for m, probs in zip(m_values, per_m):
+            rows += [[start.name, m, bits, p] for bits, p in zip(strings, probs)]
+            series.append((outcomes, probs, f"m={m:g}"))
+            distributions.append({"start": start.name, "l": stay_heads, "m": m,
+                                  "distribution": {"steps": steps, **dict(zip(strings, probs))}})
         plots.append((f"futures_{start.name}.svg", series, f"Future distributions from {start.name} "
                       f"(l={stay_heads:g})", "outcome string index", "probability"))
     return Output({"futures.json": {"distributions": distributions}},
@@ -338,26 +336,30 @@ def cmd_futures(rec: dict) -> Output:
 
 
 def cmd_complexity_sweep(rec: dict) -> Output:
+    """One grid of the irreducible m values through the kernels of the per-m weight, density and entropy API,
+    with its bits; the reducible chain l = m = 1 gets an error row with the message the library raises."""
     stay_heads, method = rec["l"], rec["weight_method"]
-    rows, densities = [], []
-    xs, classical, quantum = [], [], []
+    xs = [m for m in rec["m_values"] if not stay_heads == m == 1.0]
+    classical = quantum = matrices = []
+    if xs:  # an all-reducible sweep runs no kernel
+        coins = PerturbedCoin(np.full(len(xs), stay_heads), np.array(xs))
+        s0, s1 = _stationary(coins, method)
+        _require_weights(s0, s1)
+        rho = _mixture(causal_pair(coins), s0, s1)
+        _require_density(rho)
+        classical, quantum, matrices = _entropy_bits(s0, 1.0 - s0).tolist(), _entropy(rho).tolist(), rho.tolist()
+    rows, results = [], iter(zip(classical, quantum))
     for m in rec["m_values"]:
-        coin = PerturbedCoin(stay_heads, m)
-        try:
-            weights = stationary_weights(coin, method)
-        except ReducibleChain as exc:
-            rows.append([m, "", "", str(exc)])
-            continue
-        rho = memory_density(coin, weights)
-        c_mu = classical_complexity(weights)
-        c_q = von_neumann_entropy(rho)
-        rows.append([m, c_mu, c_q, ""])
-        densities.append({"m": m, "memory_density": rho.to_json_dict()})
-        xs.append(m)
-        classical.append(c_mu)
-        quantum.append(c_q)
+        if stay_heads == m == 1.0:
+            try:
+                stationary_weights(PerturbedCoin(m, m), method)
+            except ReducibleChain as exc:
+                rows.append([m, "", "", str(exc)])
+        else:
+            rows.append([m, *next(results), ""])
     plots = [("complexity.svg", [(xs, quantum, "C_q"), (xs, classical, "C_mu")],
               f"Memory vs stay-tails probability (l={stay_heads:g}, {method.value} weights)", "m", "bits")]
+    densities = [{"m": m, "memory_density": _density_json(re)} for m, re in zip(xs, matrices)]
     return Output({"memory_densities.json": {"l": stay_heads, "weight_method": method.value, "densities": densities}},
                   ("complexity.csv", ["m", "c_mu", "c_q", "error"], rows), plots if xs else ())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PhotonState, run_circuit
+from .circuit import PhotonState, _run, run_circuit
 from .constants import TOL
 from .errors import (
     DimensionMismatch,
@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameter,
 )
 from .markov import CausalState, PerturbedCoin
-from .quantum import IdealOutputState
+from .quantum import IdealOutputState, causal_pair
 
 FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
 
@@ -60,7 +60,8 @@ def dip_model(delay_ns, baseline: float, vis: float, sigma_ns: float, center_ns:
     baseline * (1 - v * exp(-(tau - center)^2 / (2 sigma^2))).
     """
     tau = np.asarray(delay_ns, dtype=float) - center_ns
-    return baseline * (1.0 - vis * np.exp(-(tau**2) / (2.0 * sigma_ns**2)))
+    # numpy's square of a huge sigma overflows to inf (under the caller's errstate), Python's raises
+    return baseline * (1.0 - vis * np.exp(-(tau**2) / (2.0 * np.float64(sigma_ns) ** 2)))
 
 
 def dip_curve_from_visibility(
@@ -147,9 +148,13 @@ def visibility_sweep(
 
     Visibility is 1 exactly when the pair's future distributions and final
     causal states coincide, which makes the sweep a comparison of the two
-    statistical futures.
+    statistical futures.  The varying processes run through the circuit
+    kernels as one batch, each row bit-identical to its own `run_circuit`.
     """
     if not varying:
         raise InvalidParameter("the varying list must be nonempty")
     psi = run_circuit(*fixed, steps)
-    return [visibility(psi, run_circuit(coin, start, steps)) for coin, start in varying]
+    coins, starts = zip(*varying)
+    pair = causal_pair(PerturbedCoin(*np.array([(c.stay_heads, c.stay_tails) for c in coins]).T))
+    amps, success = _run(pair, pair[np.arange(len(coins)), [s.index for s in starts]], steps)
+    return [visibility(psi, PhotonState(steps, row, success)) for row in amps]

@@ -8,7 +8,8 @@ outcome = least-significant bit), built by the doubling recurrence
 p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
 (`trajectory_probability`) is kept as the brute-force oracle of the tests;
 outcome strings appear only at the CSV/JSON edge.  The kernels and
-validators take leading batch axes, for the grid passes of `checks`.
+validators take leading batch axes, for the grid passes of `checks` and the
+sweep commands of `cli`.
 """
 
 from __future__ import annotations

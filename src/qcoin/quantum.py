@@ -81,8 +81,12 @@ class DensityMatrix2:
         _require_density(m)
 
     def to_json_dict(self) -> dict:
-        # "im" stays in the payload, all zeros, so the pinned memory_densities.json is unchanged
-        return {"re": self.matrix.tolist(), "im": [[0.0, 0.0], [0.0, 0.0]]}
+        return _density_json(self.matrix.tolist())
+
+
+def _density_json(re: list) -> dict:
+    """A density matrix's JSON form from its entries; "im" stays, all zeros, so pinned payloads are unchanged."""
+    return {"re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def _require_density(m: np.ndarray) -> None:

@@ -21,7 +21,7 @@ def _escape(text: str) -> str:  # xml.sax.saxutils.escape, whose import loads ur
 def _bounds(values: list[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if math.isclose(lo, hi):
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0  # also where the tenth underflows to 0, as it does for a subnormal lo
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad
@@ -93,11 +93,11 @@ def line_plot(
         )
     for i, (xs, ys, label) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = [(f"{px(x):.2f}", f"{py(y):.2f}") for x, y in zip(xs, ys)]
         if len(xs) > 1:
+            pts = " ".join(f"{cx},{cy}" for cx, cy in points)
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>')
+        parts += [f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>' for cx, cy in points]
         if label:
             ly = _TOP + 16 + 16 * i
             lx = _LEFT + plot_w - 150

@@ -491,11 +491,14 @@ class TestConfigHandling:
         **PAIR, "envelope_sigma_ns": 1e-300, "delays_ns": {"min": -1.0, "max": 1.0, "count": 5}}}),
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "delays_ns": {"min": -5, "max": 5, "count": 10**9}}}),
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}),
+    # numpy squares the sigma to inf, so the flat curve of identical processes is zero everywhere
+    ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "envelope_sigma_ns": 1.4e154}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
         "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
         "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one", "start_states-int",
         "step_counts-int", "envelope_sigma-nan", "baseline-inf-sampled", "l-400-digits",
-        "envelope_sigma-underflow", "delay_count-past-the-budget", "grid_step-past-the-budget"])
+        "envelope_sigma-underflow", "delay_count-past-the-budget", "grid_step-past-the-budget",
+        "envelope_sigma-square-overflows"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
@@ -516,6 +519,24 @@ def test_unusable_out_dir_exits_with_config_error(tmp_path, out):
     assert proc.returncode == EXIT_CONFIG
     assert f"config error: cannot use {out!r} as the output directory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["futures.csv", "futures.json", "futures_S1.svg"])
+def test_output_file_that_cannot_be_written_exits_with_config_error(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()  # a directory in the file's place
+    assert main(["futures", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"config error: cannot write the output file {str(tmp_path / name)!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, record, plot", [
+    ("complexity-sweep", {"l": 1e-300, "m_values": [5e-324]}, "complexity.svg"),
+    ("compare-sweep", {"series": [{"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [5e-324]}}]},
+     "compare_sweep.svg"),
+], ids=["complexity-sweep", "compare-sweep"])
+def test_sweep_at_one_subnormal_value_writes_its_plot(tmp_path, command, record, plot):
+    cfg = write_config(tmp_path, {"schema_version": 1, command: record})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / plot).is_file()
 
 
 @pytest.mark.parametrize("command, payload, key", [
