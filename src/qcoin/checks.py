@@ -6,29 +6,30 @@ quantum output overlap's bin sum against the one-step-ahead classical
 Bhattacharyya coefficient and against the transfer-matrix power, the
 tomography-style reconstruction against the direct memory mixture, the
 post-selection bookkeeping against the dual-arm norm account, and the
-quantum against the classical complexity.
+quantum against the classical complexity.  The bin sum `_overlap` is the
+enumerating oracle of `quantum.output_overlap` and lives here.
 
-The suites are array passes over the whole (l, m) grid through the kernels
-the scalar API runs on one coin, with every check of its dataclasses
-applied to each batch element.  The grid is cut into chunks of at most
-`CHUNK_AMPLITUDES` amplitudes, and each result names the inputs of its
-worst deviation.
+The suites are array passes over the whole (l, m) grid through the public
+functions, which take a grid coin and start-index arrays; their result
+dataclasses validate every batch element.  The grid is cut into chunks of
+at most `CHUNK_AMPLITUDES` amplitudes, and each result names the inputs of
+its worst deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .circuit import _arm_norms, _bin_probabilities, _propagate, _reconstruction
+from .circuit import (apply_block, arrival_time_distribution, block_norm_accounting, prepare_input,
+                      reconstruct_memory_density)
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter
-from .markov import (PerturbedCoin, WeightMethod, _entropy_bits, _recurrence, _require_distribution,
-                     _require_weights, _stationary, require_count, require_steps, transition_matrix)
-from .quantum import (_bhattacharyya, _entropy, _mixture, _overlap, _require_density, _require_normalized,
-                      _superposition, _transfer_overlap, causal_pair)
+from .markov import (PerturbedCoin, WeightMethod, classical_complexity, future_distribution, require_count,
+                     require_steps, stationary_weights)
+from .quantum import (ProcessSpec, bhattacharyya_futures, causal_pair, ideal_output_state, memory_density,
+                      output_overlap, von_neumann_entropy)
 
 # Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
@@ -49,6 +50,8 @@ class CheckResult:
 def probability_grid(step: float = 0.05) -> np.ndarray:
     """All (stay_heads, stay_tails) pairs on a square grid over [0, 1]^2, as the rows of an (n, 2)
     array with stay_tails varying fastest; `step` must divide 1."""
+    if not 0.0 < step <= 1.0:
+        raise InvalidParameter(f"grid_step must be in (0, 1], got {step}")
     ticks = np.round(np.arange(0.0, 1.0 + step / 2.0, step), 10)
     if ticks[-1] != 1.0:
         raise InvalidParameter(f"grid_step {step} does not divide 1: the ticks end at {ticks[-1]}, not 1")
@@ -66,6 +69,8 @@ def run_oracle_checks(
     amplitude by 1e-6 as a sensitivity canary that must trip the first check.
     """
     step_counts = tuple(step_counts)
+    if not step_counts:
+        raise InvalidParameter("step_counts must name at least one step count")
     for steps in step_counts:
         require_steps(steps, MAX_SUPERPOSITION_STEPS)
     require_count(identity_draws, "identity_draws", 1)
@@ -103,7 +108,7 @@ def _grid_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: b
     def at(row: int, start: str | None, steps: int | None) -> dict:
         return {"l": float(grid[row, 0]), "m": float(grid[row, 1]), "start": start, "steps": steps}
 
-    circuit, success = _circuit_suites(PerturbedCoin(grid[:, 0], grid[:, 1]), step_counts, inject_fault)
+    circuit, success = _circuit_suites(grid, step_counts, inject_fault)
     # the reducible chain l = m = 1 has no unique stationary weights
     irreducible = ~((grid[:, 0] == 1.0) & (grid[:, 1] == 1.0))
     reconstruction, complexity = np.full((2, len(grid)), -np.inf)
@@ -116,31 +121,28 @@ def _grid_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: b
             _worst(complexity, lambda row: at(row, None, None)))
 
 
-def _circuit_suites(coins: PerturbedCoin, step_counts: tuple[int, ...], inject_fault: bool) -> tuple:
-    """One propagation per start up to max(step_counts): the circuit against
-    the superposition and the enumeration, axes (coin, start, entry of
-    `step_counts`), and the post-selection account, axes (coin, start, block).
+def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: bool) -> tuple:
+    """The circuit after 1, 2, ... blocks up to max(step_counts), one block at a
+    time: against the superposition and the enumeration, axes (coin, start,
+    entry of `step_counts`), and the post-selection account, axes (coin,
+    start, block).
     """
-    t, pair = transition_matrix(coins), causal_pair(coins)
-    block_pair = pair[:, None]  # shared by both starts
-    amps = pair[:, :, :, None]  # the prepared input of each start: (coin, start, polarization, bin)
-    blocks, futures = _propagate(amps, block_pair), _recurrence(t[:, None], t)
+    coins = PerturbedCoin(grid[:, 0, None], grid[:, 1, None])  # (coin, 1): the starts broadcast against it
+    starts = np.arange(2)
+    state = prepare_input(coins, starts)
     matched, accounting = {}, []
     for steps in range(1, max(step_counts) + 1):
-        retained, discarded = _arm_norms(amps, block_pair)
+        retained, discarded = block_norm_accounting(state, coins)
         dev = np.abs(retained + discarded - 1.0)
-        amps, success = next(blocks)
-        bins = next(futures)
+        state = apply_block(state, coins)
         if steps in step_counts:
-            dev = np.maximum(dev, abs(success - 0.5**steps))
-            _require_distribution(bins)
-            ideal = _superposition(bins, block_pair)
-            _require_normalized(ideal, "output state")
-            arrival = _bin_probabilities(amps)
-            _require_distribution(arrival)
-            circuit = amps
+            dev = np.maximum(dev, abs(state.success_probability - 0.5**steps))
+            bins = future_distribution(coins, starts, steps).bins
+            ideal = ideal_output_state(coins, starts, steps).amplitudes
+            arrival = arrival_time_distribution(state)[0].bins
+            circuit = state.amplitudes
             if inject_fault and steps == step_counts[0]:
-                circuit = amps.copy()
+                circuit = circuit.copy()
                 circuit[0, 0, 0, 0] += 1e-6
             matched[steps] = np.maximum(np.abs(circuit - ideal).max(axis=(-2, -1)),
                                         np.abs(arrival - bins).max(axis=-1))
@@ -152,18 +154,14 @@ def _weight_suites(coins: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
     """Per coin: the worst reconstruction deviation over both weight methods,
     and C_q - C_mu at the exact stationary weights.
     """
-    pair = causal_pair(coins)
     reconstruction = complexity = -np.inf
     for method in (WeightMethod.EXACT_STATIONARY, WeightMethod.THREE_STEP_MARGINAL):
-        s0, s1 = _stationary(coins, method)
-        _require_weights(s0, s1)
-        rebuilt = _reconstruction(pair, np.stack([s0, s1], axis=-1), RECONSTRUCTION_STEPS)
-        direct = _mixture(pair, s0, s1)
-        for rho in (rebuilt, direct):
-            _require_density(rho)
-        reconstruction = np.maximum(reconstruction, np.abs(rebuilt - direct).max(axis=(-2, -1)))
+        weights = stationary_weights(coins, method)
+        rebuilt = reconstruct_memory_density(coins, weights, RECONSTRUCTION_STEPS)
+        direct = memory_density(coins, weights)
+        reconstruction = np.maximum(reconstruction, np.abs(rebuilt.matrix - direct.matrix).max(axis=(-2, -1)))
         if method is WeightMethod.EXACT_STATIONARY:
-            complexity = _entropy(direct) - _entropy_bits(s0, 1.0 - s0)
+            complexity = von_neumann_entropy(direct) - classical_complexity(weights)
     return reconstruction, complexity
 
 
@@ -205,16 +203,20 @@ def _draw_table(rng: np.random.Generator, draws: int) -> np.ndarray:
 
 def _overlap_deviations(table: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """|bin sum - Bhattacharyya| and |transfer matrix - bin sum| for draws that share the step count."""
-    routes = []
-    for l_col, m_col, start_col in ((0, 1, 4), (2, 3, 5)):
-        coin = PerturbedCoin(table[:, l_col], table[:, m_col])
-        t = transition_matrix(coin)
-        first = t[np.arange(len(table)), table[:, start_col].astype(int)]
-        bins = list(islice(_recurrence(t, first), steps - 1, steps + 1))  # M and M + 1 steps
-        for b in bins:
-            _require_distribution(b)
-        routes.append((t, first, causal_pair(coin), *bins))
-    (t_a, first_a, pair_a, a_m, a_next), (t_b, first_b, pair_b, b_m, b_next) = routes
-    bin_sum = _overlap(a_m, b_m, pair_a, pair_b)
-    transfer = _transfer_overlap(t_a, t_b, first_a * first_b, np.vecdot(pair_a, pair_b), steps)
-    return np.abs(bin_sum - _bhattacharyya(a_next, b_next)), np.abs(transfer - bin_sum)
+    proc_a, proc_b = (ProcessSpec(PerturbedCoin(table[:, l_col], table[:, l_col + 1])) for l_col in (0, 2))
+    start_a, start_b = table[:, 4].astype(int), table[:, 5].astype(int)
+    bin_sum = _overlap(future_distribution(proc_a.coin, start_a, steps).bins,
+                       future_distribution(proc_b.coin, start_b, steps).bins,
+                       causal_pair(proc_a.coin), causal_pair(proc_b.coin))
+    bhattacharyya = bhattacharyya_futures(proc_a, start_a, proc_b, start_b, steps + 1)
+    transfer = output_overlap(proc_a, start_a, proc_b, start_b, steps)
+    return np.abs(bin_sum - bhattacharyya), np.abs(transfer - bin_sum)
+
+
+def _overlap(bins_a: np.ndarray, bins_b: np.ndarray, pair_a: np.ndarray, pair_b: np.ndarray):
+    """sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM> over the last axis of the bins: the enumerating oracle
+    of `quantum.output_overlap`."""
+    roots = np.sqrt(bins_a * bins_b)
+    ends = roots.reshape(roots.shape[:-1] + (2, -1)).sum(axis=-1)  # halves ending in outcome 0 and 1
+    finals = np.vecdot(pair_a, pair_b)  # <S_j|T_j> per j
+    return ends[..., 0] * finals[..., 0] + ends[..., 1] * finals[..., 1]

@@ -15,37 +15,37 @@ the recombiner, so the selected arm keeps exactly half of the norm whatever
 the input; the 1/sqrt(2) post-selection factor and the renormalization of
 the kept state cancel.  `block_norm_accounting` tracks both arms explicitly
 to verify that bookkeeping.  All blocks of a run share one coin, so
-`run_circuit` validates the causal states once per run, checks the photon
-norm after every block and builds one `PhotonState` at the end.  The
-kernels take leading batch axes (coins of a grid, start states) and work on
-real float64 amplitudes, polarization-major (..., 2, bins) so that the long
-bin axis is the inner one; `PhotonState` stores that (2, bins) array as the
-kernels hand it over.
+`run_circuit` validates the causal states once per run and builds one
+`PhotonState`, which checks the norm, at the end.  As in `markov`, each
+function takes a grid coin and start-index arrays (leading batch axes), and
+works on real float64 amplitudes, polarization-major (..., 2, bins) so that
+the long bin axis is the inner one; `PhotonState` stores that array as the
+block hands it over.  `block_gate_unitary`, `gate_decomposition_max_deviation`
+and `conditional_polarization` take one coin or one state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index
 from .errors import DimensionMismatch, EmptyBin, InvalidParameter
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, _require_distribution,
-                     require_steps)
-from .quantum import DensityMatrix2, _norm_sq, _require_density, _require_normalized, _state_amplitudes, causal_pair
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, require_one_coin,
+                     require_steps, start_rows)
+from .quantum import DensityMatrix2, causal_pair, norm_sq, require_one_state, state_amplitudes
 
 
 @dataclass(frozen=True)
 class PhotonState:
     """Post-selected photon state after `steps_applied` blocks.
 
-    `amplitudes[p, b]` (read-only float64, C-ordered (2, 2**steps_applied)) is the
+    `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps_applied)) is the
     amplitude with polarization p (0 = H, 1 = V) in time bin b, polarization-major as
-    the kernels make it.  Bin b encodes the outcome string via its binary digits,
+    the blocks make it.  Bin b encodes the outcome string via its binary digits,
     first outcome in the least-significant bit.
     `success_probability` is the probability that all post-selections so far succeeded.
     """
@@ -56,13 +56,14 @@ class PhotonState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes",
-                           _state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
+                           state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
         if not 0.0 < self.success_probability <= 1.0:
             raise InvalidParameter(
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
             )
 
     def to_json_dict(self) -> dict:
+        require_one_state(self.amplitudes, "to_json_dict")
         bins = {str(b): {"H": [h, 0.0], "V": [v, 0.0]}
                 for b, (h, v) in enumerate(zip(*self.amplitudes.tolist()))}
         return {"steps": self.steps_applied, "success_probability": self.success_probability, "bins": bins}
@@ -75,25 +76,9 @@ def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (2, -1))
 
 
-def _propagate(amps: np.ndarray, pair: np.ndarray):
-    """Yield (amplitudes, success probability) after each further block, norm checked."""
-    success = 1.0
-    while True:
-        amps = _block(amps, pair)
-        _require_normalized(amps, "photon state")
-        success *= 0.5  # exact in binary
-        yield amps, success
-
-
-def _run(pair: np.ndarray, start: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
-    """((..., 2, 2**steps) amplitudes, success probability) after `steps` blocks from `start` (..., 2)."""
-    require_steps(steps, MAX_SUPERPOSITION_STEPS)
-    return next(islice(_propagate(start[..., None], pair), steps - 1, None))
-
-
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
     """Photon in time bin 0 with its polarization set to the initial causal state."""
-    return PhotonState(0, causal_pair(coin)[start.index][:, None], 1.0)
+    return PhotonState(0, start_rows(causal_pair(coin), start)[..., None], 1.0)
 
 
 def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
@@ -113,25 +98,22 @@ def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[floa
     Returns (retained, discarded); for a normalized input these sum to 1
     and each equals 1/2 regardless of the coin and the input state.
     """
-    retained, discarded = _arm_norms(state.amplitudes, causal_pair(coin))
-    return float(retained), float(discarded)
-
-
-def _arm_norms(amps: np.ndarray, pair: np.ndarray) -> tuple:
-    """(retained, discarded) squared norms of one block on (..., 2, n) amplitudes."""
-    n = amps.shape[-1]
-    retained = _block(amps, pair) * (1.0 / math.sqrt(2.0))
+    n = state.amplitudes.shape[-1]
+    retained = _block(state.amplitudes, causal_pair(coin)) * (1.0 / math.sqrt(2.0))
     discarded = np.concatenate([retained[..., :n], -retained[..., n:]], axis=-1)
-    return _norm_sq(retained, 2), _norm_sq(discarded, 2)
+    return norm_sq(retained), norm_sq(discarded)
 
 
 def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonState:
     """Send one photon through `steps` identical blocks; bit-identical to
     `prepare_input` followed by `steps` calls to `apply_block`.
     """
+    require_steps(steps, MAX_SUPERPOSITION_STEPS)
     pair = causal_pair(coin)
-    amps, success = _run(pair, pair[start.index], steps)
-    return PhotonState(steps, amps, success)
+    amps = start_rows(pair, start)[..., None]
+    for _ in range(steps):
+        amps = _block(amps, pair)
+    return PhotonState(steps, amps, 0.5**steps)  # 0.5 per post-selection, exact in binary
 
 
 def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
@@ -139,14 +121,9 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     steps = state.steps_applied
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    probs = _bin_probabilities(state.amplitudes)
+    amps = state.amplitudes
     # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
-    return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
-
-
-def _bin_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Probability of each time bin, both polarizations: real (..., 2, n) -> (..., n)."""
-    return (amps * amps).sum(axis=-2)
+    return OutcomeDistribution(steps, (amps * amps).sum(axis=-2)), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
@@ -155,6 +132,7 @@ def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
     Noise-free equivalent of the tomographic reconstruction at one arrival
     time; always the projector onto the causal state of the final outcome.
     """
+    require_one_state(state.amplitudes, "conditional_polarization")
     index = bits_to_index(bits)
     if len(bits) != state.steps_applied:
         raise DimensionMismatch(
@@ -176,25 +154,20 @@ def reconstruct_memory_density(
 
     Runs the circuit from both causal states, weighs every outcome's
     conditional polarization state by its probability and the input weight;
-    matches the direct causal-state mixture.
+    matches the direct causal-state mixture.  Bins at or below TOL.empty_bin
+    and zero-weight starts are left out; every conditional state used is
+    checked as a density matrix.  Terms are added start by start, bin by bin.
     """
-    return DensityMatrix2(_reconstruction(causal_pair(coin), np.array([weights.s0, weights.s1]), steps))
-
-
-def _reconstruction(pair: np.ndarray, weights: np.ndarray, steps: int) -> np.ndarray:
-    """`reconstruct_memory_density` for (..., 2, 2) pairs and (..., 2) start weights.  Bins at or
-    below TOL.empty_bin and zero-weight starts are left out; every conditional state used is
-    checked as a density matrix.  Terms are added start by start, bin by bin."""
-    amps, _ = _run(pair[..., None, :, :], pair, steps)  # (..., start, polarization, bin)
-    probs = _bin_probabilities(amps)
-    amps = amps.mT  # (..., start, bin, polarization)
-    _require_distribution(probs)
-    used = (probs > TOL.empty_bin) & (weights[..., None] != 0.0)
-    rows = amps / np.sqrt(np.where(used, probs, 1.0))[..., None]
+    # both starts on an axis in front of the coin's
+    state = run_circuit(coin, np.arange(2).reshape((2,) + (1,) * np.ndim(coin.stay_heads)), steps)
+    probs = arrival_time_distribution(state)[0].bins  # (start, ..., bin)
+    starts = np.stack([weights.s0, weights.s1])
+    used = (probs > TOL.empty_bin) & (starts[..., None] != 0.0)
+    rows = state.amplitudes.mT / np.sqrt(np.where(used, probs, 1.0))[..., None]  # (start, ..., bin, polarization)
     states = rows[..., :, None] * rows[..., None, :]
-    _require_density(states[used])
-    terms = np.where(used[..., None, None], (weights[..., None] * probs)[..., None, None] * states, 0.0)
-    return sum(np.moveaxis(terms.reshape(terms.shape[:-4] + (-1, 2, 2)), -3, 0))
+    DensityMatrix2(states[used])
+    terms = np.where(used[..., None, None], (starts[..., None] * probs)[..., None, None] * states, 0.0)
+    return DensityMatrix2(sum(np.moveaxis(terms, -3, 1).reshape((-1,) + terms.shape[1:-3] + (2, 2))))
 
 
 def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
@@ -206,6 +179,7 @@ def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
     signs on the orthogonal subspace; the real-rotation solution is
     used here.  Basis index is 2*memory + outcome.
     """
+    require_one_coin(coin, "block_gate_unitary")
     root_stay = math.sqrt(coin.stay_heads)
     root_flip = math.sqrt(1.0 - coin.stay_heads)
     r = np.array([[root_stay, -root_flip], [root_flip, root_stay]])
@@ -225,6 +199,7 @@ def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
     """Largest amplitude difference between the gate-level block and the
     optical block map, over both input causal states.
     """
+    require_one_coin(coin, "gate_decomposition_max_deviation")
     u = block_gate_unitary(coin)
     pair = causal_pair(coin)
     worst = 0.0

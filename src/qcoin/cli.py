@@ -31,7 +31,6 @@ import os
 import sys
 from dataclasses import asdict
 from importlib import resources
-from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,7 +45,6 @@ from .errors import (
     ConfigError,
     FitDidNotConverge,
     InvalidParameter,
-    ReducibleChain,
     StepCountTooLarge,
 )
 from .interference import (
@@ -55,10 +53,10 @@ from .interference import (
     visibility,
     visibility_sweep,
 )
-from .markov import (MAX_ENUMERATION_STEPS, CausalState, PerturbedCoin, WeightMethod, _entropy_bits, _recurrence,
-                     _require_distribution, _require_weights, _stationary, classical_fidelity, counts_to_distribution,
-                     future_distribution, sample_trajectories, stationary_weights, transition_matrix)
-from .quantum import _density_json, _entropy, _mixture, _require_density, causal_pair, ideal_output_state
+from .markov import (MAX_ENUMERATION_STEPS, REDUCIBLE_CHAIN, CausalState, PerturbedCoin, WeightMethod,
+                     classical_complexity, classical_fidelity, counts_to_distribution, future_distribution,
+                     sample_trajectories, stationary_weights)
+from .quantum import ideal_output_state, memory_density, von_neumann_entropy
 from .svgplot import line_plot
 
 SCHEMA_VERSION = 1
@@ -315,11 +313,10 @@ def _out_dir(args) -> Path:
 # commands: each takes the validated record and returns its Output
 
 def cmd_futures(rec: dict) -> Output:
-    """One doubling recurrence over every (start, m) pair; each bin has the bits of `future_distribution`."""
+    """One `future_distribution` over the grid of (start, m) pairs."""
     stay_heads, m_values, steps, starts = rec["l"], rec["m_values"], rec["steps"], rec["start_states"]
-    t = transition_matrix(PerturbedCoin(np.full(len(m_values), stay_heads), np.array(m_values)))
-    bins = next(islice(_recurrence(t, t[:, [s.index for s in starts]].swapaxes(0, 1)), steps - 1, None))
-    _require_distribution(bins)
+    coins = PerturbedCoin(np.full(len(m_values), stay_heads), np.array(m_values))
+    bins = future_distribution(coins, np.array([[s.index] for s in starts]), steps).bins  # (start, m, bin)
     strings, outcomes = all_bitstrings(steps), list(range(2**steps))
     rows, distributions, plots = [], [], []
     for start, per_m in zip(starts, bins[..., lexicographic_bins(steps)].tolist()):  # in bitstring order
@@ -336,30 +333,24 @@ def cmd_futures(rec: dict) -> Output:
 
 
 def cmd_complexity_sweep(rec: dict) -> Output:
-    """One grid of the irreducible m values through the kernels of the per-m weight, density and entropy API,
-    with its bits; the reducible chain l = m = 1 gets an error row with the message the library raises."""
+    """The weights, density and entropies of the irreducible m values as one grid; the reducible chain
+    l = m = 1 gets an error row with the message `stationary_weights` raises for it."""
     stay_heads, method = rec["l"], rec["weight_method"]
     xs = [m for m in rec["m_values"] if not stay_heads == m == 1.0]
-    classical = quantum = matrices = []
-    if xs:  # an all-reducible sweep runs no kernel
+    classical = quantum = densities = []
+    if xs:  # an all-reducible sweep computes nothing
         coins = PerturbedCoin(np.full(len(xs), stay_heads), np.array(xs))
-        s0, s1 = _stationary(coins, method)
-        _require_weights(s0, s1)
-        rho = _mixture(causal_pair(coins), s0, s1)
-        _require_density(rho)
-        classical, quantum, matrices = _entropy_bits(s0, 1.0 - s0).tolist(), _entropy(rho).tolist(), rho.tolist()
-    rows, results = [], iter(zip(classical, quantum))
-    for m in rec["m_values"]:
-        if stay_heads == m == 1.0:
-            try:
-                stationary_weights(PerturbedCoin(m, m), method)
-            except ReducibleChain as exc:
-                rows.append([m, "", "", str(exc)])
-        else:
-            rows.append([m, *next(results), ""])
+        weights = stationary_weights(coins, method)
+        rho = memory_density(coins, weights)
+        classical, quantum = classical_complexity(weights).tolist(), von_neumann_entropy(rho).tolist()
+        parts = rho.to_json_dict()  # "re" and "im" as lists over the m values
+        densities = [{"m": m, "memory_density": {"re": re, "im": im}}
+                     for m, re, im in zip(xs, parts["re"], parts["im"])]
+    results = iter(zip(classical, quantum))
+    rows = [[m, "", "", REDUCIBLE_CHAIN] if stay_heads == m == 1.0 else [m, *next(results), ""]
+            for m in rec["m_values"]]
     plots = [("complexity.svg", [(xs, quantum, "C_q"), (xs, classical, "C_mu")],
               f"Memory vs stay-tails probability (l={stay_heads:g}, {method.value} weights)", "m", "bits")]
-    densities = [{"m": m, "memory_density": _density_json(re)} for m, re in zip(xs, matrices)]
     return Output({"memory_densities.json": {"l": stay_heads, "weight_method": method.value, "densities": densities}},
                   ("complexity.csv", ["m", "c_mu", "c_q", "error"], rows), plots if xs else ())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PhotonState, _run, run_circuit
+from .circuit import PhotonState, run_circuit
 from .constants import TOL
 from .errors import (
     DimensionMismatch,
@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameter,
 )
 from .markov import CausalState, PerturbedCoin
-from .quantum import IdealOutputState, causal_pair
+from .quantum import IdealOutputState, require_one_state
 
 FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
 
@@ -44,6 +44,8 @@ def visibility(psi: PhotonState | IdealOutputState, phi: PhotonState | IdealOutp
     copies are of real amplitudes, so the overlap's imaginary part is exactly
     zero, and the states are normalized on construction, so no norm is zero.
     """
+    for state in (psi, phi):
+        require_one_state(state.amplitudes, "visibility")
     a = _amplitudes(psi)
     b = _amplitudes(phi)
     if a.shape != b.shape:
@@ -155,6 +157,6 @@ def visibility_sweep(
         raise InvalidParameter("the varying list must be nonempty")
     psi = run_circuit(*fixed, steps)
     coins, starts = zip(*varying)
-    pair = causal_pair(PerturbedCoin(*np.array([(c.stay_heads, c.stay_tails) for c in coins]).T))
-    amps, success = _run(pair, pair[np.arange(len(coins)), [s.index for s in starts]], steps)
-    return [visibility(psi, PhotonState(steps, row, success)) for row in amps]
+    batch = run_circuit(PerturbedCoin(*np.array([(c.stay_heads, c.stay_tails) for c in coins]).T),
+                        np.array([s.index for s in starts]), steps)
+    return [visibility(psi, PhotonState(steps, row, batch.success_probability)) for row in batch.amplitudes]

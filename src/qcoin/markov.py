@@ -7,9 +7,14 @@ A future distribution is a float64 array over the time-bin index (first
 outcome = least-significant bit), built by the doubling recurrence
 p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
 (`trajectory_probability`) is kept as the brute-force oracle of the tests;
-outcome strings appear only at the CSV/JSON edge.  The kernels and
-validators take leading batch axes, for the grid passes of `checks` and the
-sweep commands of `cli`.
+outcome strings appear only at the CSV/JSON edge.
+
+One function per concept serves one coin and a grid: a `PerturbedCoin` may
+hold arrays (leading batch axes), a start is a `CausalState` or an integer
+array of state indices that broadcasts against the coin, and the result
+dataclasses take the same leading axes and validate them in `__post_init__`.
+A float-valued function returns a float for one coin and an ndarray for a
+grid.  `trajectory_probability` and `sample_trajectories` take one coin.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +38,8 @@ from .errors import (
 
 # Full enumeration of 2**steps outcome strings caps the step count.
 MAX_ENUMERATION_STEPS = 20
+# ReducibleChain's message; complexity-sweep writes it as the error row of l = m = 1.
+REDUCIBLE_CHAIN = "both stay probabilities are 1; supply weights explicitly"
 CHUNK_DRAWS = 2**14  # draws per pass; a chunk holds their uniforms, 2 bool masks, 2 bin codes, bincount's intp copy
 
 
@@ -87,45 +94,64 @@ class PerturbedCoin:
 
     def __post_init__(self) -> None:
         for name, p in (("stay_heads", self.stay_heads), ("stay_tails", self.stay_tails)):
-            outside = np.logical_not((p >= 0.0) & (p <= 1.0))
-            if _any(outside):
-                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {np.asarray(p)[outside].flat[0]}")
+            inside = (p >= 0.0) & (p <= 1.0)
+            if not all_set(inside):
+                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {first_failing(p, inside)}")
+
+    @cached_property
+    def _transition(self) -> np.ndarray:
+        heads, tails = self.stay_heads, self.stay_tails
+        t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
+        t = t if t.ndim == 2 else np.moveaxis(t, (0, 1), (-2, -1))
+        t.flags.writeable = False
+        return t
 
 
-def _any(flags) -> bool:
-    """Whether any flag is set; a plain truth test for one value (cheaper than numpy's `.any()`)."""
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+def all_set(flags) -> bool:
+    """Whether every flag is set; a plain truth test for one value (cheaper than numpy's `.all()`).
+    The validators test the accepting range, so NaN fails them."""
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def first_failing(values, ok):
+    """The first of `values` (one value or an array) where `ok` is not set, as a Python number."""
+    return np.asarray(values)[np.logical_not(ok)].flat[0].item()
+
+
+def float_or_array(value):
+    """A float for one coin, the array for a grid: the one return type of a float-valued function."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def require_one_coin(coin: PerturbedCoin, what: str) -> None:
+    """Refuse a grid coin where a function takes one coin."""
+    if np.ndim(coin.stay_heads) or np.ndim(coin.stay_tails):
+        raise InvalidParameter(f"{what} takes one coin, got a grid: {coin!r}")
 
 
 def transition_matrix(coin: PerturbedCoin) -> np.ndarray:
-    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins."""
-    heads, tails = coin.stay_heads, coin.stay_tails
-    t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
-    return t if t.ndim == 2 else np.moveaxis(t, (0, 1), (-2, -1))
+    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins.
+    Read-only, and built once per coin: each function of a grid coin reads it."""
+    return coin._transition
 
 
 @dataclass(frozen=True)
 class StationaryWeights:
     """Probabilities of finding the memory in causal state S0 / S1; the
     caller supplies them explicitly for the reducible chain where both stay
-    probabilities are 1.
+    probabilities are 1.  Arrays of one shape are the weights of a grid.
     """
 
     s0: float
     s1: float
 
     def __post_init__(self) -> None:
-        _require_weights(self.s0, self.s1)
-
-
-def _require_weights(s0, s1) -> None:
-    """The `StationaryWeights` checks, elementwise."""
-    if _any((s0 < 0.0) | (s1 < 0.0)):
-        raise InvalidParameter("stationary weights must be nonnegative")
-    total = s0 + s1
-    off = abs(total - 1.0) > TOL.exact
-    if _any(off):
-        raise InvalidParameter(f"stationary weights must sum to 1, got {float(np.asarray(total)[off].flat[0])!r}")
+        if not all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
+            raise InvalidParameter("stationary weights must be nonnegative")
+        total = self.s0 + self.s1
+        near = abs(total - 1.0) <= TOL.exact
+        if not all_set(near):
+            raise InvalidParameter(f"stationary weights must sum to 1, got {first_failing(total, near)!r}")
 
 
 def stationary_weights(
@@ -143,34 +169,27 @@ def stationary_weights(
     Raises ReducibleChain when the denominator of the chosen method
     vanishes, which happens exactly when both stay probabilities are 1.
     """
-    s0, s1 = _stationary(coin, method)
-    return StationaryWeights(float(s0), float(s1))
-
-
-def _stationary(coin: PerturbedCoin, method: WeightMethod) -> tuple:
-    """Unvalidated (s0, s1) of `stationary_weights`, elementwise over a grid of coins."""
     if method is WeightMethod.EXACT_STATIONARY:
         leave_heads, leave_tails = 1.0 - coin.stay_heads, 1.0 - coin.stay_tails
     else:
-        t = transition_matrix(coin)
-        bins = next(islice(_recurrence(t[..., None, :, :], t), 2, None))  # 3 steps from S0, S1
-        _require_distribution(bins)
+        # 3 steps from S0 and S1, on a start axis in front of the coin's axes
+        bins = future_distribution(coin, np.arange(2).reshape((2,) + (1,) * np.ndim(coin.stay_heads)), 3).bins
         # added one by one in string order, where the last outcome alternates 0, 1, 0, 1, ...
         in_order = lexicographic_bins(3)
-        leave_heads = sum(bins[..., 0, b] for b in in_order[1::2])
-        leave_tails = sum(bins[..., 1, b] for b in in_order[0::2])
+        leave_heads = sum(bins[0, ..., b] for b in in_order[1::2])
+        leave_tails = sum(bins[1, ..., b] for b in in_order[0::2])
     denom = leave_heads + leave_tails
-    if _any(denom == 0.0):
-        raise ReducibleChain("both stay probabilities are 1; supply weights explicitly")
-    return leave_tails / denom, leave_heads / denom
+    if not all_set(denom != 0.0):
+        raise ReducibleChain(REDUCIBLE_CHAIN)
+    return StationaryWeights(float_or_array(leave_tails / denom), float_or_array(leave_heads / denom))
 
 
 def classical_complexity(weights: StationaryWeights) -> float:
     """Shannon entropy (bits) of the stationary causal-state weights."""
-    return float(_entropy_bits(weights.s0, 1.0 - weights.s0))
+    return float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
 
 
-def _entropy_bits(*probs):
+def entropy_bits(*probs):
     """Entropy in bits of (probs[0], probs[1], ...), elementwise, zero terms skipped.
 
     Uses libm's `math.log2`: np.log2 differs from it in the last bit on some inputs.
@@ -192,6 +211,7 @@ def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -
     After emitting x the chain sits in causal state S_x, so this is the
     product of transition-matrix entries along the path.
     """
+    require_one_coin(coin, "trajectory_probability")
     validate_bits(bits)
     t = transition_matrix(coin)
     rows = (t[0], t[1])
@@ -207,11 +227,11 @@ def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of all 2**steps outcome strings, as a read-only float64
-    array over the time-bin index (see `encoding`).
+    array over the time-bin index (see `encoding`), (..., 2**steps) for a grid.
 
-    `probabilities` maps each outcome string to its probability, in
-    lexicographic string order, for the CSV/JSON edge.  Zero-probability
-    strings are explicit.
+    `probabilities` maps each outcome string to its probability (a nested
+    list over the leading axes for a grid), in lexicographic string order,
+    for the CSV/JSON edge.  Zero-probability strings are explicit.
     """
 
     steps: int
@@ -220,45 +240,37 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         require_steps(self.steps)
         size = 2**self.steps
-        p = np.array(self.bins, dtype=np.float64)
-        if p.shape != (size,):
+        p = np.array(self.bins, dtype=np.float64, order="C")
+        if p.shape[-1:] != (size,):
             raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
         p.flags.writeable = False
         object.__setattr__(self, "bins", p)
-        _require_distribution(p)
+        if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
+            b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
+            raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
+        total = np.einsum("...i->...", p)  # faster than sum() on short rows; a check, so its rounding is free
+        near = abs(total - 1.0) <= TOL.prob_sum
+        if not all_set(near):
+            raise InvalidParameter(f"probabilities sum to {first_failing(total, near)!r}, not 1")
 
     @property
     def probabilities(self) -> dict[str, float]:
-        ordered = self.bins[lexicographic_bins(self.steps)].tolist()
+        ordered = np.moveaxis(self.bins[..., lexicographic_bins(self.steps)], -1, 0).tolist()
         return dict(zip(all_bitstrings(self.steps), ordered))
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, **self.probabilities}
 
 
-def _require_distribution(p: np.ndarray) -> None:
-    """The `OutcomeDistribution` checks on (..., 2**steps) bins: entries in [0, 1], sums 1."""
-    if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
-        b = np.unravel_index(np.argmax(~((p >= -TOL.exact) & (p <= 1.0 + TOL.exact))), p.shape)
-        bits = index_to_bits(int(b[-1]), p.shape[-1].bit_length() - 1)
-        raise InvalidParameter(f"probability of {bits!r} out of [0, 1]: {p[b]!r}")
-    total = p.sum(axis=-1)
-    off = abs(total - 1.0) > TOL.prob_sum
-    if _any(off):
-        raise InvalidParameter(f"probabilities sum to {float(np.asarray(total)[off].flat[0])!r}, not 1")
-
-
-def _recurrence(t: np.ndarray, first: np.ndarray):
-    """Yield the future bins after 1, 2, ... steps from (..., 2, 2) transition
-    matrices and the first step's (..., 2) row; the lower half of a k-step
-    array ends in outcome 0, the upper half in 1.
-    """
-    # factor of the next outcome x (axis -3) after last outcome y (axis -2, the halves of p)
-    factors = t.mT[..., None]
-    lead, p = first.shape[:-1], first
-    while True:
-        yield p
-        p = (factors * p.reshape(lead + (1, 2, -1))).reshape(lead + (-1,))
+def start_rows(matrix: np.ndarray, start) -> np.ndarray:
+    """The rows matrix[..., start, :] of (..., 2, 2) matrices: `start` is a CausalState, or an integer
+    array of state indices (0 or 1) that broadcasts against the matrices' leading axes."""
+    if isinstance(start, CausalState):
+        return matrix[..., start.index, :]
+    index = np.asarray(start)
+    if index.dtype.kind not in "iu" or (index >> 1).any():  # an index other than 0 and 1 has a higher bit
+        raise InvalidParameter(f"a start must be a CausalState or state indices 0 and 1, got {start!r}")
+    return np.where(index[..., None] == 1, matrix[..., 1, :], matrix[..., 0, :])
 
 
 def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> OutcomeDistribution:
@@ -268,7 +280,16 @@ def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> 
     """
     require_steps(steps)
     t = transition_matrix(coin)
-    return OutcomeDistribution(steps, next(islice(_recurrence(t, t[start.index]), steps - 1, None)))
+    p = start_rows(t, start)
+    lead = p.shape[:-1]
+    # The bins run down the first axis and the flattened batch along the last, so each multiply
+    # runs over whole rows of the batch.  factors[x, y, 0, :] = T[y, x]: the factor of the next
+    # outcome x after the last outcome y, which is the half of the bins that q is cut into.
+    factors = np.ascontiguousarray(np.broadcast_to(t, lead + (2, 2)).reshape(-1, 2, 2).transpose(2, 1, 0))[:, :, None]
+    q = p.reshape(-1, 2).T
+    for _ in range(steps - 1):
+        q = (factors * q.reshape(1, 2, -1, q.shape[-1])).reshape(-1, q.shape[-1])
+    return OutcomeDistribution(steps, q.T.reshape(lead + (-1,)))
 
 
 def sample_trajectories(
@@ -288,8 +309,7 @@ def sample_trajectories(
     require_count(draws, "draws", 1)
     require_steps(steps)
     require_count(seed, "seed", 0)
-    if np.ndim(coin.stay_heads) or np.ndim(coin.stay_tails):
-        raise InvalidParameter(f"sample_trajectories takes one coin, got a grid: {coin!r}")
+    require_one_coin(coin, "sample_trajectories")
     emit_zero = transition_matrix(coin)[:, 0]
     low, high = sorted(emit_zero.tolist())
     select = np.logical_and if emit_zero[1] < emit_zero[0] else np.greater  # a & e, or a & ~e as bool a > e

@@ -1,0 +1,128 @@
+"""One function per concept: a grid coin and an array of start indices give, in each batch element, the bits
+of the one-coin call; a float-valued function returns a float for one coin and an ndarray for a grid; the
+functions that take one coin or one state refuse a batch with InvalidParameter."""
+
+import numpy as np
+import pytest
+
+from qcoin.circuit import (
+    arrival_time_distribution,
+    block_gate_unitary,
+    block_norm_accounting,
+    conditional_polarization,
+    gate_decomposition_max_deviation,
+    prepare_input,
+    reconstruct_memory_density,
+    run_circuit,
+)
+from qcoin.errors import InvalidParameter
+from qcoin.interference import visibility
+from qcoin.markov import (
+    CausalState,
+    PerturbedCoin,
+    WeightMethod,
+    classical_complexity,
+    future_distribution,
+    sample_trajectories,
+    stationary_weights,
+    trajectory_probability,
+)
+from qcoin.quantum import (
+    ProcessSpec,
+    bhattacharyya_futures,
+    ideal_output_state,
+    memory_density,
+    output_overlap,
+    von_neumann_entropy,
+)
+
+# a (2, 3) grid with edges, orthogonal causal states (0, 0) and no reducible chain
+HEADS = np.array([[0.0, 0.35, 1.0], [0.8, 0.5, 0.0]])
+TAILS = np.array([[0.5, 1.0, 0.0], [0.2, 0.5, 0.0]])
+GRID = PerturbedCoin(HEADS, TAILS)
+STARTS = np.array([[0, 1, 1], [1, 0, 0]])
+OTHER = PerturbedCoin(0.6, 0.3)
+
+
+def elements():
+    for index in np.ndindex(HEADS.shape):
+        yield index, PerturbedCoin(float(HEADS[index]), float(TAILS[index])), CausalState(int(STARTS[index]))
+
+
+def same_bits(got, expected):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda coin, start: future_distribution(coin, start, 5).bins,
+    lambda coin, start: ideal_output_state(coin, start, 3).amplitudes,
+    lambda coin, start: prepare_input(coin, start).amplitudes,
+    lambda coin, start: run_circuit(coin, start, 4).amplitudes,
+    lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2))[0].bins,
+    lambda coin, start: np.stack(block_norm_accounting(run_circuit(coin, start, 2), coin), axis=-1),
+    lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
+    lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
+], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
+        "arrival_time_distribution", "block_norm_accounting", "output_overlap", "bhattacharyya_futures"])
+def test_each_batch_element_has_the_bits_of_its_one_coin_call(call):
+    batch = call(GRID, STARTS)
+    for index, coin, start in elements():
+        assert same_bits(batch[index], call(coin, start))
+
+
+@pytest.mark.parametrize("call", [
+    lambda coin, w: np.stack([w.s0, w.s1], axis=-1),
+    lambda coin, w: classical_complexity(w),
+    lambda coin, w: memory_density(coin, w).matrix,
+    lambda coin, w: von_neumann_entropy(memory_density(coin, w)),
+    lambda coin, w: reconstruct_memory_density(coin, w, 3).matrix,
+], ids=["stationary_weights", "classical_complexity", "memory_density", "von_neumann_entropy",
+        "reconstruct_memory_density"])
+@pytest.mark.parametrize("method", list(WeightMethod))
+def test_each_weight_batch_element_has_the_bits_of_its_one_coin_call(call, method):
+    batch = call(GRID, stationary_weights(GRID, method))
+    for index, coin, _ in elements():
+        assert same_bits(batch[index], call(coin, stationary_weights(coin, method)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda coin: classical_complexity(stationary_weights(coin)),
+    lambda coin: von_neumann_entropy(memory_density(coin, stationary_weights(coin))),
+    lambda coin: output_overlap(ProcessSpec(coin), CausalState.S0, ProcessSpec(OTHER), CausalState.S0, 3),
+    lambda coin: bhattacharyya_futures(ProcessSpec(coin), CausalState.S0, ProcessSpec(OTHER), CausalState.S0, 3),
+    lambda coin: stationary_weights(coin, WeightMethod.THREE_STEP_MARGINAL).s0,
+], ids=["classical_complexity", "von_neumann_entropy", "output_overlap", "bhattacharyya_futures",
+        "stationary_weights"])
+def test_a_float_for_one_coin_an_array_for_a_grid(call):
+    assert type(call(OTHER)) is float
+    assert isinstance(call(GRID), np.ndarray) and call(GRID).shape == HEADS.shape
+
+
+@pytest.mark.parametrize("name, call", [
+    ("trajectory_probability", lambda coin: trajectory_probability(coin, CausalState.S0, "01")),
+    ("sample_trajectories", lambda coin: sample_trajectories(coin, CausalState.S0, 3, 10, 1)),
+    ("block_gate_unitary", block_gate_unitary),
+    ("gate_decomposition_max_deviation", gate_decomposition_max_deviation),
+])
+def test_one_coin_functions_refuse_a_grid(name, call):
+    with pytest.raises(InvalidParameter, match=f"{name} takes one coin, got a grid: PerturbedCoin"):
+        call(GRID)
+
+
+def test_one_state_functions_refuse_a_batch():
+    batch, one = run_circuit(GRID, STARTS, 2), run_circuit(OTHER, CausalState.S0, 2)
+    ideal = ideal_output_state(GRID, STARTS, 2)
+    for call in (lambda: visibility(batch, one), lambda: visibility(one, ideal)):
+        with pytest.raises(InvalidParameter, match=r"visibility takes one state, got a batch of shape \(2, 3, 2, "):
+            call()
+    for name, call in (("conditional_polarization", lambda: conditional_polarization(batch, "01")),
+                       ("to_json_dict", batch.to_json_dict), ("to_json_dict", ideal.to_json_dict)):
+        with pytest.raises(InvalidParameter, match=f"{name} takes one state, got a batch"):
+            call()
+
+
+@pytest.mark.parametrize("start", [np.array([0, 2]), np.array([-1]), np.array([0.0, 1.0]), np.array([True])],
+                         ids=["two", "negative", "float", "bool"])
+def test_a_start_array_holds_state_indices(start):
+    with pytest.raises(InvalidParameter, match="a start must be a CausalState or state indices 0 and 1"):
+        future_distribution(OTHER, start, 2)

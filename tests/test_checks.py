@@ -5,14 +5,16 @@ time, and check that the batch validation reaches every grid element.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qcoin import checks, circuit
+from qcoin import checks, circuit, markov, quantum
 from qcoin.checks import probability_grid, run_oracle_checks
 from qcoin.cli import MIN_GRID_STEP
 from qcoin.circuit import (
+    PhotonState,
     apply_block,
     arrival_time_distribution,
     block_norm_accounting,
@@ -24,20 +26,18 @@ from qcoin.constants import ALLOCATION_BUDGET_BYTES
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
     CausalState,
+    OutcomeDistribution,
     PerturbedCoin,
+    StationaryWeights,
     WeightMethod,
-    _require_distribution,
-    _require_weights,
     classical_complexity,
     future_distribution,
     stationary_weights,
 )
 from qcoin.quantum import (
+    DensityMatrix2,
+    IdealOutputState,
     ProcessSpec,
-    _entropy,
-    _overlap,
-    _require_density,
-    _require_normalized,
     bhattacharyya_futures,
     causal_pair,
     ideal_output_state,
@@ -102,7 +102,7 @@ def identity_draws(draws, seed):
         start_a, start_b = STARTS[u_a >= 0.5], STARTS[u_b >= 0.5]
         steps = 1 + math.floor(3.0 * u_steps)
         proc_a, proc_b = ProcessSpec(PerturbedCoin(la, ma)), ProcessSpec(PerturbedCoin(lb, mb))
-        bin_sum = _overlap(future_distribution(proc_a.coin, start_a, steps).bins,
+        bin_sum = checks._overlap(future_distribution(proc_a.coin, start_a, steps).bins,
                            future_distribution(proc_b.coin, start_b, steps).bins,
                            causal_pair(proc_a.coin), causal_pair(proc_b.coin))
         at = {"draw": i, "steps": steps,
@@ -216,9 +216,10 @@ def test_canary_is_located_at_the_first_grid_point(step_counts):
     assert result.worst_at == {"l": 0.0, "m": 0.0, "start": "S0", "steps": step_counts[0]}
 
 
-@pytest.mark.parametrize("step_counts", [(13,), (2, 13), (0,)])
+@pytest.mark.parametrize("step_counts", [(13,), (2, 13), (0,), ()])
 def test_step_counts_outside_the_circuit_bound_raise(step_counts):
-    with pytest.raises(StepCountTooLarge):
+    error = StepCountTooLarge if step_counts else InvalidParameter
+    with pytest.raises(error, match="steps must be in 1..12" if step_counts else "step_counts must name"):
         run_oracle_checks(grid_step=0.5, step_counts=step_counts, identity_draws=1)
 
 
@@ -239,9 +240,12 @@ def test_seed_and_identity_draws_must_be_integers_in_range(draws, seed, message)
 
 
 def test_grid_outside_the_unit_square_is_rejected():
-    # a 0.35 grid has a tick at 1.05, a 0.3 grid stops at 0.9
-    for grid_step in (0.35, 0.3):
-        with pytest.raises(InvalidParameter, match=f"grid_step {grid_step} does not divide 1"):
+    # a 0.35 grid has a tick at 1.05, a 0.3 grid stops at 0.9; a step of 0, below 0 or NaN makes no grid
+    for grid_step, message in ((0.35, "grid_step 0.35 does not divide 1"), (0.3, "grid_step 0.3 does not divide 1"),
+                               (0.0, r"grid_step must be in \(0, 1\], got 0.0"),
+                               (-0.5, r"grid_step must be in \(0, 1\], got -0.5"),
+                               (math.nan, r"grid_step must be in \(0, 1\], got nan")):
+        with pytest.raises(InvalidParameter, match=message):
             run_oracle_checks(grid_step=grid_step, step_counts=(1,), identity_draws=1)
 
 
@@ -275,22 +279,35 @@ def _last_bad(good, bad):
 
 
 @pytest.mark.parametrize("check, batch, error", [
-    (_require_distribution, _last_bad([0.5, 0.5], [0.6, 0.6]), InvalidParameter),
-    (_require_distribution, _last_bad([0.5, 0.5], [1.5, -0.5]), InvalidParameter),
-    (lambda x: _require_normalized(x, "photon state"),
-     _last_bad(np.eye(2) / np.sqrt(2), np.eye(2)), InvalidParameter),
-    (_require_density, _last_bad(np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]), InvalidParameter),
-    (_require_density, _last_bad(np.eye(2) / 2, np.eye(2)), InvalidParameter),
-    (_require_density, _last_bad(np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]]), InvalidParameter),
-    (_entropy, _last_bad(np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]]), NonPhysicalState),
-    (lambda x: _require_weights(x[:, 0], x[:, 1]), _last_bad([0.5, 0.5], [0.7, 0.7]), InvalidParameter),
-    (lambda x: _require_weights(x[:, 0], x[:, 1]), _last_bad([0.5, 0.5], [1.5, -0.5]), InvalidParameter),
+    (lambda x: OutcomeDistribution(1, x), _last_bad([0.5, 0.5], [0.6, 0.6]), InvalidParameter),
+    (lambda x: OutcomeDistribution(1, x), _last_bad([0.5, 0.5], [1.5, -0.5]), InvalidParameter),
+    (lambda x: PhotonState(1, x, 0.5), _last_bad(np.eye(2) / np.sqrt(2), np.eye(2)), InvalidParameter),
+    (DensityMatrix2, _last_bad(np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]), InvalidParameter),
+    (DensityMatrix2, _last_bad(np.eye(2) / 2, np.eye(2)), InvalidParameter),
+    (DensityMatrix2, _last_bad(np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]]), InvalidParameter),
+    # a DensityMatrix2 refuses what the entropy's looser floor catches, so a stand-in carries the matrix
+    (lambda x: von_neumann_entropy(SimpleNamespace(matrix=x)), _last_bad(np.eye(2) / 2, [[1.5, 0.0], [0.0, -0.5]]),
+     NonPhysicalState),
+    (lambda x: StationaryWeights(x[:, 0], x[:, 1]), _last_bad([0.5, 0.5], [0.7, 0.7]), InvalidParameter),
+    (lambda x: StationaryWeights(x[:, 0], x[:, 1]), _last_bad([0.5, 0.5], [1.5, -0.5]), InvalidParameter),
 ], ids=["sum", "range", "norm", "hermitian", "trace", "psd", "entropy-floor", "weights-sum",
         "weights-sign"])
 def test_batch_validators_check_every_element(check, batch, error):
     check(np.asarray(batch)[:2])
     with pytest.raises(error):
         check(np.asarray(batch))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StationaryWeights(math.nan, math.nan),
+    lambda: DensityMatrix2(np.full((2, 2), math.nan)),
+    lambda: PhotonState(1, np.full((2, 2), math.nan), 0.5),
+    lambda: IdealOutputState(1, np.full((2, 2), math.nan)),
+], ids=["StationaryWeights", "DensityMatrix2", "PhotonState", "IdealOutputState"])
+def test_validators_refuse_nan(make):
+    # each check accepts its range, so NaN fails it
+    with pytest.raises(InvalidParameter):
+        make()
 
 
 def _spoil_last(result, change):
@@ -300,37 +317,41 @@ def _spoil_last(result, change):
     return result
 
 
+# Each entry replaces a kernel or a result constructor that a public function looks up in its module,
+# so the spoiled last grid element reaches the validator through the suite's own calls.
 @pytest.mark.parametrize("module, name, spoil, message", [
-    (circuit, "_block", lambda out: _spoil_last(out, lambda x: x + 1e-3),
+    (circuit, "_block", lambda block: lambda *args: _spoil_last(block(*args), lambda x: x + 1e-3),
      "photon state is not normalized"),
-    (checks, "_superposition", lambda out: _spoil_last(out, lambda x: x + 1e-3),
+    (quantum, "causal_pair", lambda pair: lambda *args: _spoil_last(pair(*args), lambda x: x + 1e-3),
      "output state is not normalized"),
-    (checks, "_bin_probabilities", lambda out: _spoil_last(out, lambda x: x * 0.999),
+    (circuit, "OutcomeDistribution", lambda cls: lambda steps, bins: cls(steps, _spoil_last(bins, lambda x: x * 0.999)),
      "probabilities sum to"),
-    (checks, "_stationary", lambda out: (out[0], _spoil_last(out[1], lambda x: x + 0.01)),
+    (markov, "StationaryWeights", lambda cls: lambda s0, s1: cls(s0, _spoil_last(s1, lambda x: x + 0.01)),
      "weights must sum to 1"),
-    (checks, "_mixture", lambda out: _spoil_last(out, lambda x: x + [[0.0, 0.01], [0.0, 0.0]]),
+    (quantum, "DensityMatrix2", lambda cls: lambda m: cls(_spoil_last(m, lambda x: x + [[0.0, 0.01], [0.0, 0.0]])),
      "not symmetric"),
 ], ids=["photon-norm", "ideal-norm", "arrival-sum", "weights", "hermitian"])
 def test_suite_checks_reach_the_last_grid_element(monkeypatch, module, name, spoil, message):
-    kernel = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: spoil(kernel(*args)))
+    monkeypatch.setattr(module, name, spoil(getattr(module, name)))
     with pytest.raises(InvalidParameter, match=message):
         run_oracle_checks(grid_step=0.5, step_counts=(1, 2), identity_draws=1)
 
 
-@pytest.mark.parametrize("name", ["_superposition", "_bin_probabilities"])
-def test_deviation_in_the_last_bin_of_the_last_coin_is_found(monkeypatch, name):
+def _planted(out):
+    """`out` with 1e-10 taken off its last coin, start S1, last bin (and polarization V)."""
+    out = np.array(out)
+    out[(-1,) * out.ndim] -= 1e-10
+    return out
+
+
+@pytest.mark.parametrize("name, plant", [
+    ("ideal_output_state", lambda state: IdealOutputState(state.steps, _planted(state.amplitudes))),
+    ("arrival_time_distribution", lambda out: (OutcomeDistribution(out[0].steps, _planted(out[0].bins)), out[1])),
+], ids=["ideal_output_state", "arrival_time_distribution"])
+def test_deviation_in_the_last_bin_of_the_last_coin_is_found(monkeypatch, name, plant):
     # small enough for the norm and probability-sum checks to let it through
-    size = 1e-10
-    kernel = getattr(checks, name)
-
-    def planted(*args):
-        out = np.array(kernel(*args))
-        out[(-1,) * out.ndim] -= size  # last coin, start S1, last bin (and polarization V)
-        return out
-
-    monkeypatch.setattr(checks, name, planted)
+    public = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda *args: plant(public(*args)))
     result = run_oracle_checks(grid_step=0.5, step_counts=(2, 1), identity_draws=1)[0]
-    assert result.max_abs_deviation == pytest.approx(size, rel=1e-5)
+    assert result.max_abs_deviation == pytest.approx(1e-10, rel=1e-5)
     assert result.worst_at == {"l": 1.0, "m": 1.0, "start": "S1", "steps": 2}

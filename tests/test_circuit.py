@@ -9,7 +9,6 @@ from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
 from qcoin.errors import DimensionMismatch, EmptyBin, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
-    _run,
     apply_block,
     arrival_time_distribution,
     block_gate_unitary,
@@ -359,9 +358,8 @@ class TestPhotonStateContracts:
         assert np.array_equal(edge, amps.T)
 
     def test_kernel_output_is_stored_without_a_copy(self):
-        pair = causal_pair(PerturbedCoin(0.4, 0.7))
-        amps, success = _run(pair, pair[S1.index], 5)
-        assert PhotonState(5, amps, success).amplitudes is amps
+        amps = run_circuit(PerturbedCoin(0.4, 0.7), S1, 5).amplitudes
+        assert PhotonState(5, amps, 0.5**5).amplitudes is amps
         assert IdealOutputState(5, amps).amplitudes is amps
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcoin.checks import probability_grid
-from qcoin.circuit import _run
+from qcoin.circuit import run_circuit
 from qcoin.cli import (
     COMMANDS,
     EXIT_CHECK,
@@ -29,7 +29,7 @@ from qcoin.constants import ALLOCATION_BUDGET_BYTES, TOL
 from qcoin.encoding import index_to_bits
 from qcoin.errors import ConfigError, FitDidNotConverge
 from qcoin.markov import CausalState, PerturbedCoin, WeightMethod, future_distribution
-from qcoin.quantum import _superposition, causal_pair
+from qcoin.quantum import ideal_output_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -677,9 +677,8 @@ def _edge(amps):
 
 
 def _edge_circuit(coin, start, steps):
-    pair = causal_pair(coin)
-    amps, success = _run(pair, pair[start.index], steps)
-    return _edge(amps), success
+    state = run_circuit(coin, start, steps)
+    return _edge(state.amplitudes), state.success_probability
 
 
 def _edge_visibility(a, b):
@@ -689,7 +688,7 @@ def _edge_visibility(a, b):
 
 def _edge_states(coin, start, steps):
     circuit, success = _edge_circuit(coin, start, steps)
-    ideal = _edge(_superposition(future_distribution(coin, start, steps).bins, causal_pair(coin)))
+    ideal = _edge(ideal_output_state(coin, start, steps).amplitudes)
     return {
         "circuit": {"steps": steps, "success_probability": success, "bins": {
             str(b): {"H": [row[0].real, row[0].imag], "V": [row[1].real, row[1].imag]}

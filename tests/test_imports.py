@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there (no linter needed: the stdlib `ast`)."""
+"""Every name a module of the package imports is used there, and no module imports another's private names
+(no linter needed: the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,21 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from .errors import InvalidParameter, StepCountTooLarge\nraise InvalidParameter('x')\n")
     assert unused_imports(tree) == ["line 1: StepCountTooLarge"]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """`from .module import _name` lines: a module reaching past another's public names."""
+    return [f"line {node.lineno}: {node.module}.{a.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_no_private_name_of_another(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_private_import_is_found():
+    tree = ast.parse("from . import __version__\nfrom .markov import PerturbedCoin, _plogp\n"
+                     "from .quantum import (norm_sq,\n    _eigenvalues_2x2)\n")
+    assert private_imports(tree) == ["line 2: markov._plogp", "line 3: quantum._eigenvalues_2x2"]

@@ -1,11 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcoin import quantum
+from qcoin.checks import _overlap
 from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
@@ -22,7 +24,6 @@ from qcoin.markov import (
 from qcoin.quantum import (
     DensityMatrix2,
     ProcessSpec,
-    _overlap,
     bhattacharyya_futures,
     causal_pair,
     ideal_output_state,
@@ -199,9 +200,9 @@ class TestVonNeumannEntropy:
                 assert c_mu - c_q > 1e-9
 
     def test_nonphysical_state_raises(self):
-        # a DensityMatrix2 refuses such a matrix, so the entropy kernel's own floor is tested directly
+        # a DensityMatrix2 refuses such a matrix, so a stand-in carries it to the entropy's own floor
         with pytest.raises(NonPhysicalState):
-            quantum._entropy(np.array([[1.5, 0.0], [0.0, -0.5]]))
+            von_neumann_entropy(SimpleNamespace(matrix=np.array([[1.5, 0.0], [0.0, -0.5]])))
 
     def test_near_degenerate_eigenvalues_clamped(self):
         # eigenvalues exactly (0.5, 0.5); discriminant may round slightly negative
@@ -211,20 +212,20 @@ class TestVonNeumannEntropy:
 
 
 class TestNormSq:
-    """`_norm_sq` reads one state with np.vdot and a batch with np.vecdot; the two agree bit for bit,
+    """`norm_sq` reads one state with np.vdot and a batch with np.vecdot; the two agree bit for bit,
     so a state's norm does not depend on whether it was checked alone or in a batch."""
 
     @staticmethod
     def _agree(batch, axes):
-        alone = [quantum._norm_sq(state, axes) for state in batch]
+        alone = [quantum.norm_sq(state, axes) for state in batch]
         assert all(type(x) is float for x in alone)
-        assert np.array_equal(quantum._norm_sq(batch, axes), alone)
+        assert np.array_equal(quantum.norm_sq(batch, axes), alone)
 
     @pytest.mark.parametrize("steps", range(MAX_SUPERPOSITION_STEPS + 1))
     def test_states_alone_and_in_a_batch(self, steps):
         pairs = causal_pair(PerturbedCoin(np.array([0.0, 0.4, 0.97]), np.array([0.5, 0.7, 1.0])))
-        bins = future_distribution(PerturbedCoin(0.4, 0.7), S1, steps).bins if steps else np.ones(1)
-        states = pairs.reshape(-1, 2, 1) if steps == 0 else quantum._superposition(bins, pairs)
+        coins = PerturbedCoin(np.array([0.0, 0.4, 0.97]), np.array([0.5, 0.7, 1.0]))
+        states = pairs.reshape(-1, 2, 1) if steps == 0 else ideal_output_state(coins, S1, steps).amplitudes
         self._agree(states, 2)
         self._agree(pairs.reshape(-1, 2), 1)
 
