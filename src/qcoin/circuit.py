@@ -34,8 +34,8 @@ import numpy as np
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index
 from .errors import DimensionMismatch, EmptyBin, InvalidParameter
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, require_one_coin,
-                     require_steps, start_rows)
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts,
+                     require_one_coin, require_steps, start_rows)
 from .quantum import DensityMatrix2, causal_pair, norm_sq, require_one_state, state_amplitudes
 
 
@@ -122,8 +122,9 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     if steps < 1:
         raise InvalidParameter("the photon has not passed any block yet")
     amps = state.amplitudes
+    probs = amps[..., 0, :] ** 2 + amps[..., 1, :] ** 2
     # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
-    return OutcomeDistribution(steps, (amps * amps).sum(axis=-2)), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
+    return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
@@ -158,8 +159,7 @@ def reconstruct_memory_density(
     and zero-weight starts are left out; every conditional state used is
     checked as a density matrix.  Terms are added start by start, bin by bin.
     """
-    # both starts on an axis in front of the coin's
-    state = run_circuit(coin, np.arange(2).reshape((2,) + (1,) * np.ndim(coin.stay_heads)), steps)
+    state = run_circuit(coin, both_starts(coin), steps)
     probs = arrival_time_distribution(state)[0].bins  # (start, ..., bin)
     starts = np.stack([weights.s0, weights.s1])
     used = (probs > TOL.empty_bin) & (starts[..., None] != 0.0)

@@ -23,7 +23,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -95,30 +94,22 @@ class PerturbedCoin:
     def __post_init__(self) -> None:
         for name, p in (("stay_heads", self.stay_heads), ("stay_tails", self.stay_tails)):
             inside = (p >= 0.0) & (p <= 1.0)
-            if not all_set(inside):
-                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {first_failing(p, inside)}")
-
-    @cached_property
-    def _transition(self) -> np.ndarray:
-        heads, tails = self.stay_heads, self.stay_tails
-        t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
-        t = t if t.ndim == 2 else np.moveaxis(t, (0, 1), (-2, -1))
-        t.flags.writeable = False
-        return t
+            if not _all_set(inside):
+                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {_first_failing(p, inside)}")
 
 
-def all_set(flags) -> bool:
+def _all_set(flags) -> bool:
     """Whether every flag is set; a plain truth test for one value (cheaper than numpy's `.all()`).
     The validators test the accepting range, so NaN fails them."""
     return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
-def first_failing(values, ok):
+def _first_failing(values, ok):
     """The first of `values` (one value or an array) where `ok` is not set, as a Python number."""
     return np.asarray(values)[np.logical_not(ok)].flat[0].item()
 
 
-def float_or_array(value):
+def _float_or_array(value):
     """A float for one coin, the array for a grid: the one return type of a float-valued function."""
     return float(value) if np.ndim(value) == 0 else value
 
@@ -130,9 +121,10 @@ def require_one_coin(coin: PerturbedCoin, what: str) -> None:
 
 
 def transition_matrix(coin: PerturbedCoin) -> np.ndarray:
-    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins.
-    Read-only, and built once per coin: each function of a grid coin reads it."""
-    return coin._transition
+    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins."""
+    heads, tails = coin.stay_heads, coin.stay_tails
+    t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
+    return t if t.ndim == 2 else t.transpose(*range(2, t.ndim), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -146,12 +138,12 @@ class StationaryWeights:
     s1: float
 
     def __post_init__(self) -> None:
-        if not all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
+        if not _all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
             raise InvalidParameter("stationary weights must be nonnegative")
         total = self.s0 + self.s1
         near = abs(total - 1.0) <= TOL.exact
-        if not all_set(near):
-            raise InvalidParameter(f"stationary weights must sum to 1, got {first_failing(total, near)!r}")
+        if not _all_set(near):
+            raise InvalidParameter(f"stationary weights must sum to 1, got {_first_failing(total, near)!r}")
 
 
 def stationary_weights(
@@ -172,21 +164,20 @@ def stationary_weights(
     if method is WeightMethod.EXACT_STATIONARY:
         leave_heads, leave_tails = 1.0 - coin.stay_heads, 1.0 - coin.stay_tails
     else:
-        # 3 steps from S0 and S1, on a start axis in front of the coin's axes
-        bins = future_distribution(coin, np.arange(2).reshape((2,) + (1,) * np.ndim(coin.stay_heads)), 3).bins
+        bins = future_distribution(coin, both_starts(coin), 3).bins
         # added one by one in string order, where the last outcome alternates 0, 1, 0, 1, ...
         in_order = lexicographic_bins(3)
         leave_heads = sum(bins[0, ..., b] for b in in_order[1::2])
         leave_tails = sum(bins[1, ..., b] for b in in_order[0::2])
     denom = leave_heads + leave_tails
-    if not all_set(denom != 0.0):
+    if not _all_set(denom != 0.0):
         raise ReducibleChain(REDUCIBLE_CHAIN)
-    return StationaryWeights(float_or_array(leave_tails / denom), float_or_array(leave_heads / denom))
+    return StationaryWeights(_float_or_array(leave_tails / denom), _float_or_array(leave_heads / denom))
 
 
 def classical_complexity(weights: StationaryWeights) -> float:
     """Shannon entropy (bits) of the stationary causal-state weights."""
-    return float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
+    return _float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
 
 
 def entropy_bits(*probs):
@@ -248,10 +239,10 @@ class OutcomeDistribution:
         if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
             b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
             raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
-        total = np.einsum("...i->...", p)  # faster than sum() on short rows; a check, so its rounding is free
+        total = np.einsum("...i->...", p)  # a check, so its rounding is free
         near = abs(total - 1.0) <= TOL.prob_sum
-        if not all_set(near):
-            raise InvalidParameter(f"probabilities sum to {first_failing(total, near)!r}, not 1")
+        if not _all_set(near):
+            raise InvalidParameter(f"probabilities sum to {_first_failing(total, near)!r}, not 1")
 
     @property
     def probabilities(self) -> dict[str, float]:
@@ -273,6 +264,11 @@ def start_rows(matrix: np.ndarray, start) -> np.ndarray:
     return np.where(index[..., None] == 1, matrix[..., 1, :], matrix[..., 0, :])
 
 
+def both_starts(coin: PerturbedCoin) -> np.ndarray:
+    """The start indices 0 and 1 on an axis in front of the coin's axes: both starts of every coin."""
+    return np.arange(2).reshape((2,) + (1,) * np.ndim(coin.stay_heads))
+
+
 def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> OutcomeDistribution:
     """Exact distribution over all 2**steps outcome strings, by the doubling
     recurrence.  Factors multiply in the order of `trajectory_probability`,
@@ -282,13 +278,13 @@ def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> 
     t = transition_matrix(coin)
     p = start_rows(t, start)
     lead = p.shape[:-1]
-    # The bins run down the first axis and the flattened batch along the last, so each multiply
-    # runs over whole rows of the batch.  factors[x, y, 0, :] = T[y, x]: the factor of the next
-    # outcome x after the last outcome y, which is the half of the bins that q is cut into.
-    factors = np.ascontiguousarray(np.broadcast_to(t, lead + (2, 2)).reshape(-1, 2, 2).transpose(2, 1, 0))[:, :, None]
+    # The bins run down the first axis and the flattened batch along the last, contiguous, so each
+    # multiply runs over whole rows of the batch.  factors[x, y, 0, :] = T[y, x]: the factor of the
+    # next outcome x after the last outcome y, which is the half of the bins that q is cut into.
+    factors = np.broadcast_to(t, lead + (2, 2)).reshape(-1, 2, 2).T.copy()[:, :, None]
     q = p.reshape(-1, 2).T
     for _ in range(steps - 1):
-        q = (factors * q.reshape(1, 2, -1, q.shape[-1])).reshape(-1, q.shape[-1])
+        q = (factors * q.reshape(2, -1, q.shape[-1])).reshape(-1, q.shape[-1])
     return OutcomeDistribution(steps, q.T.reshape(lead + (-1,)))
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
 from .errors import InvalidParameter, NonPhysicalState
-from .markov import (CausalState, PerturbedCoin, StationaryWeights, all_set, entropy_bits, first_failing,
-                     float_or_array, future_distribution, require_steps, start_rows, transition_matrix)
+from .markov import (CausalState, PerturbedCoin, StationaryWeights, entropy_bits, future_distribution, require_steps,
+                     start_rows, transition_matrix)
 
 
 def _real_array(value, what: str, shape: tuple) -> np.ndarray:
@@ -48,8 +48,9 @@ def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm
     """Unit squared norm within `tol` over the last `axes` axes of every state."""
     squared = norm_sq(amps, axes)
     near = abs(squared - 1.0) <= tol
-    if not all_set(near):
-        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {first_failing(squared, near)!r}")
+    if not np.all(near):
+        first = np.asarray(squared)[np.logical_not(near)].flat[0].item()
+        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {first!r}")
 
 
 def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
@@ -87,13 +88,13 @@ class DensityMatrix2:
         m = np.array(_real_array(self.matrix, "density matrix", (2, 2)), dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if not all_set(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact):
+        if not np.all(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact):
             raise InvalidParameter("matrix is not symmetric")
         trace = m[..., 0, 0] + m[..., 1, 1]
         near = abs(trace - 1.0) <= TOL.exact
-        if not all_set(near):
-            raise InvalidParameter(f"trace must be 1, got {first_failing(trace, near)!r}")
-        if not all_set(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
+        if not np.all(near):
+            raise InvalidParameter(f"trace must be 1, got {np.asarray(trace)[np.logical_not(near)].flat[0].item()!r}")
+        if not np.all(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
             raise InvalidParameter("matrix is not positive semidefinite")
 
     def to_json_dict(self) -> dict:
@@ -118,9 +119,10 @@ def von_neumann_entropy(rho: DensityMatrix2) -> float:
     negative (TOL.entropy_floor).
     """
     low, high = _eigenvalues_2x2(rho.matrix)
-    if not all_set(low >= TOL.entropy_floor):
+    if not np.all(low >= TOL.entropy_floor):
         raise NonPhysicalState(f"eigenvalue {np.min(low)!r} is negative beyond tolerance")
-    return float_or_array(entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0)))
+    h = entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0))
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:
@@ -195,7 +197,8 @@ def output_overlap(
     power = np.linalg.matrix_power(np.sqrt(ta * tb), steps - 1)
     u = np.sqrt(start_rows(ta, start_a) * start_rows(tb, start_b))
     row = u[..., 0, None] * power[..., 0, :] + u[..., 1, None] * power[..., 1, :]
-    return float_or_array(row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1])
+    overlap = row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1]
+    return float(overlap) if np.ndim(overlap) == 0 else overlap
 
 
 def bhattacharyya_futures(
@@ -214,4 +217,5 @@ def bhattacharyya_futures(
     """
     bins_a = future_distribution(proc_a.coin, start_a, steps).bins
     bins_b = future_distribution(proc_b.coin, start_b, steps).bins
-    return float_or_array(np.sqrt(bins_a * bins_b).sum(axis=-1))
+    coefficient = np.sqrt(bins_a * bins_b).sum(axis=-1)
+    return float(coefficient) if np.ndim(coefficient) == 0 else coefficient
