@@ -12,8 +12,8 @@ enumerating oracle of `quantum.output_overlap` and lives here.
 The suites are array passes over the whole (l, m) grid through the public
 functions, which take a grid coin and start-index arrays; their result
 dataclasses validate every batch element.  The grid is cut into chunks of
-at most `CHUNK_AMPLITUDES` amplitudes, and each result names the inputs of
-its worst deviation.
+at most `CHUNK_AMPLITUDES` amplitudes, each route runs once per chunk, and
+each result names the inputs of its worst deviation.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .circuit import (apply_block, arrival_time_distribution, block_norm_account
                       reconstruct_memory_density)
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter
-from .markov import (PerturbedCoin, WeightMethod, classical_complexity, future_distribution, require_count,
-                     require_steps, stationary_weights)
-from .quantum import (ProcessSpec, bhattacharyya_futures, causal_pair, ideal_output_state, memory_density,
-                      output_overlap, von_neumann_entropy)
+from .markov import (PerturbedCoin, StationaryWeights, WeightMethod, classical_complexity, future_distribution,
+                     require_count, require_steps, stationary_weights)
+from .quantum import (DensityMatrix2, ProcessSpec, bhattacharyya_futures, causal_pair, ideal_output_state,
+                      memory_density, output_overlap, von_neumann_entropy)
 
 # Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
@@ -122,46 +122,41 @@ def _grid_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: b
 
 
 def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: bool) -> tuple:
-    """The circuit after 1, 2, ... blocks up to max(step_counts), one block at a
-    time: against the superposition and the enumeration, axes (coin, start,
-    entry of `step_counts`), and the post-selection account, axes (coin,
-    start, block).
-    """
+    """The circuit after 1, 2, ... blocks up to max(step_counts), one block product at a time: against the
+    superposition and the bins of its one recurrence, axes (coin, start, entry of `step_counts`), and the
+    post-selection account of each block's output, axes (coin, start, block)."""
     coins = PerturbedCoin(grid[:, 0, None], grid[:, 1, None])  # (coin, 1): the starts broadcast against it
     starts = np.arange(2)
     state = prepare_input(coins, starts)
     matched, accounting = {}, []
     for steps in range(1, max(step_counts) + 1):
-        retained, discarded = block_norm_accounting(state, coins)
-        dev = np.abs(retained + discarded - 1.0)
         state = apply_block(state, coins)
+        retained, discarded = block_norm_accounting(state)
+        dev = np.abs(retained + discarded - 1.0)
         if steps in step_counts:
             dev = np.maximum(dev, abs(state.success_probability - 0.5**steps))
-            bins = future_distribution(coins, starts, steps).bins
-            ideal = ideal_output_state(coins, starts, steps).amplitudes
+            ideal = ideal_output_state(coins, starts, steps)
             arrival = arrival_time_distribution(state)[0].bins
             circuit = state.amplitudes
             if inject_fault and steps == step_counts[0]:
                 circuit = circuit.copy()
                 circuit[0, 0, 0, 0] += 1e-6
-            matched[steps] = np.maximum(np.abs(circuit - ideal).max(axis=(-2, -1)),
-                                        np.abs(arrival - bins).max(axis=-1))
+            matched[steps] = np.maximum(np.abs(circuit - ideal.amplitudes).max(axis=(-2, -1)),
+                                        np.abs(arrival - ideal.distribution.bins).max(axis=-1))
         accounting.append(dev)
     return np.stack([matched[k] for k in step_counts], axis=-1), np.stack(accounting, axis=-1)
 
 
 def _weight_suites(coins: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
-    """Per coin: the worst reconstruction deviation over both weight methods,
-    and C_q - C_mu at the exact stationary weights.
-    """
-    reconstruction = complexity = -np.inf
-    for method in (WeightMethod.EXACT_STATIONARY, WeightMethod.THREE_STEP_MARGINAL):
-        weights = stationary_weights(coins, method)
-        rebuilt = reconstruct_memory_density(coins, weights, RECONSTRUCTION_STEPS)
-        direct = memory_density(coins, weights)
-        reconstruction = np.maximum(reconstruction, np.abs(rebuilt.matrix - direct.matrix).max(axis=(-2, -1)))
-        if method is WeightMethod.EXACT_STATIONARY:
-            complexity = von_neumann_entropy(direct) - classical_complexity(weights)
+    """Per coin: the worst reconstruction deviation over both weight methods, from one reconstruction and
+    one direct mixture of (method, coin) weights, and C_q - C_mu at the exact stationary weights."""
+    exact, marginal = (stationary_weights(coins, method) for method in WeightMethod)
+    weights = StationaryWeights(np.stack([exact.s0, marginal.s0]), np.stack([exact.s1, marginal.s1]))
+    row = PerturbedCoin(coins.stay_heads[None], coins.stay_tails[None])  # (1, coin): the methods broadcast against it
+    rebuilt = reconstruct_memory_density(row, weights, RECONSTRUCTION_STEPS)
+    direct = memory_density(row, weights)
+    reconstruction = np.abs(rebuilt.matrix - direct.matrix).max(axis=(0, -2, -1))
+    complexity = von_neumann_entropy(DensityMatrix2(direct.matrix[0])) - classical_complexity(exact)
     return reconstruction, complexity
 
 

@@ -13,8 +13,8 @@ state and whose arrival time carries the outcomes so far:
 Because the two paths land in disjoint time bins they cannot interfere at
 the recombiner, so the selected arm keeps exactly half of the norm whatever
 the input; the 1/sqrt(2) post-selection factor and the renormalization of
-the kept state cancel.  `block_norm_accounting` tracks both arms explicitly
-to verify that bookkeeping.  All blocks of a run share one coin, so
+the kept state cancel.  `block_norm_accounting` rebuilds both arms from a
+block's output to verify that bookkeeping.  All blocks of a run share one coin, so
 `run_circuit` validates the causal states once per run and builds one
 `PhotonState`, which checks the norm, at the end.  As in `markov`, each
 function takes a grid coin and start-index arrays (leading batch axes), and
@@ -92,14 +92,14 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)), state.success_probability * 0.5)
 
 
-def block_norm_accounting(state: PhotonState, coin: PerturbedCoin) -> tuple[float, float]:
-    """Squared norm reaching each recombiner arm, before post-selection.
-
-    Returns (retained, discarded); for a normalized input these sum to 1
-    and each equals 1/2 regardless of the coin and the input state.
-    """
-    n = state.amplitudes.shape[-1]
-    retained = _block(state.amplitudes, causal_pair(coin)) * (1.0 / math.sqrt(2.0))
+def block_norm_accounting(state: PhotonState) -> tuple[float, float]:
+    """Squared norm (retained, discarded) reaching each recombiner arm of the block that made `state`,
+    before post-selection: the block's output times 1/sqrt(2), and the same with the long path's (upper)
+    bins negated.  For a normalized input each is 1/2, whatever the coin and the input state."""
+    if state.steps_applied < 1:
+        raise InvalidParameter("the photon has not passed any block yet")
+    n = state.amplitudes.shape[-1] // 2
+    retained = state.amplitudes * (1.0 / math.sqrt(2.0))
     discarded = np.concatenate([retained[..., :n], -retained[..., n:]], axis=-1)
     return norm_sq(retained), norm_sq(discarded)
 
@@ -155,17 +155,19 @@ def reconstruct_memory_density(
 
     Runs the circuit from both causal states, weighs every outcome's
     conditional polarization state by its probability and the input weight;
-    matches the direct causal-state mixture.  Bins at or below TOL.empty_bin
-    and zero-weight starts are left out; every conditional state used is
-    checked as a density matrix.  Terms are added start by start, bin by bin.
+    matches the direct causal-state mixture.  The conditional state of every
+    bin above TOL.empty_bin is checked as a density matrix, whatever the
+    weights; the weights enter only the sum, added start by start, bin by
+    bin.  (method, coin) weights against a (1, coin) grid coin share one
+    circuit run and give each method its own bits.
     """
     state = run_circuit(coin, both_starts(coin), steps)
     probs = arrival_time_distribution(state)[0].bins  # (start, ..., bin)
-    starts = np.stack([weights.s0, weights.s1])
-    used = (probs > TOL.empty_bin) & (starts[..., None] != 0.0)
+    used = probs > TOL.empty_bin
     rows = state.amplitudes.mT / np.sqrt(np.where(used, probs, 1.0))[..., None]  # (start, ..., bin, polarization)
     states = rows[..., :, None] * rows[..., None, :]
     DensityMatrix2(states[used])
+    starts = np.stack([weights.s0, weights.s1])
     terms = np.where(used[..., None, None], (starts[..., None] * probs)[..., None, None] * states, 0.0)
     return DensityMatrix2(sum(np.moveaxis(terms, -3, 1).reshape((-1,) + terms.shape[1:-3] + (2, 2))))
 

@@ -424,7 +424,7 @@ def cmd_oracle_check(rec: dict) -> Output:
     return Output(
         {"oracle_report.json": {
             "all_passed": all_passed,
-            "checks": [asdict(r) for r in results],  # name, max_abs_deviation, tolerance, passed, worst_at
+            "checks": [vars(r) for r in results],  # the fields in order; asdict would deep-copy each worst_at
         }},
         summary="\n".join(f"{'pass' if r.passed else 'FAIL'}  {r.name}: max deviation "
                           f"{r.max_abs_deviation:.3e} (tol {r.tolerance:g})" for r in results),

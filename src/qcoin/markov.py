@@ -187,13 +187,14 @@ def entropy_bits(*probs):
     """
     h = 0.0
     for q in probs:
-        h = h - (_plogp(q) if isinstance(q, float)
-                 else np.array([_plogp(x) for x in q.ravel().tolist()]).reshape(q.shape))
+        if isinstance(q, float):
+            h = h - (q * math.log2(q) if q > 0.0 else 0.0)
+        else:
+            terms, kept = np.zeros(q.shape), q > 0.0
+            positive = q[kept]
+            terms[kept] = positive * np.fromiter(map(math.log2, positive.tolist()), float, positive.size)
+            h = h - terms
     return h
-
-
-def _plogp(p: float) -> float:
-    return p * math.log2(p) if p > 0.0 else 0.0
 
 
 def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import index_to_bits
 from .errors import InvalidParameter, NonPhysicalState
-from .markov import (CausalState, PerturbedCoin, StationaryWeights, entropy_bits, future_distribution, require_steps,
-                     start_rows, transition_matrix)
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, entropy_bits,
+                     future_distribution, require_steps, start_rows, transition_matrix)
 
 
 def _real_array(value, what: str, shape: tuple) -> np.ndarray:
@@ -34,19 +34,18 @@ def _real_array(value, what: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def norm_sq(amps: np.ndarray, axes: int = 2):
-    """Squared norms over the last `axes` axes: a float from np.vdot for one
+def norm_sq(amps: np.ndarray):
+    """Squared norms over the last two axes: a float from np.vdot for one
     state, np.vecdot over a batch (the two agree bit for bit).
     """
-    if amps.ndim == axes:
+    if amps.ndim == 2:
         return float(np.vdot(amps, amps))
-    flat = amps.reshape(amps.shape[:-axes] + (-1,)) if axes > 1 else amps
+    flat = amps.reshape(amps.shape[:-2] + (-1,))
     return np.vecdot(flat, flat)
 
 
-def _require_normalized(amps: np.ndarray, what: str, tol: float = TOL.state_norm, axes: int = 2) -> None:
-    """Unit squared norm within `tol` over the last `axes` axes of every state."""
-    squared = norm_sq(amps, axes)
+def _require_unit(squared, what: str, tol: float) -> None:
+    """Every squared norm in `squared` within `tol` of 1."""
     near = abs(squared - 1.0) <= tol
     if not np.all(near):
         first = np.asarray(squared)[np.logical_not(near)].flat[0].item()
@@ -58,7 +57,7 @@ def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
     float64, taken over without a copy when it is one.  Complex input is refused; every norm is checked."""
     amps = np.ascontiguousarray(_real_array(amplitudes, what, (2, 2**steps)), dtype=float)
     amps.flags.writeable = False
-    _require_normalized(amps, what)
+    _require_unit(norm_sq(amps), what, TOL.state_norm)
     return amps
 
 
@@ -73,7 +72,8 @@ def causal_pair(coin: PerturbedCoin) -> np.ndarray:
     |S1> = (sqrt(1 - m), sqrt(m)), (..., 2, 2) for a grid of coins: the square roots of the
     transition-matrix rows, norms checked at TOL.exact."""
     pair = np.sqrt(transition_matrix(coin))
-    _require_normalized(pair, "causal-state vector", TOL.exact, axes=1)
+    p0, p1 = pair[..., 0], pair[..., 1]
+    _require_unit(p0 * p0 + p1 * p1, "causal-state vector", TOL.exact)
     return pair
 
 
@@ -148,11 +148,12 @@ class IdealOutputState:
     `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps)) is the amplitude
     on memory basis index p and time bin b, polarization-major like `PhotonState`; the amplitude
     on a string factorizes as sqrt(p(string)) times the causal-state component of the final
-    outcome.
+    outcome.  `distribution` is the future distribution whose square roots the amplitudes carry.
     """
 
     steps: int
     amplitudes: np.ndarray
+    distribution: OutcomeDistribution
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state"))
@@ -170,10 +171,10 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     The lower half of the bins ends in outcome 0 (memory S0), the upper in 1.
     """
     require_steps(steps, MAX_SUPERPOSITION_STEPS)
-    bins = future_distribution(coin, start, steps).bins
-    roots = np.sqrt(bins).reshape(bins.shape[:-1] + (2, -1))
+    distribution = future_distribution(coin, start, steps)
+    roots = np.sqrt(distribution.bins).reshape(distribution.bins.shape[:-1] + (2, -1))
     amps = causal_pair(coin).mT[..., None] * roots[..., None, :, :]
-    return IdealOutputState(steps, amps.reshape(amps.shape[:-3] + (2, -1)))
+    return IdealOutputState(steps, amps.reshape(amps.shape[:-3] + (2, -1)), distribution)
 
 
 def output_overlap(

@@ -175,9 +175,9 @@ def test_criterion_6_post_selection_accounting():
         for start in (S0, S1):
             state = prepare_input(coin, start)
             for _ in range(3):
-                retained, discarded = block_norm_accounting(state, coin)
-                worst_norm = max(worst_norm, abs(retained + discarded - 1.0))
                 state = apply_block(state, coin)
+                retained, discarded = block_norm_accounting(state)
+                worst_norm = max(worst_norm, abs(retained + discarded - 1.0))
             assert abs(state.success_probability - 0.125) <= 1e-12
     assert worst_norm <= 1e-12
     _report(6, f"success probability is 1/8 after 3 blocks; both beam-splitter arms "

@@ -20,6 +20,7 @@ from qcoin.interference import visibility
 from qcoin.markov import (
     CausalState,
     PerturbedCoin,
+    StationaryWeights,
     WeightMethod,
     classical_complexity,
     future_distribution,
@@ -59,7 +60,7 @@ def same_bits(got, expected):
     lambda coin, start: prepare_input(coin, start).amplitudes,
     lambda coin, start: run_circuit(coin, start, 4).amplitudes,
     lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2))[0].bins,
-    lambda coin, start: np.stack(block_norm_accounting(run_circuit(coin, start, 2), coin), axis=-1),
+    lambda coin, start: np.stack(block_norm_accounting(run_circuit(coin, start, 2)), axis=-1),
     lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
 ], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
@@ -83,6 +84,20 @@ def test_each_weight_batch_element_has_the_bits_of_its_one_coin_call(call, metho
     batch = call(GRID, stationary_weights(GRID, method))
     for index, coin, _ in elements():
         assert same_bits(batch[index], call(coin, stationary_weights(coin, method)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda coin, w: memory_density(coin, w).matrix,
+    lambda coin, w: reconstruct_memory_density(coin, w, 3).matrix,
+], ids=["memory_density", "reconstruct_memory_density"])
+def test_a_method_by_coin_weight_batch_gives_each_method_its_own_bits(call):
+    # (method, coin) weights against a (1, coin) coin: one call serves both methods
+    coins = PerturbedCoin(HEADS.ravel(), TAILS.ravel())
+    per_method = [stationary_weights(coins, method) for method in WeightMethod]
+    weights = StationaryWeights(np.stack([w.s0 for w in per_method]), np.stack([w.s1 for w in per_method]))
+    batch = call(PerturbedCoin(HEADS.ravel()[None], TAILS.ravel()[None]), weights)
+    for row, method_weights in zip(batch, per_method):
+        assert same_bits(row, call(coins, method_weights))
 
 
 @pytest.mark.parametrize("call", [

@@ -5,6 +5,7 @@ time, and check that the batch validation reaches every grid element.
 
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,6 @@ from qcoin.markov import (
 )
 from qcoin.quantum import (
     DensityMatrix2,
-    IdealOutputState,
     ProcessSpec,
     bhattacharyya_futures,
     causal_pair,
@@ -148,9 +148,9 @@ def success_loop(grid, step_counts):
         for start in STARTS:
             state = prepare_input(coin, start)
             for steps in range(1, max(step_counts) + 1):
-                retained, discarded = block_norm_accounting(state, coin)
-                dev = abs(retained + discarded - 1.0)
                 state = apply_block(state, coin)
+                retained, discarded = block_norm_accounting(state)
+                dev = abs(retained + discarded - 1.0)
                 if steps in step_counts:
                     dev = max(dev, abs(state.success_probability - 0.5**steps))
                 worst.add(dev, grid_at(l, m, start.name, steps))
@@ -195,6 +195,41 @@ def test_bundled_preset_deviations_stay_at_their_ceilings():
     for r in results:
         assert r.max_abs_deviation <= PRESET_CEILINGS[r.name], r.name
         assert r.passed
+
+
+def _count_calls(monkeypatch, module, names, calls):
+    """Wrap each function in `names` in `module`'s namespace so that it adds its steps argument (or None)
+    to `calls[name]`."""
+    for name in names:
+        public = getattr(module, name)
+
+        def counted(*args, _name=name, _public=public):
+            calls[_name].append(args[2] if len(args) > 2 else None)
+            return _public(*args)
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_one_chunk_runs_each_route_once(monkeypatch):
+    calls = {name: [] for name in ("reconstruct_memory_density", "memory_density", "stationary_weights",
+                                   "apply_block", "block_norm_accounting", "ideal_output_state",
+                                   "arrival_time_distribution")}
+    _count_calls(monkeypatch, checks, calls, calls)
+    run_oracle_checks(grid_step=0.25, step_counts=(3, 1), identity_draws=3)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "reconstruct_memory_density": 1, "memory_density": 1, "stationary_weights": 2,  # one per weight method
+        "apply_block": 3, "block_norm_accounting": 3, "ideal_output_state": 2, "arrival_time_distribution": 2}
+    assert calls["ideal_output_state"] == [1, 3]
+
+
+def test_the_circuit_suite_makes_one_product_per_block_and_one_recurrence_per_step_count(monkeypatch):
+    calls = {"_block": [], "future_distribution": []}
+    _count_calls(monkeypatch, circuit, ["_block"], calls)
+    # ideal_output_state's recurrence, and any the suite would run itself
+    _count_calls(monkeypatch, quantum, ["future_distribution"], calls)
+    _count_calls(monkeypatch, checks, ["future_distribution"], calls)
+    checks._circuit_suites(probability_grid(0.25), (4, 2), inject_fault=False)
+    assert len(calls["_block"]) == 4
+    assert calls["future_distribution"] == [2, 4]
 
 
 def test_split_chunks_give_identical_results(monkeypatch):
@@ -302,7 +337,8 @@ def test_batch_validators_check_every_element(check, batch, error):
     lambda: StationaryWeights(math.nan, math.nan),
     lambda: DensityMatrix2(np.full((2, 2), math.nan)),
     lambda: PhotonState(1, np.full((2, 2), math.nan), 0.5),
-    lambda: IdealOutputState(1, np.full((2, 2), math.nan)),
+    lambda: replace(ideal_output_state(PerturbedCoin(0.5, 0.5), CausalState.S0, 1),
+                    amplitudes=np.full((2, 2), math.nan)),
 ], ids=["StationaryWeights", "DensityMatrix2", "PhotonState", "IdealOutputState"])
 def test_validators_refuse_nan(make):
     # each check accepts its range, so NaN fails it
@@ -345,7 +381,7 @@ def _planted(out):
 
 
 @pytest.mark.parametrize("name, plant", [
-    ("ideal_output_state", lambda state: IdealOutputState(state.steps, _planted(state.amplitudes))),
+    ("ideal_output_state", lambda state: replace(state, amplitudes=_planted(state.amplitudes))),
     ("arrival_time_distribution", lambda out: (OutcomeDistribution(out[0].steps, _planted(out[0].bins)), out[1])),
 ], ids=["ideal_output_state", "arrival_time_distribution"])
 def test_deviation_in_the_last_bin_of_the_last_coin_is_found(monkeypatch, name, plant):

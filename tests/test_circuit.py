@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from qcoin.circuit import (
     reconstruct_memory_density,
     run_circuit,
 )
+from qcoin import circuit
 from qcoin.markov import (
     CausalState,
+    OutcomeDistribution,
     PerturbedCoin,
     StationaryWeights,
     WeightMethod,
@@ -28,7 +31,7 @@ from qcoin.markov import (
     stationary_weights,
 )
 from qcoin.interference import _amplitudes
-from qcoin.quantum import IdealOutputState, causal_pair, ideal_output_state, memory_density, von_neumann_entropy
+from qcoin.quantum import causal_pair, ideal_output_state, memory_density, von_neumann_entropy
 
 S0, S1 = CausalState.S0, CausalState.S1
 
@@ -101,15 +104,15 @@ class TestNormAccounting:
             for start in (S0, S1):
                 state = prepare_input(coin, start)
                 for _ in range(4):
-                    retained, discarded = block_norm_accounting(state, coin)
+                    state = apply_block(state, coin)
+                    retained, discarded = block_norm_accounting(state)
                     assert abs(retained - 0.5) <= 1e-12
                     assert abs(discarded - 0.5) <= 1e-12
                     assert abs(retained + discarded - 1.0) <= 1e-12
-                    state = apply_block(state, coin)
 
     def test_arm_split_independent_of_block_coin(self):
         state = run_circuit(PerturbedCoin(0.3, 0.9), S1, 2)
-        retained, discarded = block_norm_accounting(state, PerturbedCoin(0.8, 0.1))
+        retained, discarded = block_norm_accounting(apply_block(state, PerturbedCoin(0.8, 0.1)))
         assert retained == pytest.approx(0.5, abs=1e-12)
         assert discarded == pytest.approx(0.5, abs=1e-12)
 
@@ -264,6 +267,24 @@ class TestConditionalPolarization:
 
 
 class TestReconstructMemoryDensity:
+    def test_a_nonphysical_conditional_state_raises_under_a_zero_weight(self, monkeypatch):
+        coin = PerturbedCoin(0.35, 1.0)  # tails stays tails, so S0 has stationary weight 0
+        weights = stationary_weights(coin)
+        assert weights.s0 == 0.0
+        reconstruct_memory_density(coin, weights, 2)
+        arrival = circuit.arrival_time_distribution
+
+        def reversed_s0_bins(state):
+            # still a distribution, but S0's bin 0 now claims 0.65 where its amplitudes carry 0.1225
+            dist, times = arrival(state)
+            bins = dist.bins.copy()
+            bins[S0.index] = bins[S0.index, ::-1]
+            return OutcomeDistribution(dist.steps, bins), times
+
+        monkeypatch.setattr(circuit, "arrival_time_distribution", reversed_s0_bins)
+        with pytest.raises(InvalidParameter, match=r"trace must be 1, got 0\.18846"):
+            reconstruct_memory_density(coin, weights, 2)
+
     def test_fair_coin_pure_memory(self):
         coin = PerturbedCoin(0.5, 0.5)
         rho = reconstruct_memory_density(coin, stationary_weights(coin), 3)
@@ -360,7 +381,7 @@ class TestPhotonStateContracts:
     def test_kernel_output_is_stored_without_a_copy(self):
         amps = run_circuit(PerturbedCoin(0.4, 0.7), S1, 5).amplitudes
         assert PhotonState(5, amps, 0.5**5).amplitudes is amps
-        assert IdealOutputState(5, amps).amplitudes is amps
+        assert replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 5), amplitudes=amps).amplitudes is amps
 
 
 def _complex_block(amps, pair):
@@ -377,7 +398,8 @@ def _with_imaginary(make, imag):
     return make(amps)
 
 
-STATE_BUILDERS = [lambda amps: PhotonState(2, amps, 0.25), lambda amps: IdealOutputState(2, amps)]
+STATE_BUILDERS = [lambda amps: PhotonState(2, amps, 0.25),
+                  lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S0, 2), amplitudes=amps)]
 
 
 class TestRealPhoton:

@@ -306,7 +306,21 @@ class TestCompareSweep:
         assert "series" in capsys.readouterr().err
 
 
+# SHA-256 of the bundled oracle preset's oracle_report.json at two identity seeds, recorded before
+# the suites ran each route once per grid chunk: same deviations, same worst_at, same bytes.
+PINNED_ORACLE_REPORT_SHA256 = {
+    7: "e489e6f757125d86723efe6780a35dcf019e052f3e7c28fbbd0be1f40e38d308",
+    11: "c9a8ca2c0eb4ae8e49303962da3ae24497d77fa0ad82d4aee50e0c46aea196af",
+}
+
+
 class TestOracleCheck:
+    @pytest.mark.parametrize("seed", sorted(PINNED_ORACLE_REPORT_SHA256))
+    def test_bundled_report_bytes_are_pinned(self, tmp_path, seed):
+        assert main(["oracle-check", "--seed", str(seed), "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "oracle_report.json").read_bytes()).hexdigest()
+        assert digest == PINNED_ORACLE_REPORT_SHA256[seed]
+
     def test_small_grid_passes(self, tmp_path):
         cfg = write_config(tmp_path, {
             "schema_version": 1,

@@ -17,7 +17,7 @@ from qcoin.interference import (
     visibility_sweep,
 )
 from qcoin.markov import CausalState, PerturbedCoin
-from qcoin.quantum import IdealOutputState, ProcessSpec, ideal_output_state, output_overlap
+from qcoin.quantum import ProcessSpec, ideal_output_state, output_overlap
 
 S0, S1 = CausalState.S0, CausalState.S1
 
@@ -115,7 +115,7 @@ class TestOverlapAndCoincidence:
         with pytest.raises(InvalidParameter, match="photon state is not normalized"):
             PhotonState(1, np.zeros((2, 2)), 0.5)
         with pytest.raises(InvalidParameter, match="output state is not normalized"):
-            IdealOutputState(1, np.zeros((2, 2)))
+            dataclasses.replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S0, 1), amplitudes=np.zeros((2, 2)))
 
     def test_excess_over_one_bound_is_the_state_norm_tolerance(self, monkeypatch):
         psi = run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)

@@ -20,6 +20,7 @@ from qcoin.markov import (
     classical_complexity,
     classical_fidelity,
     counts_to_distribution,
+    entropy_bits,
     future_distribution,
     sample_trajectories,
     stationary_weights,
@@ -188,6 +189,31 @@ class TestClassicalComplexity:
         for d, h in zip(values, entropies):
             if d != 0.5:
                 assert h < 1.0
+
+
+def _entropy_bits_per_element(*probs):
+    """`entropy_bits` as one Python p * log2(p) per element: the reference its array path matches bit for bit."""
+    h = np.zeros(probs[0].shape)
+    for q in probs:
+        h = h - np.array([x * math.log2(x) if x > 0.0 else 0.0 for x in q.ravel().tolist()]).reshape(q.shape)
+    return h
+
+
+class TestEntropyBits:
+    EDGES = np.array([0.0, 1.0, 1e-300, 5e-324, 0.5, -0.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arrays_have_the_bits_of_the_per_element_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        low = np.concatenate([self.EDGES, rng.random(434)]).reshape(2, 220)
+        for probs in ((low,), (low, 1.0 - low), (low, 1.0 - low, rng.random((2, 220)) ** 40)):
+            assert entropy_bits(*probs).tobytes() == _entropy_bits_per_element(*probs).tobytes()
+
+    def test_floats_have_the_bits_of_one_element_arrays(self):
+        for p in self.EDGES.tolist() + [0.3, 0.7]:
+            got = entropy_bits(p, 1.0 - p)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == entropy_bits(np.array([p]), np.array([1.0 - p]))[0].tobytes()
 
 
 class TestTrajectoryProbability:
