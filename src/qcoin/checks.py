@@ -5,7 +5,7 @@ the photonic circuit against the closed-form output superposition, the
 quantum output overlap's bin sum against the one-step-ahead classical
 Bhattacharyya coefficient and against the transfer-matrix power, the
 tomography-style reconstruction against the direct memory mixture, the
-post-selection bookkeeping against the dual-arm norm account, and the
+post-selection bookkeeping against the recombiner arms' norm account, and the
 quantum against the classical complexity.  The bin sum `_overlap` is the
 enumerating oracle of `quantum.output_overlap` and lives here.
 
@@ -131,8 +131,7 @@ def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault
     matched, accounting = {}, []
     for steps in range(1, max(step_counts) + 1):
         state = apply_block(state, coins)
-        retained, discarded = block_norm_accounting(state)
-        dev = np.abs(retained + discarded - 1.0)
+        dev = np.abs(2.0 * block_norm_accounting(state) - 1.0)  # the two arms' norms have the same bits
         if steps in step_counts:
             dev = np.maximum(dev, abs(state.success_probability - 0.5**steps))
             ideal = ideal_output_state(coins, starts, steps)

@@ -13,15 +13,16 @@ state and whose arrival time carries the outcomes so far:
 Because the two paths land in disjoint time bins they cannot interfere at
 the recombiner, so the selected arm keeps exactly half of the norm whatever
 the input; the 1/sqrt(2) post-selection factor and the renormalization of
-the kept state cancel.  `block_norm_accounting` rebuilds both arms from a
-block's output to verify that bookkeeping.  All blocks of a run share one coin, so
+the kept state cancel.  `block_norm_accounting` measures the retained arm
+of a block's output to verify that bookkeeping.  All blocks of a run share one coin, so
 `run_circuit` validates the causal states once per run and builds one
 `PhotonState`, which checks the norm, at the end.  As in `markov`, each
 function takes a grid coin and start-index arrays (leading batch axes), and
 works on real float64 amplitudes, polarization-major (..., 2, bins) so that
 the long bin axis is the inner one; `PhotonState` stores that array as the
 block hands it over.  `block_gate_unitary`, `gate_decomposition_max_deviation`
-and `conditional_polarization` take one coin or one state.
+and `conditional_polarization` take one coin or one state.  `cli` alone
+writes the states' JSON.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class PhotonState:
                 f"success probability must be in (0, 1], got {self.success_probability!r}"
             )
 
-    def to_json_dict(self) -> dict:
-        require_one_state(self.amplitudes, "to_json_dict")
-        bins = {str(b): {"H": [h, 0.0], "V": [v, 0.0]}
-                for b, (h, v) in enumerate(zip(*self.amplitudes.tolist()))}
-        return {"steps": self.steps_applied, "success_probability": self.success_probability, "bins": bins}
-
 
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """One block on real (..., 2, n) amplitudes, polarization-major; the rows of `pair` (..., 2, 2)
@@ -92,16 +87,13 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)), state.success_probability * 0.5)
 
 
-def block_norm_accounting(state: PhotonState) -> tuple[float, float]:
-    """Squared norm (retained, discarded) reaching each recombiner arm of the block that made `state`,
-    before post-selection: the block's output times 1/sqrt(2), and the same with the long path's (upper)
-    bins negated.  For a normalized input each is 1/2, whatever the coin and the input state."""
+def block_norm_accounting(state: PhotonState):
+    """Squared norm reaching the retained recombiner arm of the block that made `state`, before post-selection:
+    the block's output times 1/sqrt(2).  The discarded arm negates the long path's (upper) bins of it, so its
+    norm has the same bits, and the arms hold the whole norm iff this is 1/2, whatever the coin and input."""
     if state.steps_applied < 1:
         raise InvalidParameter("the photon has not passed any block yet")
-    n = state.amplitudes.shape[-1] // 2
-    retained = state.amplitudes * (1.0 / math.sqrt(2.0))
-    discarded = np.concatenate([retained[..., :n], -retained[..., n:]], axis=-1)
-    return norm_sq(retained), norm_sq(discarded)
+    return norm_sq(state.amplitudes * (1.0 / math.sqrt(2.0)))
 
 
 def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonState:

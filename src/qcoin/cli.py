@@ -13,7 +13,8 @@ record with its defaults filled in.  The bundled presets fig4, fig5a, fig5b
 and fig5c reproduce the theory layer of those figures with one command.
 Each runner returns an `Output`, and `emit` alone writes it: the CSV table,
 each JSON document as one compact line with its header first, the SVG plots
-and the stdout summary.
+and the stdout summary.  The library returns arrays; only this module
+writes outcome strings, string-keyed records and JSON.
 
 Exit codes: 0 success, 2 config error, 3 numerical-check failure,
 4 fit failure.
@@ -39,8 +40,8 @@ import numpy as np
 from . import __version__
 from .checks import run_oracle_checks
 from .constants import ALLOCATION_BUDGET_BYTES, MAX_SUPERPOSITION_STEPS, TOL
-from .circuit import run_circuit
-from .encoding import all_bitstrings, lexicographic_bins
+from .circuit import PhotonState, run_circuit
+from .encoding import all_bitstrings, index_to_bits, lexicographic_bins
 from .errors import (
     ConfigError,
     FitDidNotConverge,
@@ -56,7 +57,7 @@ from .interference import (
 from .markov import (MAX_ENUMERATION_STEPS, REDUCIBLE_CHAIN, CausalState, PerturbedCoin, WeightMethod,
                      classical_complexity, classical_fidelity, counts_to_distribution, future_distribution,
                      sample_trajectories, stationary_weights)
-from .quantum import ideal_output_state, memory_density, von_neumann_entropy
+from .quantum import IdealOutputState, ideal_output_state, memory_density, von_neumann_entropy
 from .svgplot import line_plot
 
 SCHEMA_VERSION = 1
@@ -143,6 +144,15 @@ def _record(build=dict, /, **fields):
     return parse
 
 
+def _budgeted(rec: dict, *sizes: tuple[str, int]) -> dict:
+    """`rec`, once each (key, count) pair sizes an array of at most ALLOCATION_BUDGET_BYTES of float64."""
+    for key, floats in sizes:
+        if 8 * floats > ALLOCATION_BUDGET_BYTES:
+            raise ConfigError(f"config key {key!r} sizes an array of {8 * floats} bytes of float64, over the "
+                              f"allocation budget of {ALLOCATION_BUDGET_BYTES} bytes")
+    return rec
+
+
 def _delays(value, key) -> np.ndarray:
     """The delay grid, a {min, max, count} linspace.  The fit has four free
     parameters, so the grid needs at least five delays.
@@ -171,7 +181,9 @@ DELAY_RANGE = _record(min=(_number(), REQUIRED), max=(_number(), REQUIRED),
                       count=(_number(5, MAX_DELAYS, integer=True), REQUIRED))
 
 SCHEMAS = {
+    # the (start, m, bin) distributions
     "futures": _record(
+        lambda r: _budgeted(r, ("futures.m_values", len(r["start_states"]) * len(r["m_values"]) * 2 ** r["steps"])),
         l=(PROB, REQUIRED), m_values=(_list(PROB), REQUIRED), steps=(ENUMERATION_STEPS, 3),
         start_states=(_list(START), ["S0", "S1"])),
     "complexity-sweep": _record(
@@ -184,7 +196,11 @@ SCHEMAS = {
         baseline=(_number(hi=1e18, above=0.0), 10000),
         delays_ns=(_delays, {"min": -5.0, "max": 5.0, "count": 41}),
         poisson_seed=(_optional(SEED), None), visibility_override=(_optional(PROB), None)),
+    # each series' batch of states, 2**(steps + 1) amplitudes an l value
     "compare-sweep": _record(
+        lambda r: _budgeted(r, *((f"compare-sweep.series[{i}].varying.l_values",
+                                  len(s["varying"]["l_values"]) * 2 ** (r["steps"] + 1))
+                                 for i, s in enumerate(r["series"]))),
         steps=(SUPERPOSITION_STEPS, 3),
         series=(_list(_record(
             name=(STRING, "series"), fixed=(PROCESS, REQUIRED),
@@ -260,6 +276,24 @@ class Output(NamedTuple):
 def _header(digest: str) -> dict:
     """The provenance each output file starts with."""
     return {"schema_version": SCHEMA_VERSION, "tool_version": __version__, "config_sha256": digest}
+
+
+def _density_json(matrix: np.ndarray) -> dict:
+    """One density matrix as "re"; "im" stays, all zeros, so pinned payloads are unchanged."""
+    return {"re": matrix.tolist(), "im": np.zeros_like(matrix).tolist()}
+
+
+def _photon_json(state: PhotonState) -> dict:
+    """One photon state: by bin index, its H and V amplitudes as (re, im) pairs."""
+    bins = {str(b): {"H": [h, 0.0], "V": [v, 0.0]} for b, (h, v) in enumerate(zip(*state.amplitudes.tolist()))}
+    return {"steps": state.steps_applied, "success_probability": state.success_probability, "bins": bins}
+
+
+def _superposition_json(state: IdealOutputState) -> dict:
+    """One output superposition: by outcome string, in bin order, its two memory amplitudes as (re, im) pairs."""
+    amps = {index_to_bits(b, state.steps): [[h, 0.0], [v, 0.0]]
+            for b, (h, v) in enumerate(zip(*state.amplitudes.tolist()))}
+    return {"steps": state.steps, "amplitudes": amps}
 
 
 def write_csv(path: Path, command: str, digest: str, columns: list[str], rows: list) -> None:
@@ -343,9 +377,7 @@ def cmd_complexity_sweep(rec: dict) -> Output:
         weights = stationary_weights(coins, method)
         rho = memory_density(coins, weights)
         classical, quantum = classical_complexity(weights).tolist(), von_neumann_entropy(rho).tolist()
-        parts = rho.to_json_dict()  # "re" and "im" as lists over the m values
-        densities = [{"m": m, "memory_density": {"re": re, "im": im}}
-                     for m, re, im in zip(xs, parts["re"], parts["im"])]
+        densities = [{"m": m, "memory_density": _density_json(matrix)} for m, matrix in zip(xs, rho.matrix)]
     results = iter(zip(classical, quantum))
     rows = [[m, "", "", REDUCIBLE_CHAIN] if stay_heads == m == 1.0 else [m, *next(results), ""]
             for m in rec["m_values"]]
@@ -385,8 +417,8 @@ def cmd_hom_dip(rec: dict) -> Output:
         },
         # both routes to the interfering states, for side-by-side inspection
         "hom_dip_states.json": {
-            name: {"circuit": state.to_json_dict(),
-                   "superposition": ideal_output_state(coin, start, steps).to_json_dict()}
+            name: {"circuit": _photon_json(state),
+                   "superposition": _superposition_json(ideal_output_state(coin, start, steps))}
             for name, state, coin, start in (("process_a", psi, coin_a, start_a), ("process_b", phi, coin_b, start_b))
         },
     }
@@ -403,8 +435,8 @@ def cmd_compare_sweep(rec: dict) -> Output:
         m, start, l_values = varying["m"], varying["start"], varying["l_values"]
         fixed = {"label": f"{name}-fixed", "l": fixed_coin.stay_heads, "m": fixed_coin.stay_tails,
                  "start": fixed_start.name}
-        visibilities = visibility_sweep((fixed_coin, fixed_start),
-                                        [(PerturbedCoin(l, m), start) for l in l_values], rec["steps"])
+        coins = PerturbedCoin(np.array(l_values), np.full(len(l_values), m))
+        visibilities = visibility_sweep(fixed_coin, fixed_start, coins, start, rec["steps"]).tolist()
         for l, vis in zip(l_values, visibilities):
             overlap = math.sqrt(vis)
             rows.append([name, l, overlap, vis])
@@ -438,8 +470,8 @@ def cmd_counts(rec: dict) -> Output:
     theory = future_distribution(coin, start, steps)
     fidelity = classical_fidelity(empirical, theory)
 
-    rows = list(zip(all_bitstrings(steps), counts[lexicographic_bins(steps)].tolist(),
-                    empirical.probabilities.values(), theory.probabilities.values()))
+    order = lexicographic_bins(steps)  # the rows in bitstring order
+    rows = list(zip(all_bitstrings(steps), *(a[order].tolist() for a in (counts, empirical.bins, theory.bins))))
     return Output(
         {"counts_report.json": {
             "fidelity": fidelity,

@@ -141,22 +141,19 @@ def fit_visibility(samples) -> VisibilityFit:
     )
 
 
-def visibility_sweep(
-    fixed: tuple[PerturbedCoin, CausalState],
-    varying: list[tuple[PerturbedCoin, CausalState]],
-    steps: int,
-) -> list[float]:
-    """Interference visibility of one fixed (coin, start) process against each of a list of others.
+def visibility_sweep(fixed: PerturbedCoin, fixed_start: CausalState, coins: PerturbedCoin, starts, steps: int):
+    """Interference visibility of one fixed process against each process of a grid coin and its starts
+    (a CausalState or start indices that broadcast against the grid), in the grid's shape.
 
     Visibility is 1 exactly when the pair's future distributions and final
     causal states coincide, which makes the sweep a comparison of the two
-    statistical futures.  The varying processes run through the circuit
-    kernels as one batch, each row bit-identical to its own `run_circuit`.
+    statistical futures.  The grid runs through the circuit kernels as one
+    batch, and each entry has the bits of its own pair's `visibility`.
     """
-    if not varying:
-        raise InvalidParameter("the varying list must be nonempty")
-    psi = run_circuit(*fixed, steps)
-    coins, starts = zip(*varying)
-    batch = run_circuit(PerturbedCoin(*np.array([(c.stay_heads, c.stay_tails) for c in coins]).T),
-                        np.array([s.index for s in starts]), steps)
-    return [visibility(psi, PhotonState(steps, row, batch.success_probability)) for row in batch.amplitudes]
+    if not (np.size(coins.stay_heads) and np.size(starts)):
+        raise InvalidParameter("the varying grid must be nonempty")
+    psi, batch = run_circuit(fixed, fixed_start, steps), run_circuit(coins, starts, steps)
+    rows = batch.amplitudes.reshape(-1, 2, 2**steps)
+    v = np.array([visibility(psi, PhotonState(steps, row, batch.success_probability)) for row in rows])
+    v = v.reshape(batch.amplitudes.shape[:-2])
+    return float(v) if v.ndim == 0 else v

@@ -6,8 +6,8 @@ Monte Carlo sampling, statistical complexity and classical fidelity.
 A future distribution is a float64 array over the time-bin index (first
 outcome = least-significant bit), built by the doubling recurrence
 p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
-(`trajectory_probability`) is kept as the brute-force oracle of the tests;
-outcome strings appear only at the CSV/JSON edge.
+(`trajectory_probability`) is kept as the brute-force oracle of the tests.
+The functions return arrays; only `cli` writes outcome strings and JSON.
 
 One function per concept serves one coin and a grid: a `PerturbedCoin` may
 hold arrays (leading batch axes), a start is a `CausalState` or an integer
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .encoding import all_bitstrings, index_to_bits, lexicographic_bins, validate_bits
+from .encoding import index_to_bits, lexicographic_bins, validate_bits
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -220,10 +220,7 @@ def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -
 class OutcomeDistribution:
     """Probabilities of all 2**steps outcome strings, as a read-only float64
     array over the time-bin index (see `encoding`), (..., 2**steps) for a grid.
-
-    `probabilities` maps each outcome string to its probability (a nested
-    list over the leading axes for a grid), in lexicographic string order,
-    for the CSV/JSON edge.  Zero-probability strings are explicit.
+    Zero-probability bins are explicit.
     """
 
     steps: int
@@ -244,14 +241,6 @@ class OutcomeDistribution:
         near = abs(total - 1.0) <= TOL.prob_sum
         if not _all_set(near):
             raise InvalidParameter(f"probabilities sum to {_first_failing(total, near)!r}, not 1")
-
-    @property
-    def probabilities(self) -> dict[str, float]:
-        ordered = np.moveaxis(self.bins[..., lexicographic_bins(self.steps)], -1, 0).tolist()
-        return dict(zip(all_bitstrings(self.steps), ordered))
-
-    def to_json_dict(self) -> dict:
-        return {"steps": self.steps, **self.probabilities}
 
 
 def start_rows(matrix: np.ndarray, start) -> np.ndarray:

@@ -7,7 +7,7 @@ is a transfer-matrix power; `bhattacharyya_futures` enumerates all 2**M
 futures and is its oracle, as is the bin sum in `checks`.  As in `markov`,
 each function takes a grid coin and start-index arrays (leading batch axes),
 and `DensityMatrix2` and `IdealOutputState` hold the batch and validate it
-in `__post_init__`.
+in `__post_init__`.  They hold arrays only; `cli` writes their JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
-from .encoding import index_to_bits
 from .errors import InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, entropy_bits,
                      future_distribution, require_steps, start_rows, transition_matrix)
@@ -97,10 +96,6 @@ class DensityMatrix2:
         if not np.all(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
             raise InvalidParameter("matrix is not positive semidefinite")
 
-    def to_json_dict(self) -> dict:
-        """The entries as "re"; "im" stays, all zeros, so pinned payloads are unchanged."""
-        return {"re": self.matrix.tolist(), "im": np.zeros_like(self.matrix).tolist()}
-
 
 def _eigenvalues_2x2(m: np.ndarray) -> tuple:
     """Eigenvalues (low, high) of symmetric (..., 2, 2) matrices from trace and determinant."""
@@ -157,12 +152,6 @@ class IdealOutputState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state"))
-
-    def to_json_dict(self) -> dict:
-        require_one_state(self.amplitudes, "to_json_dict")
-        amps = {index_to_bits(b, self.steps): [[h, 0.0], [v, 0.0]]
-                for b, (h, v) in enumerate(zip(*self.amplitudes.tolist()))}
-        return {"steps": self.steps, "amplitudes": amps}
 
 
 def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> IdealOutputState:

@@ -60,7 +60,7 @@ def same_bits(got, expected):
     lambda coin, start: prepare_input(coin, start).amplitudes,
     lambda coin, start: run_circuit(coin, start, 4).amplitudes,
     lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2))[0].bins,
-    lambda coin, start: np.stack(block_norm_accounting(run_circuit(coin, start, 2)), axis=-1),
+    lambda coin, start: block_norm_accounting(run_circuit(coin, start, 2)),
     lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
 ], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
@@ -130,10 +130,8 @@ def test_one_state_functions_refuse_a_batch():
     for call in (lambda: visibility(batch, one), lambda: visibility(one, ideal)):
         with pytest.raises(InvalidParameter, match=r"visibility takes one state, got a batch of shape \(2, 3, 2, "):
             call()
-    for name, call in (("conditional_polarization", lambda: conditional_polarization(batch, "01")),
-                       ("to_json_dict", batch.to_json_dict), ("to_json_dict", ideal.to_json_dict)):
-        with pytest.raises(InvalidParameter, match=f"{name} takes one state, got a batch"):
-            call()
+    with pytest.raises(InvalidParameter, match="conditional_polarization takes one state, got a batch"):
+        conditional_polarization(batch, "01")
 
 
 @pytest.mark.parametrize("start", [np.array([0, 2]), np.array([-1]), np.array([0.0, 1.0]), np.array([True])],

@@ -149,8 +149,7 @@ def success_loop(grid, step_counts):
             state = prepare_input(coin, start)
             for steps in range(1, max(step_counts) + 1):
                 state = apply_block(state, coin)
-                retained, discarded = block_norm_accounting(state)
-                dev = abs(retained + discarded - 1.0)
+                dev = abs(2.0 * block_norm_accounting(state) - 1.0)
                 if steps in step_counts:
                     dev = max(dev, abs(state.success_probability - 0.5**steps))
                 worst.add(dev, grid_at(l, m, start.name, steps))

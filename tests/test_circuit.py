@@ -21,6 +21,7 @@ from qcoin.circuit import (
     run_circuit,
 )
 from qcoin import circuit
+from qcoin.cli import _photon_json
 from qcoin.markov import (
     CausalState,
     OutcomeDistribution,
@@ -97,6 +98,15 @@ class TestApplyBlock:
             apply_block(state, coin)
 
 
+def discarded_arm(state):
+    """Squared norm of the discarded recombiner arm, built here: the block's output over sqrt(2) with the
+    long path's (upper) bins negated."""
+    n = state.amplitudes.shape[-1] // 2
+    arm = state.amplitudes * (1.0 / math.sqrt(2.0))
+    arm = np.concatenate([arm[:, :n], -arm[:, n:]], axis=-1)
+    return float((arm * arm).sum())
+
+
 class TestNormAccounting:
     def test_both_arms_carry_half_everywhere(self):
         for l, m in grid(0.2):
@@ -105,16 +115,15 @@ class TestNormAccounting:
                 state = prepare_input(coin, start)
                 for _ in range(4):
                     state = apply_block(state, coin)
-                    retained, discarded = block_norm_accounting(state)
+                    retained, discarded = block_norm_accounting(state), discarded_arm(state)
                     assert abs(retained - 0.5) <= 1e-12
                     assert abs(discarded - 0.5) <= 1e-12
                     assert abs(retained + discarded - 1.0) <= 1e-12
 
     def test_arm_split_independent_of_block_coin(self):
-        state = run_circuit(PerturbedCoin(0.3, 0.9), S1, 2)
-        retained, discarded = block_norm_accounting(apply_block(state, PerturbedCoin(0.8, 0.1)))
-        assert retained == pytest.approx(0.5, abs=1e-12)
-        assert discarded == pytest.approx(0.5, abs=1e-12)
+        state = apply_block(run_circuit(PerturbedCoin(0.3, 0.9), S1, 2), PerturbedCoin(0.8, 0.1))
+        assert block_norm_accounting(state) == pytest.approx(0.5, abs=1e-12)
+        assert discarded_arm(state) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestRunCircuit:
@@ -189,7 +198,7 @@ class TestArrivalTimes:
     def test_fair_coin_uniform_and_time_grid(self):
         state = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
         dist, times = arrival_time_distribution(state)
-        for p in dist.probabilities.values():
+        for p in dist.bins:
             assert p == pytest.approx(0.125, abs=1e-12)
         assert sorted(times.tolist()) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
         assert max(times.tolist()) == 14.0
@@ -197,7 +206,7 @@ class TestArrivalTimes:
     def test_deterministic_chain_all_mass_at_zero_ns(self):
         state = run_circuit(PerturbedCoin(1.0, 1.0), S0, 3)
         dist, times = arrival_time_distribution(state)
-        assert dist.probabilities["000"] == 1.0
+        assert dist.bins[bits_to_index("000")] == 1.0
         assert times[bits_to_index("000")] == 0.0
 
     def test_times_are_indexed_by_bin(self):
@@ -211,13 +220,14 @@ class TestArrivalTimes:
             for start in (S0, S1):
                 dist, _ = arrival_time_distribution(run_circuit(coin, start, 3))
                 enum = future_distribution(coin, start, 3)
-                for bits, p in enum.probabilities.items():
-                    assert abs(dist.probabilities[bits] - p) <= 1e-12
+                for b in range(8):
+                    assert abs(dist.bins[b] - enum.bins[b]) <= 1e-12
 
     def test_csv_rows_shape(self):
         dist, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S1, 3))
         assert len(times) == 8
-        assert list(dist.probabilities)[0] == "000"
+        assert dist.bins.shape == (8,)
+        assert index_to_bits(0, 3) == "000"
         last = bits_to_index("111")
         assert times[last] == 14.0
         assert dist.bins[last] == pytest.approx(0.343, abs=1e-12)
@@ -333,7 +343,7 @@ class TestGateDecomposition:
 class TestPhotonStateContracts:
     def test_json_schema(self):
         state = run_circuit(PerturbedCoin(0.4, 0.7), S1, 2)
-        payload = state.to_json_dict()
+        payload = _photon_json(state)
         assert payload["steps"] == 2
         assert payload["success_probability"] == 0.25
         assert set(payload["bins"]) == {"0", "1", "2", "3"}

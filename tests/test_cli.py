@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -507,12 +508,15 @@ class TestConfigHandling:
     ("oracle-check", {"schema_version": 1, "oracle-check": {"grid_step": 1e-5}}),
     # numpy squares the sigma to inf, so the flat curve of identical processes is zero everywhere
     ("hom-dip", {"schema_version": 1, "hom-dip": {**PAIR, "envelope_sigma_ns": 1.4e154}}),
+    ("futures", {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.05 * i for i in range(20)], "steps": 20}}),
+    ("compare-sweep", {"schema_version": 1, "compare-sweep": {"steps": 12, "series": [
+        {"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5] * 30000}}]}}),
 ], ids=["steps", "m_values", "n", "grid_step", "top-level-array", "series-without-fixed",
         "series-string-entry", "steps-bool", "step_counts-bool", "identity_draws-fraction",
         "inject_fault-string", "grid_step-short-of-one", "grid_step-past-one", "start_states-int",
         "step_counts-int", "envelope_sigma-nan", "baseline-inf-sampled", "l-400-digits",
         "envelope_sigma-underflow", "delay_count-past-the-budget", "grid_step-past-the-budget",
-        "envelope_sigma-square-overflows"])
+        "envelope_sigma-square-overflows", "m_values-past-the-budget", "l_values-past-the-budget"])
 def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     cfg = write_config(tmp_path, payload)
     proc = subprocess.run(
@@ -522,6 +526,23 @@ def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, make, key, fits", [
+    ("futures", lambda n: {"l": 0.4, "m_values": [0.5] * n, "steps": 20},  # 2 starts x 2**20 bins a value
+     "futures.m_values", ALLOCATION_BUDGET_BYTES // (8 * 2 * 2**20)),
+    ("compare-sweep", lambda n: {"steps": 12, "series": [  # 2**13 amplitudes an l value
+        {"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5] * k}} for k in (1, n)]},
+     "compare-sweep.series[1].varying.l_values", ALLOCATION_BUDGET_BYTES // (8 * 2**13)),
+], ids=["futures", "compare-sweep"])
+def test_an_array_sizing_field_is_bounded_by_the_budget_in_bytes(command, make, key, fits):
+    """The longest list whose float64 array fits ALLOCATION_BUDGET_BYTES passes; one more entry is refused."""
+    assert fits >= 1
+    command_record({command: make(fits)}, command)
+    over = ALLOCATION_BUDGET_BYTES // fits * (fits + 1)
+    with pytest.raises(ConfigError, match=rf"config key '{re.escape(key)}' sizes an array of {over} bytes of "
+                                          rf"float64, over the allocation budget of {ALLOCATION_BUDGET_BYTES} bytes"):
+        command_record({command: make(fits + 1)}, command)
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["out-is-a-file", "out-below-a-file"])

@@ -49,3 +49,31 @@ def test_a_private_import_is_found():
     tree = ast.parse("from . import __version__\nfrom .markov import PerturbedCoin, _plogp\n"
                      "from .quantum import (norm_sq,\n    _eigenvalues_2x2)\n")
     assert private_imports(tree) == ["line 2: markov._plogp", "line 3: quantum._eigenvalues_2x2"]
+
+
+def payload_format_uses(tree: ast.Module) -> list[str]:
+    """Each `to_json_dict` definition and each import or attribute use of `all_bitstrings`: the JSON and
+    outcome-string format, which only `cli` writes."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json_dict":
+            found.append((node.lineno, "defines to_json_dict"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                a.name.split(".")[-1] == "all_bitstrings" for a in node.names):
+            found.append((node.lineno, "imports all_bitstrings"))
+        elif isinstance(node, ast.Attribute) and node.attr == "all_bitstrings":
+            found.append((node.lineno, "uses encoding.all_bitstrings"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=[p.name for p in SOURCES if p.name != "cli.py"])
+def test_only_cli_writes_the_payload_format(path):
+    assert payload_format_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_planted_payload_format_is_found():
+    tree = ast.parse("from .encoding import all_bitstrings, bits_to_index\n\n"
+                     "class DensityMatrix2:\n    def to_json_dict(self):\n        return encoding.all_bitstrings(2)\n")
+    assert payload_format_uses(tree) == ["line 1: imports all_bitstrings", "line 4: defines to_json_dict",
+                                         "line 5: uses encoding.all_bitstrings"]

@@ -212,27 +212,30 @@ class TestFitVisibility:
             fit_visibility(zip(delays, counts))
 
 
+def l_series(l_values, m):
+    """A grid coin over `l_values` at one m."""
+    return PerturbedCoin(np.array(l_values), np.full(len(l_values), m))
+
+
 class TestVisibilitySweep:
     def fixed_fair(self):
         return (PerturbedCoin(0.5, 0.5), S0)
 
     def test_identity_point_is_exactly_one(self):
-        assert visibility_sweep(self.fixed_fair(), [(PerturbedCoin(0.5, 0.5), S0)], 3) == [1.0]
+        assert visibility_sweep(*self.fixed_fair(), l_series([0.5], 0.5), S0, 3).tolist() == [1.0]
+        assert visibility_sweep(*self.fixed_fair(), PerturbedCoin(0.5, 0.5), S0, 3) == 1.0  # one coin: a float
 
     def test_magenta_series_matches_closed_form(self):
         l_values = [0.00, 0.10, 0.30, 0.50, 0.70, 0.90, 0.99]
-        varying = [(PerturbedCoin(l, 0.5), S0) for l in l_values]
-        visibilities = visibility_sweep(self.fixed_fair(), varying, 3)
+        visibilities = visibility_sweep(*self.fixed_fair(), l_series(l_values, 0.5), S0, 3)
         for l, v in zip(l_values, visibilities):
             expected = eq7_oracle(0.5, 0.5, 0, l, 0.5, 0) ** 2
             assert v == pytest.approx(expected, abs=1e-12)
 
     def test_turquoise_series_closed_form_is_l_fourth(self):
         # fixed process deterministic heads: overlap = sqrt(l^3) * sqrt(l) = l^2
-        fixed = (PerturbedCoin(1.0, 1.0), S0)
         l_values = [0.25, 0.50, 0.70, 0.85, 0.95, 1.0]
-        varying = [(PerturbedCoin(l, 0.5), S0) for l in l_values]
-        visibilities = visibility_sweep(fixed, varying, 3)
+        visibilities = visibility_sweep(PerturbedCoin(1.0, 1.0), S0, l_series(l_values, 0.5), S0, 3)
         for l, v in zip(l_values, visibilities):
             assert v == pytest.approx(l**4, abs=1e-12)
             assert v == pytest.approx(eq7_oracle(1.0, 1.0, 0, l, 0.5, 0) ** 2, abs=1e-12)
@@ -241,20 +244,30 @@ class TestVisibilitySweep:
     def test_swapping_processes_preserves_visibility(self):
         a = (PerturbedCoin(0.3, 0.8), S1)
         b = (PerturbedCoin(0.7, 0.2), S0)
-        forward = visibility_sweep(a, [b], 3)[0]
-        backward = visibility_sweep(b, [a], 3)[0]
+        forward = visibility_sweep(*a, *b, 3)
+        backward = visibility_sweep(*b, *a, 3)
         assert abs(forward - backward) <= 1e-12
 
     def test_rejects_empty_varying_list(self):
-        with pytest.raises(InvalidParameter):
-            visibility_sweep(self.fixed_fair(), [], 3)
+        with pytest.raises(InvalidParameter, match="the varying grid must be nonempty"):
+            visibility_sweep(*self.fixed_fair(), l_series([], 0.5), S0, 3)
+
+    def test_each_entry_has_the_bits_of_its_pair_and_the_grid_shape(self):
+        heads, tails = np.array([[0.0, 0.35], [0.9, 1.0]]), np.array([[0.5, 1.0], [0.2, 0.0]])
+        starts = np.array([[0], [1]])
+        visibilities = visibility_sweep(PerturbedCoin(0.45, 0.65), S1, PerturbedCoin(heads, tails), starts, 4)
+        assert visibilities.shape == (2, 2)
+        psi = run_circuit(PerturbedCoin(0.45, 0.65), S1, 4)
+        for i, j in itertools.product(range(2), range(2)):
+            phi = run_circuit(PerturbedCoin(heads[i, j], tails[i, j]), CausalState(int(starts[i, 0])), 4)
+            assert visibilities[i, j] == visibility(psi, phi)
 
 
 def test_visibility_sweep_agrees_with_output_overlap():
     rng = np.random.default_rng(47)
     fixed_coin = PerturbedCoin(rng.random(), rng.random())
-    varying = [(PerturbedCoin(rng.random(), rng.random()), S1) for _ in range(10)]
-    visibilities = visibility_sweep((fixed_coin, S0), varying, 3)
-    for (coin, start), v in zip(varying, visibilities):
-        closed = output_overlap(ProcessSpec(fixed_coin), S0, ProcessSpec(coin), start, 3)
+    heads, tails = rng.random((10, 2)).T  # the draws of ten (l, m) pairs in turn
+    visibilities = visibility_sweep(fixed_coin, S0, PerturbedCoin(heads, tails), S1, 3)
+    for l, m, v in zip(heads, tails, visibilities):
+        closed = output_overlap(ProcessSpec(fixed_coin), S0, ProcessSpec(PerturbedCoin(l, m)), S1, 3)
         assert v == pytest.approx(closed**2, abs=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcoin.cli import cmd_futures, command_record
 from qcoin.constants import TOL
 from qcoin.encoding import all_bitstrings, bits_to_index, index_to_bits, lexicographic_bins
 from qcoin.errors import DimensionMismatch, InvalidParameter, ReducibleChain, StepCountTooLarge
@@ -39,6 +40,11 @@ def bins_of(steps, by_bits):
     """Bin array of a map from outcome string to value: the values in string
     order, reindexed by `lexicographic_bins` (the bit reversal is its own inverse)."""
     return np.array([by_bits[bits] for bits in all_bitstrings(steps)])[lexicographic_bins(steps)]
+
+
+def string_map(dist):
+    """Each outcome string, in string order, mapped to its bin of `dist`."""
+    return {bits: float(dist.bins[bits_to_index(bits)]) for bits in all_bitstrings(dist.steps)}
 
 
 def one_shot_sample(coin, start, steps, draws, seed):
@@ -257,23 +263,23 @@ class TestTrajectoryProbability:
 class TestFutureDistribution:
     def test_fair_coin_uniform(self):
         dist = future_distribution(PerturbedCoin(0.5, 0.5), S0, 3)
-        assert set(dist.probabilities) == set(all_bitstrings(3))
-        for p in dist.probabilities.values():
+        assert dist.bins.shape == (8,)
+        for p in dist.bins.tolist():
             assert p == 0.125
 
     def test_deterministic_point_mass(self):
         dist = future_distribution(PerturbedCoin(1.0, 1.0), S0, 3)
-        assert dist.probabilities["000"] == 1.0
-        assert sum(dist.probabilities.values()) == 1.0
+        assert dist.bins[bits_to_index("000")] == 1.0
+        assert sum(dist.bins.tolist()) == 1.0
 
     def test_monte_carlo_cross_check(self):
         # frequencies from the chain sampler must sit within 3 standard errors
         coin = PerturbedCoin(0.4, 0.7)
         dist = future_distribution(coin, S1, 3)
-        assert dist.probabilities["111"] == pytest.approx(0.343, abs=1e-12)
+        assert dist.bins[bits_to_index("111")] == pytest.approx(0.343, abs=1e-12)
         n = 10**6
         counts = sample_trajectories(coin, S1, 3, n, seed=2024)
-        for bits, p in dist.probabilities.items():
+        for bits, p in string_map(dist).items():
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(counts[bits_to_index(bits)] / n - p) <= 3.0 * se
 
@@ -283,7 +289,7 @@ class TestFutureDistribution:
             for steps in (1, 2, 3, 4):
                 for start in (S0, S1):
                     dist = future_distribution(coin, start, steps)
-                    assert abs(sum(dist.probabilities.values()) - 1.0) <= 1e-9
+                    assert abs(sum(dist.bins.tolist()) - 1.0) <= 1e-9
 
     def test_chapman_kolmogorov_marginal(self):
         rng = np.random.default_rng(5)
@@ -293,8 +299,9 @@ class TestFutureDistribution:
             for steps in (2, 3, 4):
                 longer = future_distribution(coin, start, steps)
                 shorter = future_distribution(coin, start, steps - 1)
-                for prefix, p in shorter.probabilities.items():
-                    marginal = longer.probabilities[prefix + "0"] + longer.probabilities[prefix + "1"]
+                for prefix, p in string_map(shorter).items():
+                    marginal = (longer.bins[bits_to_index(prefix + "0")]
+                                + longer.bins[bits_to_index(prefix + "1")])
                     assert abs(marginal - p) <= 1e-12
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -438,7 +445,7 @@ class TestOutcomeDistribution:
         by_bits = {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}
         # bin index: first outcome is the least-significant bit
         assert bins_of(2, by_bits).tolist() == [0.1, 0.3, 0.2, 0.4]
-        assert OutcomeDistribution(2, np.array([0.1, 0.3, 0.2, 0.4])).probabilities == by_bits
+        assert string_map(OutcomeDistribution(2, np.array([0.1, 0.3, 0.2, 0.4]))) == by_bits
 
     def test_bins_are_read_only_copies(self):
         source = np.full(4, 0.25)
@@ -461,12 +468,16 @@ class TestOutcomeDistribution:
             OutcomeDistribution(0, np.array([1.0]))
 
     def test_json_dict_schema(self):
+        # the futures payload writes each distribution as its steps and a string-keyed map
         dist = future_distribution(PerturbedCoin(0.4, 0.7), S1, 3)
-        payload = dist.to_json_dict()
+        rec = command_record({"futures": {"l": 0.4, "m_values": [0.7], "steps": 3, "start_states": ["S1"]}},
+                             "futures")
+        payload = cmd_futures(rec).payloads["futures.json"]["distributions"][0]["distribution"]
         assert payload.pop("steps") == 3
-        assert payload["111"] == dist.probabilities["111"]
-        assert payload == dist.probabilities
-        assert OutcomeDistribution(3, bins_of(3, dist.probabilities)).bins.tolist() == dist.bins.tolist()
+        assert payload["111"] == dist.bins[bits_to_index("111")]
+        assert payload == string_map(dist)
+        assert list(payload) == all_bitstrings(3)
+        assert OutcomeDistribution(3, bins_of(3, payload)).bins.tolist() == dist.bins.tolist()
 
 
 class TestClassicalFidelity:
@@ -506,8 +517,8 @@ class TestClassicalFidelity:
         baseline = classical_fidelity(a, b)
         strings = all_bitstrings(3)
         relabel = dict(zip(strings, rng.permutation(strings)))
-        a2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in a.probabilities.items()}))
-        b2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in b.probabilities.items()}))
+        a2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in string_map(a).items()}))
+        b2 = OutcomeDistribution(3, bins_of(3, {relabel[k]: v for k, v in string_map(b).items()}))
         assert classical_fidelity(a2, b2) == pytest.approx(baseline, abs=1e-12)
 
     def test_rounding_below_zero_counts_as_zero(self):
@@ -523,7 +534,7 @@ class TestClassicalFidelity:
         # sum or a sum in bin order differs in the last digits
         a = future_distribution(PerturbedCoin(0.3, 0.6), S0, 12)
         b = future_distribution(PerturbedCoin(0.8, 0.2), S1, 12)
-        pa, pb = a.probabilities, b.probabilities
+        pa, pb = string_map(a), string_map(b)
         assert classical_fidelity(a, b) == sum(math.sqrt(pa[k] * pb[k]) for k in sorted(pa))
 
     def test_dimension_mismatch(self):
@@ -538,4 +549,4 @@ def test_counts_to_distribution_matches_frequencies():
     for bits, c in {"00": 1, "01": 3, "10": 0, "11": 4}.items():
         counts[bits_to_index(bits)] = c
     dist = counts_to_distribution(counts, 2)
-    assert dist.probabilities == {"00": 0.125, "01": 0.375, "10": 0.0, "11": 0.5}
+    assert string_map(dist) == {"00": 0.125, "01": 0.375, "10": 0.0, "11": 0.5}

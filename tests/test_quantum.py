@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcoin import quantum
 from qcoin.checks import _overlap
+from qcoin.cli import _density_json, _superposition_json
 from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
@@ -123,7 +124,7 @@ class TestDensityMatrix2:
 
     def test_json_dict_schema(self):
         rho = memory_density(PerturbedCoin(0.4, 0.7), stationary_weights(PerturbedCoin(0.4, 0.7)))
-        payload = rho.to_json_dict()
+        payload = _density_json(rho.matrix)
         assert set(payload) == {"re", "im"}
         assert (np.array(payload["re"]) + 1j * np.array(payload["im"]) == rho.matrix).all()
         assert payload["im"] == [[0.0, 0.0], [0.0, 0.0]]
@@ -260,7 +261,8 @@ class TestIdealOutputState:
         coin = PerturbedCoin(0.4, 0.7)
         out = ideal_output_state(coin, S1, 3)
         dist = future_distribution(coin, S1, 3)
-        for bits, p in dist.probabilities.items():
+        for bits in all_bitstrings(3):
+            p = dist.bins[bits_to_index(bits)]
             final = causal_pair(coin)[int(bits[-1])]
             for b in range(2):
                 assert out.amplitudes[b, bits_to_index(bits)] == pytest.approx(
@@ -298,7 +300,7 @@ class TestIdealOutputState:
 
     def test_json_schema(self):
         out = ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 2)
-        payload = out.to_json_dict()
+        payload = _superposition_json(out)
         assert payload["steps"] == 2
         assert set(payload["amplitudes"]) == {"00", "01", "10", "11"}
         re, im = payload["amplitudes"]["11"][1]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcoin.circuit import run_circuit
 from qcoin.cli import cmd_compare_sweep, cmd_complexity_sweep, cmd_futures, command_record
+from qcoin.encoding import all_bitstrings, bits_to_index
 from qcoin.errors import ReducibleChain
 from qcoin.interference import visibility
 from qcoin.markov import PerturbedCoin, WeightMethod, classical_complexity, future_distribution, stationary_weights
@@ -33,7 +34,8 @@ def test_futures_equal_a_loop_over_future_distribution(l, m_values, steps, start
     rows, distributions = [], []
     for start in rec["start_states"]:
         for m in rec["m_values"]:
-            probs = future_distribution(PerturbedCoin(rec["l"], m), start, steps).probabilities
+            bins = future_distribution(PerturbedCoin(rec["l"], m), start, steps).bins
+            probs = {bits: float(bins[bits_to_index(bits)]) for bits in all_bitstrings(steps)}
             rows += [[start.name, m, bits, p] for bits, p in probs.items()]
             distributions.append({"start": start.name, "l": rec["l"], "m": m,
                                   "distribution": {"steps": steps, **probs}})
@@ -63,7 +65,7 @@ def test_complexity_sweep_equals_a_loop_over_the_weight_api(l, m_values, method)
             continue
         rho = memory_density(coin, weights)
         rows.append([m, classical_complexity(weights), von_neumann_entropy(rho), ""])
-        densities.append({"m": m, "memory_density": rho.to_json_dict()})
+        densities.append({"m": m, "memory_density": {"re": rho.matrix.tolist(), "im": [[0.0, 0.0], [0.0, 0.0]]}})
         xs.append(m)
         classical.append(rows[-1][1])
         quantum.append(rows[-1][2])
