@@ -400,7 +400,7 @@ def cmd_hom_dip(rec: dict) -> Output:
 
     sampled = (None if poisson_seed is None
                else np.random.default_rng(poisson_seed).poisson(counts).astype(float))
-    fit = fit_visibility(zip(delays, counts if sampled is None else sampled))
+    fit = fit_visibility(delays, counts if sampled is None else sampled)
     # scipy gives an infinite error when it cannot estimate the covariance
     err = fit.visibility_err if math.isfinite(fit.visibility_err) else None
     if err is None and counts.min() == counts.max():

@@ -97,8 +97,8 @@ class VisibilityFit:
     center_ns: float
 
 
-def fit_visibility(samples) -> VisibilityFit:
-    """Fit the dip model to (delay, counts) samples.
+def fit_visibility(delays, counts) -> VisibilityFit:
+    """Fit the dip model to the counts at each delay: two 1-d arrays of one length.
 
     Free parameters: baseline, visibility, envelope sigma and dip center.
     The points are weighted by Poisson sqrt(counts) errors, taken as
@@ -106,10 +106,9 @@ def fit_visibility(samples) -> VisibilityFit:
     """
     from scipy.optimize import OptimizeWarning, curve_fit  # here: most of `import qcoin`'s time
 
-    data = np.asarray([(float(d), float(c)) for d, c in samples], dtype=float)
-    if data.ndim != 2 or data.shape[0] < 5:
-        raise InvalidParameter("need at least 5 (delay, counts) samples spanning the dip")
-    delays, counts = data[:, 0], data[:, 1]
+    delays, counts = np.asarray(delays, dtype=float), np.asarray(counts, dtype=float)
+    if delays.ndim != 1 or delays.shape != counts.shape or delays.size < 5:
+        raise InvalidParameter(f"need 5+ delays and a count at each, got shapes {delays.shape} and {counts.shape}")
     top = float(counts.max())
     if top <= 0.0:
         raise InvalidParameter("counts must contain positive values")
@@ -150,7 +149,7 @@ def visibility_sweep(fixed: PerturbedCoin, fixed_start: CausalState, coins: Pert
     statistical futures.  The grid runs through the circuit kernels as one
     batch, and each entry has the bits of its own pair's `visibility`.
     """
-    if not (np.size(coins.stay_heads) and np.size(starts)):
+    if not np.size(starts):
         raise InvalidParameter("the varying grid must be nonempty")
     psi, batch = run_circuit(fixed, fixed_start, steps), run_circuit(coins, starts, steps)
     rows = batch.amplitudes.reshape(-1, 2, 2**steps)

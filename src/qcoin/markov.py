@@ -85,13 +85,17 @@ class PerturbedCoin:
 
     `stay_heads` is the probability that a coin showing heads (outcome 0)
     still shows heads after the perturbation; `stay_tails` likewise for
-    tails (outcome 1).  Both may be arrays of one shape: a grid of coins.
+    tails (outcome 1).  Both may be arrays of one nonempty shape: a grid of coins.
     """
 
     stay_heads: float
     stay_tails: float
 
     def __post_init__(self) -> None:
+        shape = getattr(self.stay_heads, "shape", ())  # a float has none: shape ()
+        if getattr(self.stay_tails, "shape", ()) != shape or 0 in shape:
+            raise InvalidParameter(f"stay_heads and stay_tails must be of one nonempty shape, got shapes "
+                                   f"{np.shape(self.stay_heads)} and {np.shape(self.stay_tails)}")
         for name, p in (("stay_heads", self.stay_heads), ("stay_tails", self.stay_tails)):
             inside = (p >= 0.0) & (p <= 1.0)
             if not _all_set(inside):
@@ -116,7 +120,7 @@ def _float_or_array(value):
 
 def require_one_coin(coin: PerturbedCoin, what: str) -> None:
     """Refuse a grid coin where a function takes one coin."""
-    if np.ndim(coin.stay_heads) or np.ndim(coin.stay_tails):
+    if np.ndim(coin.stay_heads):  # both stay probabilities have one shape
         raise InvalidParameter(f"{what} takes one coin, got a grid: {coin!r}")
 
 
@@ -333,4 +337,5 @@ def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     if p.steps != q.steps:
         raise DimensionMismatch(f"step counts differ: {p.steps} vs {q.steps}")
     roots = np.sqrt(np.maximum(p.bins * q.bins, 0.0))
-    return float(sum(roots[lexicographic_bins(p.steps)].tolist()))
+    # a running sum: builtin sum over floats is compensated from Python 3.12 on, so its last bits vary
+    return float(np.cumsum(roots[lexicographic_bins(p.steps)])[-1])

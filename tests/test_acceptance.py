@@ -142,7 +142,7 @@ def test_criterion_4_identity_interference_and_fit_roundtrip():
         assert abs(visibility(psi, phi) - 1.0) <= 1e-12
     delays = np.linspace(-5.0, 5.0, 41)
     for target in (0.25, 0.5, 0.96, 1.0):
-        fit = fit_visibility(zip(delays, dip_model(delays, 10000.0, target, 1.0)))
+        fit = fit_visibility(delays, dip_model(delays, 10000.0, target, 1.0))
         assert fit.visibility == pytest.approx(target, abs=TOL.fit_roundtrip)
     _report(4, "identity-process visibility is 1 across the grid; "
                "noiseless fits recover v within 1e-6 (incl. v = 0.96)")

@@ -21,6 +21,7 @@ from qcoin.circuit import (
     run_circuit,
 )
 from qcoin import circuit
+from qcoin.checks import probability_grid
 from qcoin.cli import _photon_json
 from qcoin.markov import (
     CausalState,
@@ -35,11 +36,6 @@ from qcoin.interference import _amplitudes
 from qcoin.quantum import causal_pair, ideal_output_state, memory_density, von_neumann_entropy
 
 S0, S1 = CausalState.S0, CausalState.S1
-
-
-def grid(step=0.05):
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    return [(float(a), float(b)) for a in ticks for b in ticks]
 
 
 class TestPrepareInput:
@@ -109,7 +105,7 @@ def discarded_arm(state):
 
 class TestNormAccounting:
     def test_both_arms_carry_half_everywhere(self):
-        for l, m in grid(0.2):
+        for l, m in probability_grid(0.2).tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 state = prepare_input(coin, start)
@@ -146,7 +142,7 @@ class TestRunCircuit:
         assert np.abs(state.amplitudes - ideal.amplitudes).max() <= 1e-12
 
     def test_matches_superposition_over_grid(self):
-        for l, m in grid(0.25):
+        for l, m in probability_grid(0.25).tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 for steps in (1, 2, 3, 4):
@@ -155,7 +151,7 @@ class TestRunCircuit:
                     assert np.abs(state.amplitudes - ideal.amplitudes).max() <= 1e-12
 
     def test_equals_block_by_block_route_over_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 state = prepare_input(coin, start)
@@ -215,7 +211,7 @@ class TestArrivalTimes:
             assert times.tolist() == [arrival_time_ns(index_to_bits(b, steps)) for b in range(2**steps)]
 
     def test_matches_markov_enumeration_over_grid(self):
-        for l, m in grid(0.2):
+        for l, m in probability_grid(0.2).tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 dist, _ = arrival_time_distribution(run_circuit(coin, start, 3))
@@ -318,7 +314,7 @@ class TestReconstructMemoryDensity:
             )
 
     def test_matches_direct_mixture_over_grid(self):
-        for l, m in grid(0.2):
+        for l, m in probability_grid(0.2).tolist():
             if l == 1.0 and m == 1.0:
                 continue
             coin = PerturbedCoin(l, m)
@@ -330,13 +326,13 @@ class TestReconstructMemoryDensity:
 
 class TestGateDecomposition:
     def test_unitary(self):
-        for l, m in grid(0.25):
+        for l, m in probability_grid(0.25).tolist():
             u = block_gate_unitary(PerturbedCoin(l, m))
             assert u.dtype == np.float64  # real rotations: orthogonal
             assert np.abs(u @ u.T - np.eye(4)).max() <= 1e-12
 
     def test_matches_optical_block_over_grid(self):
-        for l, m in grid(0.2):
+        for l, m in probability_grid(0.2).tolist():
             assert gate_decomposition_max_deviation(PerturbedCoin(l, m)) <= 1e-12
 
 
@@ -437,7 +433,7 @@ class TestRealPhoton:
             PhotonState(2, run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(np.complex64), 0.25)
 
     def test_blocks_equal_the_complex_kernel_over_grid(self):
-        for l, m in grid(0.1):
+        for l, m in probability_grid(0.1).tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 state = prepare_input(coin, start)

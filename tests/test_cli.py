@@ -54,10 +54,16 @@ def read_csv(path):
 PAIR = {"process_a": {"l": 0.5, "m": 0.5}, "process_b": {"l": 0.5, "m": 0.5}}
 
 
-def write_config(tmp_path, payload, name="config.json"):
-    path = tmp_path / name
+def write_config(tmp_path, payload):
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def run_record(tmp_path, command, record, out=None, *flags):
+    """`main`'s exit code for `command` run on a config of `record` alone, writing into `out` (default tmp_path)."""
+    cfg = write_config(tmp_path, {"schema_version": 1, command: record})
+    return main([command, "--config", cfg, "--out", str(tmp_path if out is None else out), *flags])
 
 
 class TestFutures:
@@ -81,11 +87,8 @@ class TestFutures:
         assert (tmp_path / "futures_S1.svg").exists()
 
     def test_single_nonzero_row_for_deterministic_chain(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "futures": {"l": 1.0, "m_values": [1.0], "steps": 3, "start_states": ["S0"]},
-        })
-        assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "futures",
+                          {"l": 1.0, "m_values": [1.0], "steps": 3, "start_states": ["S0"]}) == EXIT_OK
         _, _, rows = read_csv(tmp_path / "futures.csv")
         nonzero = [r for r in rows if float(r[3]) > 0.0]
         assert len(nonzero) == 1
@@ -100,11 +103,8 @@ class TestFutures:
         assert (cols_a, rows_a) == (cols_b, rows_b)
 
     def test_distribution_json_dump(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "futures": {"l": 0.4, "m_values": [0.7], "steps": 3, "start_states": ["S1"]},
-        })
-        assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "futures",
+                          {"l": 0.4, "m_values": [0.7], "steps": 3, "start_states": ["S1"]}) == EXIT_OK
         payload = json.loads((tmp_path / "futures.json").read_text())
         assert payload["schema_version"] == 1
         (entry,) = payload["distributions"]
@@ -127,20 +127,14 @@ class TestComplexitySweep:
             assert float(r[2]) <= float(r[1]) + 1e-12
 
     def test_symmetric_point_has_unit_classical_complexity(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "complexity-sweep": {"l": 0.4, "m_values": [0.4], "weight_method": "exact"},
-        })
-        assert main(["complexity-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "complexity-sweep",
+                          {"l": 0.4, "m_values": [0.4], "weight_method": "exact"}) == EXIT_OK
         _, _, rows = read_csv(tmp_path / "complexity.csv")
         assert float(rows[0][1]) == 1.0
 
     def test_reducible_row_surfaces_error(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "complexity-sweep": {"l": 1.0, "m_values": [0.5, 1.0], "weight_method": "exact"},
-        })
-        assert main(["complexity-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "complexity-sweep",
+                          {"l": 1.0, "m_values": [0.5, 1.0], "weight_method": "exact"}) == EXIT_OK
         _, _, rows = read_csv(tmp_path / "complexity.csv")
         assert rows[0][3] == ""
         assert rows[1][1] == "" and "stay" in rows[1][3]
@@ -151,11 +145,8 @@ class TestComplexitySweep:
         assert tuple(preset["m_values"]) == IMPLEMENTED_STAY_TAILS_VALUES
 
     def test_memory_density_json_dump(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "complexity-sweep": {"l": 1.0, "m_values": [1.0, 0.5], "weight_method": "exact"},
-        })
-        assert main(["complexity-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "complexity-sweep",
+                          {"l": 1.0, "m_values": [1.0, 0.5], "weight_method": "exact"}) == EXIT_OK
         payload = json.loads((tmp_path / "memory_densities.json").read_text())
         # the reducible m=1.0 row is skipped; m=0.5 gives the pure |S0> memory
         (entry,) = payload["densities"]
@@ -189,53 +180,44 @@ class TestHomDip:
         assert superposition["amplitudes"]["101"][0][0] == pytest.approx(0.25, abs=1e-12)
 
     def test_visibility_override_roundtrip(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "hom-dip": {
-                "process_a": {"l": 0.5, "m": 0.5, "start": "S0"},
-                "process_b": {"l": 0.5, "m": 0.5, "start": "S0"},
-                "envelope_sigma_ns": 1.0,
-                "delays_ns": {"min": -5.0, "max": 5.0, "count": 41},
-                "baseline": 1000,
-                "visibility_override": 0.96,
-            },
-        })
-        assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "hom-dip", {
+            "process_a": {"l": 0.5, "m": 0.5, "start": "S0"},
+            "process_b": {"l": 0.5, "m": 0.5, "start": "S0"},
+            "envelope_sigma_ns": 1.0,
+            "delays_ns": {"min": -5.0, "max": 5.0, "count": 41},
+            "baseline": 1000,
+            "visibility_override": 0.96,
+        }) == EXIT_OK
         report = json.loads((tmp_path / "hom_dip_fit.json").read_text())
         assert report["fit"]["visibility"] == pytest.approx(0.96, abs=TOL.fit_roundtrip)
 
     def test_fit_error_without_a_covariance_estimate_is_null(self, tmp_path, capsys):
         # a noiseless dip fits exactly, and scipy's covariance comes back all infinite
-        cfg = write_config(tmp_path, {"schema_version": 1, "hom-dip": {
-            **PAIR, "baseline": 10000, "visibility_override": 0.96}})
-        assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "hom-dip", {**PAIR, "baseline": 10000, "visibility_override": 0.96}) == EXIT_OK
         report = json.loads((tmp_path / "hom_dip_fit.json").read_text())
         assert report["fit"]["visibility_err"] is None
         assert report["fit"]["visibility"] == pytest.approx(0.96, abs=TOL.fit_roundtrip)
         assert capsys.readouterr().out.rstrip().endswith("+- n/a")
 
     def test_poisson_sampling_is_seeded_and_deterministic(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "hom-dip": {
-                "process_a": {"l": 0.5, "m": 0.5, "start": "S0"},
-                "process_b": {"l": 0.9, "m": 0.5, "start": "S0"},
-                "envelope_sigma_ns": 1.0,
-                "delays_ns": {"min": -4.0, "max": 4.0, "count": 21},
-                "baseline": 5000,
-                "poisson_seed": 5,
-            },
-        })
+        record = {
+            "process_a": {"l": 0.5, "m": 0.5, "start": "S0"},
+            "process_b": {"l": 0.9, "m": 0.5, "start": "S0"},
+            "envelope_sigma_ns": 1.0,
+            "delays_ns": {"min": -4.0, "max": 4.0, "count": 21},
+            "baseline": 5000,
+            "poisson_seed": 5,
+        }
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["hom-dip", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
-        assert main(["hom-dip", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
+        assert run_record(tmp_path, "hom-dip", record, out_a) == EXIT_OK
+        assert run_record(tmp_path, "hom-dip", record, out_b) == EXIT_OK
         _, cols, rows_a = read_csv(out_a / "hom_dip.csv")
         _, _, rows_b = read_csv(out_b / "hom_dip.csv")
         assert cols == ["delay_ns", "expected_counts", "sampled_counts"]
         assert rows_a == rows_b
 
     def test_fit_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def fail(samples):
+        def fail(delays, counts):
             raise FitDidNotConverge("Optimal parameters not found")
 
         monkeypatch.setattr("qcoin.cli.fit_visibility", fail)
@@ -245,16 +227,10 @@ class TestHomDip:
     def test_orthogonal_outputs_exit_fit_failure(self, tmp_path, capsys):
         # visibility 0: the flat curve leaves the dip's width and centre free,
         # and the fit reports an infinite visibility error
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "hom-dip": {
-                "process_a": {"l": 1.0, "m": 0.0, "start": "S0"},
-                "process_b": {"l": 0.0, "m": 1.0, "start": "S0"},
-                "steps": 3,
-            },
-        })
         out = tmp_path / "out"
-        assert main(["hom-dip", "--config", cfg, "--out", str(out)]) == EXIT_FIT
+        assert run_record(tmp_path, "hom-dip", {"process_a": {"l": 1.0, "m": 0.0, "start": "S0"},
+                                                "process_b": {"l": 0.0, "m": 1.0, "start": "S0"}, "steps": 3},
+                          out) == EXIT_FIT
         err = capsys.readouterr().err
         assert "fit failure: the dip does not fix the fit" in err
         assert "Traceback" not in err
@@ -277,12 +253,11 @@ class TestCompareSweep:
         assert len(payload) == len(rows)
 
     def test_json_records_carry_the_labels_and_match_the_csv(self, tmp_path):
-        cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 2, "series": [
+        assert run_record(tmp_path, "compare-sweep", {"steps": 2, "series": [
             {"name": "cyan", "fixed": {"l": 0.3, "m": 0.8, "start": "S1", "label": "not written"},
              "varying": {"m": 0.6, "start": "S1", "l_values": [0.0, 0.123456789, 1.0]}},
             {"fixed": {"l": 0.5, "m": 0.5}, "varying": {"m": 0.5, "l_values": [0.5]}},
-        ]}})
-        assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        ]}) == EXIT_OK
         _, _, rows = read_csv(tmp_path / "compare_sweep.csv")
         text = (tmp_path / "compare_sweep.json").read_text(encoding="utf-8")
         assert text.endswith("]\n")
@@ -302,8 +277,7 @@ class TestCompareSweep:
         assert (payload[3]["visibility"], payload[3]["overlap"], payload[3]["coincidence_min"]) == (1.0, 1.0, 0.0)
 
     def test_rejects_missing_series(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 3}})
-        assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert run_record(tmp_path, "compare-sweep", {"steps": 3}) == EXIT_CONFIG
         assert "series" in capsys.readouterr().err
 
 
@@ -323,12 +297,8 @@ class TestOracleCheck:
         assert digest == PINNED_ORACLE_REPORT_SHA256[seed]
 
     def test_small_grid_passes(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "oracle-check": {"grid_step": 0.25, "step_counts": [1, 2, 3],
-                             "identity_draws": 50, "seed": 7},
-        })
-        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "oracle-check", {"grid_step": 0.25, "step_counts": [1, 2, 3],
+                                                     "identity_draws": 50, "seed": 7}) == EXIT_OK
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
@@ -355,12 +325,8 @@ class TestOracleCheck:
                                                                           "transfer_matrix_vs_bin_sum"}
 
     def test_injected_fault_fails_with_exit_3(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "oracle-check": {"grid_step": 0.5, "step_counts": [1, 2],
-                             "identity_draws": 10, "seed": 7, "inject_fault": True},
-        })
-        assert main(["oracle-check", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CHECK
+        assert run_record(tmp_path, "oracle-check", {"grid_step": 0.5, "step_counts": [1, 2], "identity_draws": 10,
+                                                     "seed": 7, "inject_fault": True}) == EXIT_CHECK
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["all_passed"] is False
         failed = {c["name"]: c for c in report["checks"]}["circuit_vs_superposition"]
@@ -380,23 +346,16 @@ class TestCounts:
         assert sum(int(r[1]) for r in rows) == 1_000_000
 
     def test_deterministic_process_fidelity_exactly_one(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "counts": {"process": {"l": 1.0, "m": 1.0, "start": "S0"},
-                       "steps": 3, "n": 1000, "seed": 9},
-        })
-        assert main(["counts", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert run_record(tmp_path, "counts", {"process": {"l": 1.0, "m": 1.0, "start": "S0"},
+                                               "steps": 3, "n": 1000, "seed": 9}) == EXIT_OK
         report = json.loads((tmp_path / "counts_report.json").read_text())
         assert report["fidelity"] == 1.0
 
     def test_seed_override_changes_counts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        base = {"schema_version": 1,
-                "counts": {"process": {"l": 0.4, "m": 0.7, "start": "S1"},
-                           "steps": 3, "n": 10000, "seed": 1}}
-        cfg = write_config(tmp_path, base)
-        assert main(["counts", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
-        assert main(["counts", "--config", cfg, "--out", str(out_b), "--seed", "2"]) == EXIT_OK
+        record = {"process": {"l": 0.4, "m": 0.7, "start": "S1"}, "steps": 3, "n": 10000, "seed": 1}
+        assert run_record(tmp_path, "counts", record, out_a) == EXIT_OK
+        assert run_record(tmp_path, "counts", record, out_b, "--seed", "2") == EXIT_OK
         _, _, rows_a = read_csv(out_a / "counts.csv")
         _, _, rows_b = read_csv(out_b / "counts.csv")
         assert rows_a != rows_b
@@ -409,11 +368,7 @@ class TestConfigHandling:
         assert "config" in capsys.readouterr().err
 
     def test_invalid_probability_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "schema_version": 1,
-            "futures": {"l": 1.4, "m_values": [0.5], "steps": 3},
-        })
-        assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert run_record(tmp_path, "futures", {"l": 1.4, "m_values": [0.5], "steps": 3}) == EXIT_CONFIG
         assert "probability" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
@@ -447,10 +402,11 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["counts", "--help"]])
-    def test_help_and_version_exit_zero(self, argv):
+    def test_help_and_version_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_OK
+        assert "qcoin" in capsys.readouterr().out
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -463,17 +419,10 @@ class TestConfigHandling:
         assert (target / "futures.csv").exists()
 
     def test_config_hash_tracks_effective_config(self, tmp_path):
-        cfg_a = write_config(tmp_path, {
-            "schema_version": 1,
-            "futures": {"l": 0.4, "m_values": [0.7], "steps": 2, "start_states": ["S0"]},
-        }, name="a.json")
-        cfg_b = write_config(tmp_path, {
-            "schema_version": 1,
-            "futures": {"l": 0.5, "m_values": [0.7], "steps": 2, "start_states": ["S0"]},
-        }, name="b.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["futures", "--config", cfg_a, "--out", str(out_a)]) == EXIT_OK
-        assert main(["futures", "--config", cfg_b, "--out", str(out_b)]) == EXIT_OK
+        for l, out in ((0.4, out_a), (0.5, out_b)):
+            assert run_record(tmp_path, "futures", {"l": l, "m_values": [0.7], "steps": 2, "start_states": ["S0"]},
+                              out) == EXIT_OK
         header_a, _, _ = read_csv(out_a / "futures.csv")
         header_b, _, _ = read_csv(out_b / "futures.csv")
         hash_a = [line for line in header_a if "config_sha256" in line]
@@ -517,15 +466,11 @@ class TestConfigHandling:
         "step_counts-int", "envelope_sigma-nan", "baseline-inf-sampled", "l-400-digits",
         "envelope_sigma-underflow", "delay_count-past-the-budget", "grid_step-past-the-budget",
         "envelope_sigma-square-overflows", "m_values-past-the-budget", "l_values-past-the-budget"])
-def test_malformed_config_exits_with_config_error(tmp_path, command, payload):
+def test_malformed_config_exits_with_config_error(tmp_path, capsys, command, payload):
+    # in process: an exception escaping `main` fails the test, as a traceback would on the command line
     cfg = write_config(tmp_path, payload)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcoin", command, "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == EXIT_CONFIG
-    assert "config error" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, make, key, fits", [
@@ -546,14 +491,11 @@ def test_an_array_sizing_field_is_bounded_by_the_budget_in_bytes(command, make, 
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["out-is-a-file", "out-below-a-file"])
-def test_unusable_out_dir_exits_with_config_error(tmp_path, out):
+def test_unusable_out_dir_exits_with_config_error(tmp_path, capsys, out):
     (tmp_path / "file").write_text("", encoding="utf-8")
     out = str(tmp_path / out)
-    proc = subprocess.run([sys.executable, "-m", "qcoin", "futures", "--out", out],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == EXIT_CONFIG
-    assert f"config error: cannot use {out!r} as the output directory" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main(["futures", "--out", out]) == EXIT_CONFIG
+    assert f"config error: cannot use {out!r} as the output directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["futures.csv", "futures.json", "futures_S1.svg"])
@@ -569,8 +511,7 @@ def test_output_file_that_cannot_be_written_exits_with_config_error(tmp_path, ca
      "compare_sweep.svg"),
 ], ids=["complexity-sweep", "compare-sweep"])
 def test_sweep_at_one_subnormal_value_writes_its_plot(tmp_path, command, record, plot):
-    cfg = write_config(tmp_path, {"schema_version": 1, command: record})
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert run_record(tmp_path, command, record, tmp_path / "out") == EXIT_OK
     assert (tmp_path / "out" / plot).is_file()
 
 
@@ -751,8 +692,7 @@ def test_twelve_step_payloads_equal_the_complex_edge(tmp_path):
     assert 0.0 < v < 1.0
     runs = {"run": pair, "override": {**pair, "visibility_override": v}}
     for name, record in runs.items():
-        cfg = write_config(tmp_path, {"schema_version": 1, "hom-dip": record}, name=f"{name}.json")
-        assert main(["hom-dip", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        assert run_record(tmp_path, "hom-dip", record, tmp_path / name) == EXIT_OK
     states = json.loads((tmp_path / "run" / "hom_dip_states.json").read_text(encoding="utf-8"))
     _assert_same_payload(states, {"process_a": _edge_states(*a, 12), "process_b": _edge_states(*b, 12)})
     fit, edge_fit = (json.loads((tmp_path / name / "hom_dip_fit.json").read_text(encoding="utf-8")) for name in runs)
@@ -761,9 +701,9 @@ def test_twelve_step_payloads_equal_the_complex_edge(tmp_path):
     _assert_same_payload(fit, edge_fit)
 
     l_values = [0.0, 0.3, 0.45, 0.8, 1.0]
-    cfg = write_config(tmp_path, {"schema_version": 1, "compare-sweep": {"steps": 12, "series": [
-        {"name": "s", "fixed": {"l": 0.45, "m": 0.65, "start": "S1"}, "varying": {"m": 0.7, "l_values": l_values}}]}})
-    assert main(["compare-sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert run_record(tmp_path, "compare-sweep", {"steps": 12, "series": [
+        {"name": "s", "fixed": {"l": 0.45, "m": 0.65, "start": "S1"}, "varying": {"m": 0.7, "l_values": l_values}}]},
+                      tmp_path / "sweep") == EXIT_OK
     expected = []
     for l in l_values:
         vis = _edge_visibility(_edge_circuit(*b, 12)[0], _edge_circuit(PerturbedCoin(l, 0.7), CausalState.S0, 12)[0])
@@ -786,46 +726,50 @@ def test_flags_fold_into_the_hashed_config(tmp_path, argv, preset, folded):
 
 
 def test_integral_float_accepted_for_integer_field(tmp_path):
-    cfg = write_config(tmp_path, {
-        "schema_version": 1,
-        "futures": {"l": 0.4, "m_values": [0.5], "steps": 3.0, "start_states": ["S0"]},
-    })
-    assert main(["futures", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert run_record(tmp_path, "futures",
+                      {"l": 0.4, "m_values": [0.5], "steps": 3.0, "start_states": ["S0"]}) == EXIT_OK
     _, _, rows = read_csv(tmp_path / "futures.csv")
     assert len(rows) == 8
 
 
-def loaded_modules(code: str, packages: tuple[str, ...]) -> list[str]:
-    """The modules in or under `packages` that a fresh interpreter holds after running `code`."""
-    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-             f"if any(m == p or m.startswith(p + '.') for p in {packages!r}))))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+@pytest.fixture(scope="module")
+def fresh_modules(tmp_path_factory):
+    """`sys.modules` of one fresh interpreter after `import qcoin, qcoin.cli`, then after the bundled oracle-check."""
+    out = str(tmp_path_factory.mktemp("oracle"))
+    probe = ("import qcoin, qcoin.cli\nimport json, sys\nimported = sorted(sys.modules)\n"
+             f"assert qcoin.cli.main(['oracle-check', '--out', {out!r}]) == 0\n"
+             "print(json.dumps([imported, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def in_packages(modules: list[str], packages: tuple[str, ...]) -> list[str]:
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_cli_import_leaves_scipy_unloaded(fresh_modules):
     # scipy.optimize is most of the import time; only the visibility fit loads it
-    assert loaded_modules("import qcoin, qcoin.cli", ("scipy",)) == []
+    assert in_packages(fresh_modules[0], ("scipy",)) == []
 
 
-def test_cli_import_leaves_network_stack_unloaded():
+def test_cli_import_leaves_network_stack_unloaded(fresh_modules):
     # xml.sax.saxutils would bring in urllib.request, http.client, email and ssl
     network = ("xml", "urllib.request", "http", "email", "ssl")
-    assert loaded_modules("import qcoin, qcoin.cli", network) == []
+    assert in_packages(fresh_modules[0], network) == []
 
 
-def test_oracle_check_leaves_numpy_ma_unloaded(tmp_path):
+def test_oracle_check_leaves_numpy_ma_unloaded(fresh_modules):
     # np.unique calls np.ma.is_masked, which imports numpy.ma
-    code = f"from qcoin.cli import main\nassert main(['oracle-check', '--out', {str(tmp_path)!r}]) == 0"
-    assert loaded_modules(code, ("numpy.ma",)) == []
+    assert in_packages(fresh_modules[1], ("numpy.ma",)) == []
 
 
-def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcoin", "--version"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert "qcoin" in proc.stdout
+def test_module_entry_point_smoke(tmp_path):
+    cfg = write_config(tmp_path, {"schema_version": 1, "futures": {"l": 0.4, "m_values": [0.5], "steps": "abc"}})
+    proc = subprocess.run([sys.executable, "-m", "qcoin", "futures", "--config", cfg, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60, env=SRC_ENV)
+    assert proc.returncode == EXIT_CONFIG
+    assert "config error: " in proc.stderr and "Traceback" not in proc.stderr

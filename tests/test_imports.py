@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used there, and no module imports another's private names
-(no linter needed: the stdlib `ast`)."""
+"""Every name a module of the package imports is used there, no module imports another's private names, and
+only the named tests start an interpreter (no linter needed: the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -77,3 +77,36 @@ def test_a_planted_payload_format_is_found():
                      "class DensityMatrix2:\n    def to_json_dict(self):\n        return encoding.all_bitstrings(2)\n")
     assert payload_format_uses(tree) == ["line 1: imports all_bitstrings", "line 4: defines to_json_dict",
                                          "line 5: uses encoding.all_bitstrings"]
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# The only code here that starts an interpreter, each once: a subprocess is the only way to see what a fresh
+# import loads, to run `python -m qcoin` to its real exit, and to run the README example as a user would.
+INTERPRETER_STARTS = ["test_cli.py::fresh_modules", "test_cli.py::test_module_entry_point_smoke",
+                      "test_readme.py::test_library_example_runs"]
+
+
+def subprocess_uses(tree: ast.Module, filename: str) -> list[str]:
+    """`file::function` of each call into `subprocess` and each import from it, by line: the innermost
+    function around it, or `<module>`."""
+    functions = sorted((node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)),
+                       key=lambda f: -f.lineno)  # innermost first
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "subprocess" or isinstance(node, ast.Call)
+                and getattr(getattr(node.func, "value", None), "id", None) == "subprocess"):
+            where = next((f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno), "<module>")
+            found.append((node.lineno, f"{filename}::{where}"))
+    return [use for _, use in sorted(found)]
+
+
+def test_only_the_named_tests_start_an_interpreter():
+    uses = [use for path in TESTS
+            for use in subprocess_uses(ast.parse(path.read_text(encoding="utf-8")), path.name)]
+    assert sorted(uses) == INTERPRETER_STARTS
+
+
+def test_a_planted_subprocess_call_is_found():
+    tree = ast.parse("import subprocess\nfrom subprocess import run\n\ndef test_a():\n    def inner():\n"
+                     "        subprocess.run(['x'])\n    return subprocess.check_output(['y'])\n")
+    assert subprocess_uses(tree, "t.py") == ["t.py::<module>", "t.py::inner", "t.py::test_a"]

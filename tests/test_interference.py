@@ -163,26 +163,26 @@ class TestDipCurve:
 class TestFitVisibility:
     def test_perfect_visibility_roundtrip(self):
         delays = np.linspace(-5, 5, 41)
-        fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 1.0, 1.0)))
+        fit = fit_visibility(delays, dip_model(delays, 1000.0, 1.0, 1.0))
         assert fit.visibility == pytest.approx(1.0, abs=TOL.fit_roundtrip)
 
     def test_partial_visibility_roundtrip(self):
         delays = np.linspace(-5, 5, 41)
-        fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 0.96, 1.0)))
+        fit = fit_visibility(delays, dip_model(delays, 1000.0, 0.96, 1.0))
         assert fit.visibility == pytest.approx(0.96, abs=TOL.fit_roundtrip)
 
     def test_noiseless_recovery_over_v_sigma_grid(self):
         for v in np.linspace(0.0, 1.0, 6):
             for sigma in (0.1, 0.7, 2.0, 10.0):
                 delays = np.linspace(-5 * sigma, 5 * sigma, 41)
-                fit = fit_visibility(zip(delays, dip_model(delays, 2000.0, v, sigma)))
+                fit = fit_visibility(delays, dip_model(delays, 2000.0, v, sigma))
                 assert fit.visibility == pytest.approx(float(v), abs=TOL.fit_roundtrip)
                 if v > 0.0:
                     assert fit.sigma_ns == pytest.approx(sigma, rel=1e-4)
 
     def test_recovers_shifted_center(self):
         delays = np.linspace(-5, 5, 41)
-        fit = fit_visibility(zip(delays, dip_model(delays, 1000.0, 0.8, 1.0, center_ns=0.7)))
+        fit = fit_visibility(delays, dip_model(delays, 1000.0, 0.8, 1.0, center_ns=0.7))
         assert fit.center_ns == pytest.approx(0.7, abs=1e-6)
         assert fit.visibility == pytest.approx(0.8, abs=TOL.fit_roundtrip)
 
@@ -194,14 +194,16 @@ class TestFitVisibility:
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             sampled = rng.poisson(expected).astype(float)
-            fit = fit_visibility(zip(delays, sampled))
+            fit = fit_visibility(delays, sampled)
             if abs(fit.visibility - 0.96) <= 3.0 * fit.visibility_err:
                 hits += 1
         assert hits >= 95
 
     def test_requires_five_samples(self):
-        with pytest.raises(InvalidParameter):
-            fit_visibility([(0.0, 10.0), (1.0, 10.0), (2.0, 10.0), (3.0, 10.0)])
+        with pytest.raises(InvalidParameter, match=r"got shapes \(4,\) and \(4,\)"):
+            fit_visibility([0.0, 1.0, 2.0, 3.0], [10.0, 10.0, 10.0, 10.0])
+        with pytest.raises(InvalidParameter, match=r"got shapes \(6,\) and \(5,\)"):
+            fit_visibility(np.arange(6.0), np.full(5, 10.0))
 
     def test_fit_failure_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -209,7 +211,7 @@ class TestFitVisibility:
         counts = rng.random(41) * 1000.0 + 10.0
         monkeypatch.setattr(interference, "FIT_MAX_EVALS", 4)
         with pytest.raises(FitDidNotConverge):
-            fit_visibility(zip(delays, counts))
+            fit_visibility(delays, counts)
 
 
 def l_series(l_values, m):
@@ -249,8 +251,11 @@ class TestVisibilitySweep:
         assert abs(forward - backward) <= 1e-12
 
     def test_rejects_empty_varying_list(self):
-        with pytest.raises(InvalidParameter, match="the varying grid must be nonempty"):
+        # an empty coin grid is refused as it is built
+        with pytest.raises(InvalidParameter, match=r"must be of one nonempty shape, got shapes \(0,\) and \(0,\)"):
             visibility_sweep(*self.fixed_fair(), l_series([], 0.5), S0, 3)
+        with pytest.raises(InvalidParameter, match="the varying grid must be nonempty"):
+            visibility_sweep(*self.fixed_fair(), l_series([0.5], 0.5), np.array([], dtype=int), 3)
 
     def test_each_entry_has_the_bits_of_its_pair_and_the_grid_shape(self):
         heads, tails = np.array([[0.0, 0.35], [0.9, 1.0]]), np.array([[0.5, 1.0], [0.2, 0.0]])

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import tracemalloc
@@ -7,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcoin.checks import probability_grid
 from qcoin.cli import cmd_futures, command_record
 from qcoin.constants import TOL
-from qcoin.encoding import all_bitstrings, bits_to_index, index_to_bits, lexicographic_bins
+from qcoin.encoding import all_bitstrings, bits_to_index, lexicographic_bins
 from qcoin.errors import DimensionMismatch, InvalidParameter, ReducibleChain, StepCountTooLarge
 from qcoin.markov import (
     CHUNK_DRAWS,
@@ -49,7 +49,7 @@ def string_map(dist):
 
 def one_shot_sample(coin, start, steps, draws, seed):
     """The sampler's reference: all draws of a step in one call of one
-    generator, counted per outcome string, then mapped to bin indices."""
+    generator, each draw's emission gathered from its state, counted per bin."""
     rng = np.random.default_rng(seed)
     emit_zero = transition_matrix(coin)[:, 0]
     states = np.full(draws, start.index, dtype=np.int64)
@@ -58,23 +58,15 @@ def one_shot_sample(coin, start, steps, draws, seed):
         emitted = (rng.random(draws) >= emit_zero[states]).astype(np.int64)
         bins |= emitted << k
         states = emitted
-    strings, indices = string_bins(steps)
-    by_bits = dict(zip(strings, np.bincount(bins, minlength=2**steps).tolist()))
-    counts = np.zeros(2**steps, dtype=np.int64)
-    counts[indices] = [by_bits[bits] for bits in strings]
-    return counts
+    return np.bincount(bins, minlength=2**steps)
 
 
-@functools.cache
-def string_bins(steps):
-    """Each bin's outcome string, then each string's bin index by `bits_to_index`."""
-    strings = [index_to_bits(b, steps) for b in range(2**steps)]
-    return strings, [bits_to_index(bits) for bits in strings]
-
-
-def grid(step=0.05):
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    return [(float(a), float(b)) for a in ticks for b in ticks]
+def running_sum(terms):
+    """The terms added one by one from 0.0, as `acc += r`."""
+    acc = 0.0
+    for r in terms:
+        acc += r
+    return acc
 
 
 def oracle_trajectory(stay_heads, stay_tails, start, bits):
@@ -98,6 +90,15 @@ class TestPerturbedCoin:
             with pytest.raises(InvalidParameter):
                 PerturbedCoin(0.5, bad)
 
+    @pytest.mark.parametrize("heads, tails, shapes", [
+        (np.array([]), np.array([]), r"\(0,\) and \(0,\)"),
+        (np.array([0.1, 0.2]), 0.5, r"\(2,\) and \(\)"),
+        (np.zeros((2, 1)), np.zeros((1, 3)), r"\(2, 1\) and \(1, 3\)"),
+    ], ids=["empty", "array-and-float", "broadcastable"])
+    def test_rejects_a_grid_without_one_nonempty_shape(self, heads, tails, shapes):
+        with pytest.raises(InvalidParameter, match=rf"must be of one nonempty shape, got shapes {shapes}"):
+            PerturbedCoin(heads, tails)
+
     def test_transition_matrix_values(self):
         t = transition_matrix(PerturbedCoin(0.4, 0.7))
         assert np.allclose(t, [[0.4, 0.6], [0.3, 0.7]], atol=1e-15, rtol=0.0)
@@ -105,7 +106,7 @@ class TestPerturbedCoin:
         assert transition_matrix(PerturbedCoin(0.5, 0.5)).tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_rows_sum_to_one_over_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             t = transition_matrix(PerturbedCoin(l, m))
             assert abs(t[0].sum() - 1.0) <= 1e-12
             assert abs(t[1].sum() - 1.0) <= 1e-12
@@ -152,7 +153,7 @@ class TestStationaryWeights:
         assert abs(w.s0 - 1.0 / 3.0) < 5e-3
 
     def test_detailed_balance_over_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             if l == 1.0 and m == 1.0:
                 continue
             w = stationary_weights(PerturbedCoin(l, m))
@@ -284,7 +285,7 @@ class TestFutureDistribution:
             assert abs(counts[bits_to_index(bits)] / n - p) <= 3.0 * se
 
     def test_sums_to_one_over_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             coin = PerturbedCoin(l, m)
             for steps in (1, 2, 3, 4):
                 for start in (S0, S1):
@@ -323,7 +324,7 @@ class TestFutureDistribution:
         assert dist.bins[lexicographic_bins(steps)].tolist() == enumerated
 
     def test_recurrence_equals_enumeration_exactly_on_whole_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
                 for steps in (1, 2, 3, 4):
@@ -368,16 +369,16 @@ class TestSampleTrajectories:
             expected = one_shot_sample(coin, start, steps, n, seed)
             assert np.array_equal(sample_trajectories(coin, start, steps, n, seed), expected)
 
-    # the widths of the bin code: uint8 to 8 steps, uint16 to 16, uint32 above
-    @pytest.mark.parametrize("steps", [8, 9, 16, 17])
+    # the widths of the bin code: uint8 to 8 steps, uint16 to 16, uint32 above, to the step cap
+    @pytest.mark.parametrize("steps", [8, 9, 16, 17, 20])
     def test_streaming_counts_equal_one_shot_reference_at_code_width_edges(self, steps):
         for (l, m), start in itertools.product(SAMPLER_COINS, (S0, S1)):
             coin = PerturbedCoin(l, m)
             expected = one_shot_sample(coin, start, steps, CHUNK_DRAWS + 1, 5)
             assert np.array_equal(sample_trajectories(coin, start, steps, CHUNK_DRAWS + 1, 5), expected)
 
-    # the reference's string route costs about 10 s at 20 steps; but step k reads the same uniforms
-    # at any step count, so the last three steps summed out leave the 17-step counts checked above
+    # step k reads the same uniforms at any step count, so the last three steps summed out leave
+    # the 17-step counts
     def test_counts_at_the_step_cap_sum_to_the_seventeen_step_counts(self):
         for (l, m), start in itertools.product(SAMPLER_COINS, (S0, S1)):
             coin = PerturbedCoin(l, m)
@@ -417,13 +418,14 @@ class TestSampleTrajectories:
         with pytest.raises(InvalidParameter):
             sample_trajectories(coin, S0, 3, 10, seed=None)
 
-    @pytest.mark.parametrize("heads, tails", [
-        (np.array([0.2, 0.3]), np.array([0.5, 0.6])),
-        (np.array([0.2, 0.3]), 0.5),
-        (0.2, np.array([[0.5]])),
+    # a grid of two shapes is refused as it is built
+    @pytest.mark.parametrize("heads, tails, message", [
+        (np.array([0.2, 0.3]), np.array([0.5, 0.6]), "sample_trajectories takes one coin, got a grid: PerturbedCoin"),
+        (np.array([0.2, 0.3]), 0.5, r"one nonempty shape, got shapes \(2,\) and \(\)"),
+        (0.2, np.array([[0.5]]), r"one nonempty shape, got shapes \(\) and \(1, 1\)"),
     ], ids=["grid", "grid-heads", "one-element-grid-tails"])
-    def test_a_grid_coin_is_refused(self, heads, tails):
-        with pytest.raises(InvalidParameter, match="sample_trajectories takes one coin, got a grid: PerturbedCoin"):
+    def test_a_grid_coin_is_refused(self, heads, tails, message):
+        with pytest.raises(InvalidParameter, match=message):
             sample_trajectories(PerturbedCoin(heads, tails), S0, 3, 10, seed=1)
 
     @pytest.mark.parametrize("draws, seed, message", [
@@ -530,12 +532,23 @@ class TestClassicalFidelity:
         assert classical_fidelity(uniform, skewed) == classical_fidelity(skewed, uniform)
 
     def test_adds_terms_one_by_one_in_string_order(self):
-        # the counts report carries this rounding; for this pair a pairwise
-        # sum or a sum in bin order differs in the last digits
+        # the counts report carries this rounding; for this pair a pairwise sum, a sum in bin order
+        # or a compensated one (math.fsum, or builtin sum from Python 3.12 on) differs in the last digits
         a = future_distribution(PerturbedCoin(0.3, 0.6), S0, 12)
         b = future_distribution(PerturbedCoin(0.8, 0.2), S1, 12)
         pa, pb = string_map(a), string_map(b)
-        assert classical_fidelity(a, b) == sum(math.sqrt(pa[k] * pb[k]) for k in sorted(pa))
+        terms = [math.sqrt(pa[k] * pb[k]) for k in sorted(pa)]
+        assert classical_fidelity(a, b) == running_sum(terms) != math.fsum(terms)
+
+    def test_counts_fidelity_is_the_running_sum_in_string_order(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            coin, start = PerturbedCoin(rng.random(), rng.random()), CausalState(int(rng.integers(2)))
+            steps, n, seed = (int(x) for x in rng.integers([1, 1, 0], [13, 10**4, 100]))
+            empirical = counts_to_distribution(sample_trajectories(coin, start, steps, n, seed), steps)
+            theory = future_distribution(coin, start, steps)
+            pe, pt = string_map(empirical), string_map(theory)
+            assert classical_fidelity(empirical, theory) == running_sum(math.sqrt(pe[k] * pt[k]) for k in sorted(pe))
 
     def test_dimension_mismatch(self):
         a = future_distribution(PerturbedCoin(0.4, 0.7), S0, 2)

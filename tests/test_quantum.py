@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcoin import quantum
-from qcoin.checks import _overlap
+from qcoin.checks import _overlap, probability_grid
 from qcoin.cli import _density_json, _superposition_json
 from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from qcoin.encoding import all_bitstrings, bits_to_index
@@ -37,11 +37,6 @@ S0, S1 = CausalState.S0, CausalState.S1
 GRID_TICKS = [round(0.05 * i, 10) for i in range(21)]
 
 
-def grid(step=0.05):
-    ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    return [(float(a), float(b)) for a in ticks for b in ticks]
-
-
 def row_overlap(coin_a, state_a, coin_b, state_b):
     return np.vdot(causal_pair(coin_a)[state_a.index], causal_pair(coin_b)[state_b.index])
 
@@ -68,7 +63,7 @@ class TestCausalState:
         assert causal_pair(coin)[S1.index].tolist() == [0.0, 1.0]
 
     def test_real_nonnegative_and_normalized_over_grid(self):
-        for l, m in grid(0.1):
+        for l, m in probability_grid(0.1).tolist():
             for state in (S0, S1):
                 amps = causal_pair(PerturbedCoin(l, m))[state.index]
                 assert np.all(amps.imag == 0.0)
@@ -183,7 +178,7 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(memory_density(coin, w)) < classical_complexity(w)
 
     def test_agrees_with_eigenvalue_oracle_over_grid(self):
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             if l == 1.0 and m == 1.0:
                 continue
             coin = PerturbedCoin(l, m)
@@ -195,7 +190,7 @@ class TestVonNeumannEntropy:
     def test_quantum_memory_never_exceeds_classical_over_grid(self):
         # equality only with orthogonal causal states (0,0) or with degenerate
         # stationary weights (absorbing edges), where both entropies vanish
-        for l, m in grid():
+        for l, m in probability_grid().tolist():
             if l == 1.0 and m == 1.0:
                 continue
             coin = PerturbedCoin(l, m)
@@ -286,7 +281,7 @@ class TestIdealOutputState:
         assert np.abs(marg - future_distribution(coin, S1, 3).bins).max() <= 1e-12
 
     def test_norm_one_over_grid(self):
-        for l, m in grid(0.25):
+        for l, m in probability_grid(0.25).tolist():
             for steps in (1, 2, 3, 4):
                 out = ideal_output_state(PerturbedCoin(l, m), S1, steps)
                 assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) <= 1e-9
