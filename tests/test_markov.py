@@ -92,9 +92,8 @@ class TestPerturbedCoin:
 
     @pytest.mark.parametrize("heads, tails, shapes", [
         (np.array([]), np.array([]), r"\(0,\) and \(0,\)"),
-        (np.array([0.1, 0.2]), 0.5, r"\(2,\) and \(\)"),
         (np.zeros((2, 1)), np.zeros((1, 3)), r"\(2, 1\) and \(1, 3\)"),
-    ], ids=["empty", "array-and-float", "broadcastable"])
+    ], ids=["empty", "broadcastable"])
     def test_rejects_a_grid_without_one_nonempty_shape(self, heads, tails, shapes):
         with pytest.raises(InvalidParameter, match=rf"must be of one nonempty shape, got shapes {shapes}"):
             PerturbedCoin(heads, tails)
@@ -418,7 +417,7 @@ class TestSampleTrajectories:
         with pytest.raises(InvalidParameter):
             sample_trajectories(coin, S0, 3, 10, seed=None)
 
-    # a grid of two shapes is refused as it is built
+    # an array and a float are two shapes, refused as the coin is built
     @pytest.mark.parametrize("heads, tails, message", [
         (np.array([0.2, 0.3]), np.array([0.5, 0.6]), "sample_trajectories takes one coin, got a grid: PerturbedCoin"),
         (np.array([0.2, 0.3]), 0.5, r"one nonempty shape, got shapes \(2,\) and \(\)"),
