@@ -28,6 +28,7 @@ from .markov import (
     PerturbedCoin,
     StationaryWeights,
     WeightMethod,
+    causal_pair,
     classical_complexity,
     classical_fidelity,
     counts_to_distribution,
@@ -42,7 +43,6 @@ from .quantum import (
     IdealOutputState,
     ProcessSpec,
     bhattacharyya_futures,
-    causal_pair,
     ideal_output_state,
     memory_density,
     output_overlap,

@@ -26,10 +26,10 @@ from .circuit import (apply_block, arrival_time_distribution, block_norm_account
                       reconstruct_memory_density)
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter
-from .markov import (PerturbedCoin, StationaryWeights, WeightMethod, classical_complexity, future_distribution,
-                     require_count, require_steps, stationary_weights)
-from .quantum import (DensityMatrix2, ProcessSpec, bhattacharyya_futures, causal_pair, ideal_output_state,
-                      memory_density, output_overlap, von_neumann_entropy)
+from .markov import (PerturbedCoin, StationaryWeights, WeightMethod, causal_pair, classical_complexity,
+                     future_distribution, require_count, require_steps, stationary_weights)
+from .quantum import (DensityMatrix2, ProcessSpec, bhattacharyya_futures, ideal_output_state, memory_density,
+                      output_overlap, von_neumann_entropy)
 
 # Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
@@ -136,11 +136,10 @@ def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault
             dev = np.maximum(dev, abs(state.success_probability - 0.5**steps))
             ideal = ideal_output_state(coins, starts, steps)
             arrival = arrival_time_distribution(state)[0].bins
-            circuit = state.amplitudes
-            if inject_fault and steps == step_counts[0]:
-                circuit = circuit.copy()
-                circuit[0, 0, 0, 0] += 1e-6
-            matched[steps] = np.maximum(np.abs(circuit - ideal.amplitudes).max(axis=(-2, -1)),
+            diff = state.amplitudes - ideal.amplitudes
+            if inject_fault and steps == step_counts[0]:  # the first amplitude of the circuit plus 1e-6
+                diff[0, 0, 0, 0] = state.amplitudes[0, 0, 0, 0] + 1e-6 - ideal.amplitudes[0, 0, 0, 0]
+            matched[steps] = np.maximum(np.abs(diff, out=diff).max(axis=(-2, -1)),
                                         np.abs(arrival - ideal.distribution.bins).max(axis=-1))
         accounting.append(dev)
     return np.stack([matched[k] for k in step_counts], axis=-1), np.stack(accounting, axis=-1)

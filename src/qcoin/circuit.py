@@ -14,8 +14,8 @@ Because the two paths land in disjoint time bins they cannot interfere at
 the recombiner, so the selected arm keeps exactly half of the norm whatever
 the input; the 1/sqrt(2) post-selection factor and the renormalization of
 the kept state cancel.  `block_norm_accounting` measures the retained arm
-of a block's output to verify that bookkeeping.  All blocks of a run share one coin, so
-`run_circuit` validates the causal states once per run and builds one
+of a block's output to verify that bookkeeping.  All blocks of a run share one coin,
+whose causal states are built and validated once per coin, and `run_circuit` builds one
 `PhotonState`, which checks the norm, at the end.  As in `markov`, each
 function takes a grid coin and start-index arrays (leading batch axes), and
 works on real float64 amplitudes, polarization-major (..., 2, bins) so that
@@ -35,9 +35,9 @@ import numpy as np
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
 from .encoding import bits_to_index
 from .errors import DimensionMismatch, EmptyBin, InvalidParameter
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts,
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
                      require_one_coin, require_steps, start_rows)
-from .quantum import DensityMatrix2, causal_pair, norm_sq, require_one_state, state_amplitudes
+from .quantum import DensityMatrix2, norm_sq, require_one_state, state_amplitudes
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class PhotonState:
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """One block on real (..., 2, n) amplitudes, polarization-major; the rows of `pair` (..., 2, 2)
     are |S0> and |S1>.  H times |S0> fills the lower n bins, V times |S1> the upper n."""
-    out = pair.mT[..., None] * amps[..., None, :, :]
+    out = np.multiply(pair.mT[..., None], amps[..., None, :, :], order="C")  # so the reshape copies nothing
     return out.reshape(out.shape[:-3] + (2, -1))
 
 
@@ -80,7 +80,7 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     """One block: H keeps its bin and becomes |S0>, V moves up by 2^k bins
     and becomes |S1>; the post-selection halves the success probability (see
     the module docstring for why no renormalization is needed).  Validates
-    the coin's causal states and the new `PhotonState` on every call.
+    the new `PhotonState` on every call.
     """
     k = state.steps_applied
     require_steps(k + 1, MAX_SUPERPOSITION_STEPS)
@@ -159,9 +159,11 @@ def reconstruct_memory_density(
     rows = state.amplitudes.mT / np.sqrt(np.where(used, probs, 1.0))[..., None]  # (start, ..., bin, polarization)
     states = rows[..., :, None] * rows[..., None, :]
     DensityMatrix2(states[used])
-    starts = np.stack([weights.s0, weights.s1])
-    terms = np.where(used[..., None, None], (starts[..., None] * probs)[..., None, None] * states, 0.0)
-    return DensityMatrix2(sum(np.moveaxis(terms, -3, 1).reshape((-1,) + terms.shape[1:-3] + (2, 2))))
+    scale = np.where(used, np.stack([weights.s0, weights.s1])[..., None] * probs, 0.0)  # (start, ..., bin)
+    total = 0  # a +-0 term (an unused bin's) leaves the running sum's bits as they are
+    for start, b in np.ndindex(2, probs.shape[-1]):
+        total = total + scale[start, ..., b, None, None] * states[start, ..., b, :, :]
+    return DensityMatrix2(total)
 
 
 def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:

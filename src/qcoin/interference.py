@@ -22,7 +22,7 @@ from .errors import (
     InternalError,
     InvalidParameter,
 )
-from .markov import CausalState, PerturbedCoin
+from .markov import CausalState, PerturbedCoin, float_or_array
 from .quantum import IdealOutputState, require_one_state
 
 FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
@@ -154,5 +154,4 @@ def visibility_sweep(fixed: PerturbedCoin, fixed_start: CausalState, coins: Pert
     psi, batch = run_circuit(fixed, fixed_start, steps), run_circuit(coins, starts, steps)
     rows = batch.amplitudes.reshape(-1, 2, 2**steps)
     v = np.array([visibility(psi, PhotonState(steps, row, batch.success_probability)) for row in rows])
-    v = v.reshape(batch.amplitudes.shape[:-2])
-    return float(v) if v.ndim == 0 else v
+    return float_or_array(v.reshape(batch.amplitudes.shape[:-2]))

@@ -1,7 +1,7 @@
 """Classical perturbed-coin process.
 
-Transition structure, stationary weights, exact future distributions,
-Monte Carlo sampling, statistical complexity and classical fidelity.
+Transition structure and causal-state pair, stationary weights, exact future
+distributions, Monte Carlo sampling, statistical complexity and classical fidelity.
 
 A future distribution is a float64 array over the time-bin index (first
 outcome = least-significant bit), built by the doubling recurrence
@@ -23,6 +23,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,8 @@ class PerturbedCoin:
     `stay_heads` is the probability that a coin showing heads (outcome 0)
     still shows heads after the perturbation; `stay_tails` likewise for
     tails (outcome 1).  Both may be arrays of one nonempty shape: a grid of coins.
+    The coin holds read-only float64 copies of array inputs, and builds its
+    transition matrix and causal pair once, at their first use.
     """
 
     stay_heads: float
@@ -96,26 +99,60 @@ class PerturbedCoin:
         if getattr(self.stay_tails, "shape", ()) != shape or 0 in shape:
             raise InvalidParameter(f"stay_heads and stay_tails must be of one nonempty shape, got shapes "
                                    f"{np.shape(self.stay_heads)} and {np.shape(self.stay_tails)}")
-        for name, p in (("stay_heads", self.stay_heads), ("stay_tails", self.stay_tails)):
+        for name in ("stay_heads", "stay_tails"):
+            p = _read_only_copy(getattr(self, name))
+            object.__setattr__(self, name, p)
             inside = (p >= 0.0) & (p <= 1.0)
-            if not _all_set(inside):
-                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {_first_failing(p, inside)}")
+            if not all_set(inside):
+                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {first_failing(p, inside)}")
+
+    @cached_property
+    def _transition(self) -> np.ndarray:
+        heads, tails = self.stay_heads, self.stay_tails
+        t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
+        return read_only(t if t.ndim == 2 else t.transpose(*range(2, t.ndim), 0, 1))
+
+    @cached_property
+    def _causal_pair(self) -> np.ndarray:
+        pair = np.sqrt(transition_matrix(self))
+        p0, p1 = pair[..., 0], pair[..., 1]
+        require_unit(p0 * p0 + p1 * p1, "causal-state vector", TOL.exact)
+        return read_only(pair)
 
 
-def _all_set(flags) -> bool:
+def read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only, and so every view of it."""
+    array.flags.writeable = False
+    return array
+
+
+def _read_only_copy(value):
+    """A read-only float64 copy of an array, so no later write to the caller's array reaches the holder;
+    a number as it is."""
+    return read_only(np.array(value, dtype=float)) if isinstance(value, np.ndarray) else value
+
+
+def all_set(flags) -> bool:
     """Whether every flag is set; a plain truth test for one value (cheaper than numpy's `.all()`).
     The validators test the accepting range, so NaN fails them."""
     return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
-def _first_failing(values, ok):
+def first_failing(values, ok):
     """The first of `values` (one value or an array) where `ok` is not set, as a Python number."""
     return np.asarray(values)[np.logical_not(ok)].flat[0].item()
 
 
-def _float_or_array(value):
+def float_or_array(value):
     """A float for one coin, the array for a grid: the one return type of a float-valued function."""
     return float(value) if np.ndim(value) == 0 else value
+
+
+def require_unit(squared, what: str, tol: float) -> None:
+    """Every squared norm in `squared` within `tol` of 1."""
+    near = abs(squared - 1.0) <= tol
+    if not all_set(near):
+        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {first_failing(squared, near)!r}")
 
 
 def require_one_coin(coin: PerturbedCoin, what: str) -> None:
@@ -125,29 +162,36 @@ def require_one_coin(coin: PerturbedCoin, what: str) -> None:
 
 
 def transition_matrix(coin: PerturbedCoin) -> np.ndarray:
-    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins."""
-    heads, tails = coin.stay_heads, coin.stay_tails
-    t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
-    return t if t.ndim == 2 else t.transpose(*range(2, t.ndim), 0, 1)
+    """Row-stochastic T[i, j] = P(emit j | causal state S_i); (..., 2, 2) for a grid of coins, read-only."""
+    return coin._transition
+
+
+def causal_pair(coin: PerturbedCoin) -> np.ndarray:
+    """Read-only float64 (2, 2) array, (..., 2, 2) for a grid of coins, whose rows are |S0> = (sqrt(l), sqrt(1 - l))
+    and |S1> = (sqrt(1 - m), sqrt(m)): the square roots of the rows of T, norms checked at TOL.exact."""
+    return coin._causal_pair
 
 
 @dataclass(frozen=True)
 class StationaryWeights:
     """Probabilities of finding the memory in causal state S0 / S1; the
     caller supplies them explicitly for the reducible chain where both stay
-    probabilities are 1.  Arrays of one shape are the weights of a grid.
+    probabilities are 1.  Arrays of one shape are the weights of a grid;
+    the weights hold read-only float64 copies of them.
     """
 
     s0: float
     s1: float
 
     def __post_init__(self) -> None:
-        if not _all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
+        object.__setattr__(self, "s0", _read_only_copy(self.s0))
+        object.__setattr__(self, "s1", _read_only_copy(self.s1))
+        if not all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
             raise InvalidParameter("stationary weights must be nonnegative")
         total = self.s0 + self.s1
         near = abs(total - 1.0) <= TOL.exact
-        if not _all_set(near):
-            raise InvalidParameter(f"stationary weights must sum to 1, got {_first_failing(total, near)!r}")
+        if not all_set(near):
+            raise InvalidParameter(f"stationary weights must sum to 1, got {first_failing(total, near)!r}")
 
 
 def stationary_weights(
@@ -174,14 +218,14 @@ def stationary_weights(
         leave_heads = sum(bins[0, ..., b] for b in in_order[1::2])
         leave_tails = sum(bins[1, ..., b] for b in in_order[0::2])
     denom = leave_heads + leave_tails
-    if not _all_set(denom != 0.0):
+    if not all_set(denom != 0.0):
         raise ReducibleChain(REDUCIBLE_CHAIN)
-    return StationaryWeights(_float_or_array(leave_tails / denom), _float_or_array(leave_heads / denom))
+    return StationaryWeights(float_or_array(leave_tails / denom), float_or_array(leave_heads / denom))
 
 
 def classical_complexity(weights: StationaryWeights) -> float:
     """Shannon entropy (bits) of the stationary causal-state weights."""
-    return _float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
+    return float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
 
 
 def entropy_bits(*probs):
@@ -233,18 +277,17 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         require_steps(self.steps)
         size = 2**self.steps
-        p = np.array(self.bins, dtype=np.float64, order="C")
+        p = read_only(np.array(self.bins, dtype=np.float64, order="C"))
         if p.shape[-1:] != (size,):
             raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
-        p.flags.writeable = False
         object.__setattr__(self, "bins", p)
         if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
             b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
             raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
         total = np.einsum("...i->...", p)  # a check, so its rounding is free
         near = abs(total - 1.0) <= TOL.prob_sum
-        if not _all_set(near):
-            raise InvalidParameter(f"probabilities sum to {_first_failing(total, near)!r}, not 1")
+        if not all_set(near):
+            raise InvalidParameter(f"probabilities sum to {first_failing(total, near)!r}, not 1")
 
 
 def start_rows(matrix: np.ndarray, start) -> np.ndarray:
@@ -275,7 +318,10 @@ def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> 
     # The bins run down the first axis and the flattened batch along the last, contiguous, so each
     # multiply runs over whole rows of the batch.  factors[x, y, 0, :] = T[y, x]: the factor of the
     # next outcome x after the last outcome y, which is the half of the bins that q is cut into.
-    factors = np.broadcast_to(t, lead + (2, 2)).reshape(-1, 2, 2).T.copy()[:, :, None]
+    factors = np.empty((2, 2, 1) + lead)
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        factors[x, y, 0] = t[..., y, x]
+    factors = factors.reshape(2, 2, 1, -1)
     q = p.reshape(-1, 2).T
     for _ in range(steps - 1):
         q = (factors * q.reshape(2, -1, q.shape[-1])).reshape(-1, q.shape[-1])

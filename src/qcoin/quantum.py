@@ -1,10 +1,10 @@
 """Quantum model of the perturbed-coin simulator.
 
-Causal-state vectors over the polarization basis, the memory density matrix
-and its von Neumann entropy, the ideal multi-step output superposition, and
-overlaps between the statistical futures of two processes.  `output_overlap`
-is a transfer-matrix power; `bhattacharyya_futures` enumerates all 2**M
-futures and is its oracle, as is the bin sum in `checks`.  As in `markov`,
+The memory density matrix over the causal states (`causal_pair`, which each
+coin builds once in `markov`) and its von Neumann entropy, the ideal output
+superposition, and overlaps between the statistical futures of two processes.
+`output_overlap` is a transfer-matrix power; `bhattacharyya_futures` enumerates
+all 2**M futures and is its oracle, as is the bin sum in `checks`.  As in `markov`,
 each function takes a grid coin and start-index arrays (leading batch axes),
 and `DensityMatrix2` and `IdealOutputState` hold the batch and validate it
 in `__post_init__`.  They hold arrays only; `cli` writes their JSON.
@@ -18,8 +18,9 @@ import numpy as np
 
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter, NonPhysicalState
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, entropy_bits,
-                     future_distribution, require_steps, start_rows, transition_matrix)
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, all_set, causal_pair,
+                     entropy_bits, first_failing, float_or_array, future_distribution, read_only, require_steps,
+                     require_unit, start_rows, transition_matrix)
 
 
 def _real_array(value, what: str, shape: tuple) -> np.ndarray:
@@ -43,20 +44,11 @@ def norm_sq(amps: np.ndarray):
     return np.vecdot(flat, flat)
 
 
-def _require_unit(squared, what: str, tol: float) -> None:
-    """Every squared norm in `squared` within `tol` of 1."""
-    near = abs(squared - 1.0) <= tol
-    if not np.all(near):
-        first = np.asarray(squared)[np.logical_not(near)].flat[0].item()
-        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {first!r}")
-
-
 def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
     """A state's stored amplitudes: the kernels' real (..., 2, 2**steps) array as read-only C-ordered
     float64, taken over without a copy when it is one.  Complex input is refused; every norm is checked."""
-    amps = np.ascontiguousarray(_real_array(amplitudes, what, (2, 2**steps)), dtype=float)
-    amps.flags.writeable = False
-    _require_unit(norm_sq(amps), what, TOL.state_norm)
+    amps = read_only(np.ascontiguousarray(_real_array(amplitudes, what, (2, 2**steps)), dtype=float))
+    require_unit(norm_sq(amps), what, TOL.state_norm)
     return amps
 
 
@@ -64,16 +56,6 @@ def require_one_state(amplitudes: np.ndarray, what: str) -> None:
     """Refuse a batch of states where a function takes one state."""
     if amplitudes.ndim != 2:
         raise InvalidParameter(f"{what} takes one state, got a batch of shape {amplitudes.shape}")
-
-
-def causal_pair(coin: PerturbedCoin) -> np.ndarray:
-    """Real float64 (2, 2) array whose rows are |S0> = (sqrt(l), sqrt(1 - l)) and
-    |S1> = (sqrt(1 - m), sqrt(m)), (..., 2, 2) for a grid of coins: the square roots of the
-    transition-matrix rows, norms checked at TOL.exact."""
-    pair = np.sqrt(transition_matrix(coin))
-    p0, p1 = pair[..., 0], pair[..., 1]
-    _require_unit(p0 * p0 + p1 * p1, "causal-state vector", TOL.exact)
-    return pair
 
 
 @dataclass(frozen=True)
@@ -84,16 +66,15 @@ class DensityMatrix2:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(_real_array(self.matrix, "density matrix", (2, 2)), dtype=float)
-        m.flags.writeable = False
+        m = read_only(np.array(_real_array(self.matrix, "density matrix", (2, 2)), dtype=float))
         object.__setattr__(self, "matrix", m)
-        if not np.all(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact):
+        if not all_set(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact):
             raise InvalidParameter("matrix is not symmetric")
         trace = m[..., 0, 0] + m[..., 1, 1]
         near = abs(trace - 1.0) <= TOL.exact
-        if not np.all(near):
-            raise InvalidParameter(f"trace must be 1, got {np.asarray(trace)[np.logical_not(near)].flat[0].item()!r}")
-        if not np.all(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
+        if not all_set(near):
+            raise InvalidParameter(f"trace must be 1, got {first_failing(trace, near)!r}")
+        if not all_set(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
             raise InvalidParameter("matrix is not positive semidefinite")
 
 
@@ -114,10 +95,9 @@ def von_neumann_entropy(rho: DensityMatrix2) -> float:
     negative (TOL.entropy_floor).
     """
     low, high = _eigenvalues_2x2(rho.matrix)
-    if not np.all(low >= TOL.entropy_floor):
+    if not all_set(low >= TOL.entropy_floor):
         raise NonPhysicalState(f"eigenvalue {np.min(low)!r} is negative beyond tolerance")
-    h = entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0))
-    return float(h) if np.ndim(h) == 0 else h
+    return float_or_array(entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0)))
 
 
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:
@@ -162,7 +142,7 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     require_steps(steps, MAX_SUPERPOSITION_STEPS)
     distribution = future_distribution(coin, start, steps)
     roots = np.sqrt(distribution.bins).reshape(distribution.bins.shape[:-1] + (2, -1))
-    amps = causal_pair(coin).mT[..., None] * roots[..., None, :, :]
+    amps = np.multiply(causal_pair(coin).mT[..., None], roots[..., None, :, :], order="C")
     return IdealOutputState(steps, amps.reshape(amps.shape[:-3] + (2, -1)), distribution)
 
 
@@ -187,8 +167,7 @@ def output_overlap(
     power = np.linalg.matrix_power(np.sqrt(ta * tb), steps - 1)
     u = np.sqrt(start_rows(ta, start_a) * start_rows(tb, start_b))
     row = u[..., 0, None] * power[..., 0, :] + u[..., 1, None] * power[..., 1, :]
-    overlap = row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1]
-    return float(overlap) if np.ndim(overlap) == 0 else overlap
+    return float_or_array(row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1])
 
 
 def bhattacharyya_futures(
@@ -207,5 +186,4 @@ def bhattacharyya_futures(
     """
     bins_a = future_distribution(proc_a.coin, start_a, steps).bins
     bins_b = future_distribution(proc_b.coin, start_b, steps).bins
-    coefficient = np.sqrt(bins_a * bins_b).sum(axis=-1)
-    return float(coefficient) if np.ndim(coefficient) == 0 else coefficient
+    return float_or_array(np.sqrt(bins_a * bins_b).sum(axis=-1))

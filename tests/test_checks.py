@@ -3,6 +3,7 @@ loops over the public scalar API, which run the same kernels one coin at a
 time, and check that the batch validation reaches every grid element.
 """
 
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 
 from qcoin import checks, circuit, markov, quantum
 from qcoin.checks import probability_grid, run_oracle_checks
-from qcoin.cli import MIN_GRID_STEP
+from qcoin.cli import EXIT_OK, MIN_GRID_STEP, main
 from qcoin.circuit import (
     PhotonState,
     apply_block,
@@ -25,6 +26,7 @@ from qcoin.circuit import (
 )
 from qcoin.constants import ALLOCATION_BUDGET_BYTES
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
+from qcoin.interference import visibility
 from qcoin.markov import (
     CausalState,
     OutcomeDistribution,
@@ -390,3 +392,37 @@ def test_deviation_in_the_last_bin_of_the_last_coin_is_found(monkeypatch, name, 
     result = run_oracle_checks(grid_step=0.5, step_counts=(2, 1), identity_draws=1)[0]
     assert result.max_abs_deviation == pytest.approx(1e-10, rel=1e-5)
     assert result.worst_at == {"l": 1.0, "m": 1.0, "start": "S1", "steps": 2}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The coin objects whose transition matrix and causal pair get built, one entry per build; the lists
+    keep the coins alive, so no two of them share an id."""
+    built = {"_transition": [], "_causal_pair": []}
+    for name, coins in built.items():
+        build = PerturbedCoin.__dict__[name].func
+
+        def counted(coin, _build=build, _coins=coins):
+            _coins.append(coin)
+            return _build(coin)
+        cached = functools.cached_property(counted)
+        cached.__set_name__(PerturbedCoin, name)
+        monkeypatch.setattr(PerturbedCoin, name, cached)
+    return built
+
+
+def test_a_bundled_oracle_check_builds_each_coins_matrix_and_pair_once(builds, tmp_path):
+    assert main(["oracle-check", "--out", str(tmp_path)]) == EXIT_OK
+    for name, coins in builds.items():
+        assert coins and len(coins) == len({id(coin) for coin in coins}), name
+
+
+def test_a_deep_horizon_call_sequence_builds_two_of_each(builds):
+    a, b = ProcessSpec(PerturbedCoin(0.35, 0.8)), ProcessSpec(PerturbedCoin(0.6, 0.15))
+    steps, start_a, start_b = 10, CausalState.S0, CausalState.S1
+    psi, phi = run_circuit(a.coin, start_a, steps), run_circuit(b.coin, start_b, steps)
+    ideal_output_state(a.coin, start_a, steps)
+    visibility(psi, phi)
+    output_overlap(a, start_a, b, start_b, steps)
+    bhattacharyya_futures(a, start_a, b, start_b, steps + 1)
+    assert {name: len(coins) for name, coins in builds.items()} == {"_transition": 2, "_causal_pair": 2}

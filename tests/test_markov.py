@@ -98,6 +98,15 @@ class TestPerturbedCoin:
         with pytest.raises(InvalidParameter, match=rf"must be of one nonempty shape, got shapes {shapes}"):
             PerturbedCoin(heads, tails)
 
+    def test_a_later_write_to_the_input_leaves_the_coin_as_it_was(self):
+        heads, tails = np.array([0.4, 0.2]), np.array([0.7, 0.9])
+        coin = PerturbedCoin(heads, tails)
+        heads[0], tails[1] = 7.0, -3.0
+        assert coin.stay_heads.tolist() == [0.4, 0.2] and coin.stay_tails.tolist() == [0.7, 0.9]
+        assert transition_matrix(coin)[0].tolist() == [[0.4, 0.6], [0.30000000000000004, 0.7]]
+        for held in (coin.stay_heads, coin.stay_tails):
+            assert held.dtype == np.float64 and not held.flags.writeable
+
     def test_transition_matrix_values(self):
         t = transition_matrix(PerturbedCoin(0.4, 0.7))
         assert np.allclose(t, [[0.4, 0.6], [0.3, 0.7]], atol=1e-15, rtol=0.0)
@@ -167,6 +176,14 @@ class TestStationaryWeights:
         assert stationary_weights(PerturbedCoin(1.0, 0.5)).s0 == 1.0
         assert stationary_weights(PerturbedCoin(0.5, 1.0)).s0 == 0.0
         assert stationary_weights(PerturbedCoin(1.0, 0.5), WeightMethod.THREE_STEP_MARGINAL).s0 == 1.0
+
+    def test_a_later_write_to_the_input_leaves_the_weights_as_they_were(self):
+        s0, s1 = np.array([0.5, 0.25]), np.array([0.5, 0.75])
+        w = StationaryWeights(s0, s1)
+        s0[0], s1[1] = -3.0, 4.0
+        assert w.s0.tolist() == [0.5, 0.25] and w.s1.tolist() == [0.5, 0.75]
+        for held in (w.s0, w.s1):
+            assert held.dtype == np.float64 and not held.flags.writeable
 
     def test_explicit_weights_validate(self):
         StationaryWeights(0.5, 0.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcoin import quantum
+from qcoin import markov, quantum
 from qcoin.checks import _overlap, probability_grid
 from qcoin.cli import _density_json, _superposition_json
 from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
@@ -21,6 +21,7 @@ from qcoin.markov import (
     future_distribution,
     stationary_weights,
     trajectory_probability,
+    transition_matrix,
 )
 from qcoin.quantum import (
     DensityMatrix2,
@@ -71,19 +72,41 @@ class TestCausalState:
                 assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-12
 
     def test_vector_must_be_normalized(self, monkeypatch):
-        monkeypatch.setattr(quantum, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # the pair reads T through markov.transition_matrix at its one build: plant the bad T before it
+        monkeypatch.setattr(markov, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(InvalidParameter, match="causal-state vector is not normalized"):
             causal_pair(PerturbedCoin(0.5, 0.5))
 
     def test_an_off_norm_pair_in_the_last_coin_of_a_grid_raises(self, monkeypatch):
-        coins = PerturbedCoin(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
-        causal_pair(coins)
-        planted = quantum.transition_matrix(coins)
+        heads, tails = np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8])
+        planted = transition_matrix(PerturbedCoin(heads, tails)).copy()
         planted[-1, 1, 1] += 1e-10  # |S1> of the last coin: |.|^2 = 1 + 1e-10, beyond TOL.exact
-        monkeypatch.setattr(quantum, "transition_matrix", lambda coin: planted)
+        monkeypatch.setattr(markov, "transition_matrix", lambda coin: planted)
         message = r"causal-state vector is not normalized: \|\.\|\^2 = 1\.0000000001"
         with pytest.raises(InvalidParameter, match=message):
-            causal_pair(coins)
+            causal_pair(PerturbedCoin(heads, tails))  # a coin whose pair is not built yet
+
+    def test_the_pair_and_the_matrix_are_built_once_per_coin(self):
+        coin = PerturbedCoin(np.array([0.2, 0.5]), np.array([0.3, 0.6]))
+        assert causal_pair(coin) is causal_pair(coin)
+        assert transition_matrix(coin) is transition_matrix(coin)
+
+    @pytest.mark.parametrize("coin", [PerturbedCoin(0.3, 0.8),
+                                      PerturbedCoin(np.array([0.2, 0.5]), np.array([0.3, 0.6]))], ids=["one", "grid"])
+    def test_the_pair_and_the_matrix_are_read_only(self, coin):
+        for built in (causal_pair(coin), transition_matrix(coin)):
+            assert built.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                built[..., 0, 0] = 0.5
+
+    def test_a_grid_coins_cached_pair_has_each_coins_own_bits(self):
+        heads, tails = np.array(GRID_TICKS)[:, None], np.array(GRID_TICKS)[None, ::-1]
+        coins = PerturbedCoin(*np.broadcast_arrays(heads, tails))
+        pairs, matrices = causal_pair(coins), transition_matrix(coins)
+        for i, j in itertools.product(range(len(GRID_TICKS)), repeat=2):
+            coin = PerturbedCoin(float(coins.stay_heads[i, j]), float(coins.stay_tails[i, j]))
+            assert pairs[i, j].tobytes() == causal_pair(coin).tobytes()
+            assert matrices[i, j].tobytes() == transition_matrix(coin).tobytes()
 
 
 class TestCausalOverlap:
@@ -409,7 +432,7 @@ class TestTransferMatrixOverlap:
             transfer((0.4, 0.7, S0), (0.45, 0.7, S0), 2.5)
 
     def test_causal_state_norms_are_checked(self, monkeypatch):
-        monkeypatch.setattr(quantum, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
+        monkeypatch.setattr(markov, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(InvalidParameter, match="causal-state vector is not normalized"):
             transfer((0.4, 0.7, S0), (0.45, 0.7, S0), 3)
 
