@@ -9,11 +9,10 @@ processes.  The `qcoin` CLI reproduces the associated data products.
 
 __version__ = "0.1.0"
 
-from .constants import TOL, Tolerances, block_delay_ns
+from .constants import TOL, Tolerances
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    EmptyBin,
     FitDidNotConverge,
     InternalError,
     InvalidParameter,
@@ -35,7 +34,6 @@ from .markov import (
     future_distribution,
     sample_trajectories,
     stationary_weights,
-    trajectory_probability,
     transition_matrix,
 )
 from .quantum import (
@@ -52,10 +50,7 @@ from .circuit import (
     PhotonState,
     apply_block,
     arrival_time_distribution,
-    block_gate_unitary,
     block_norm_accounting,
-    conditional_polarization,
-    gate_decomposition_max_deviation,
     prepare_input,
     reconstruct_memory_density,
     run_circuit,
@@ -73,11 +68,9 @@ from .checks import CheckResult, probability_grid, run_oracle_checks
 __all__ = [
     "TOL",
     "Tolerances",
-    "block_delay_ns",
     "QCoinError",
     "ConfigError",
     "DimensionMismatch",
-    "EmptyBin",
     "FitDidNotConverge",
     "InternalError",
     "InvalidParameter",
@@ -95,7 +88,6 @@ __all__ = [
     "future_distribution",
     "sample_trajectories",
     "stationary_weights",
-    "trajectory_probability",
     "transition_matrix",
     "DensityMatrix2",
     "IdealOutputState",
@@ -109,10 +101,7 @@ __all__ = [
     "PhotonState",
     "apply_block",
     "arrival_time_distribution",
-    "block_gate_unitary",
     "block_norm_accounting",
-    "conditional_polarization",
-    "gate_decomposition_max_deviation",
     "prepare_input",
     "reconstruct_memory_density",
     "run_circuit",

@@ -114,7 +114,7 @@ def _grid_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault: b
     reconstruction, complexity = np.full((2, len(grid)), -np.inf)
     if irreducible.any():
         reconstruction[irreducible], complexity[irreducible] = _weight_suites(
-            PerturbedCoin(grid[irreducible, 0], grid[irreducible, 1]))
+            PerturbedCoin(grid[irreducible, 0][None], grid[irreducible, 1][None]))  # (1, coin)
     return (_worst(circuit, lambda row, s, k: at(row, _STARTS[s], step_counts[k])),
             _worst(success, lambda row, s, k: at(row, _STARTS[s], k + 1)),
             _worst(reconstruction, lambda row: at(row, None, RECONSTRUCTION_STEPS)),
@@ -145,16 +145,16 @@ def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault
     return np.stack([matched[k] for k in step_counts], axis=-1), np.stack(accounting, axis=-1)
 
 
-def _weight_suites(coins: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
-    """Per coin: the worst reconstruction deviation over both weight methods, from one reconstruction and
-    one direct mixture of (method, coin) weights, and C_q - C_mu at the exact stationary weights."""
-    exact, marginal = (stationary_weights(coins, method) for method in WeightMethod)
-    weights = StationaryWeights(np.stack([exact.s0, marginal.s0]), np.stack([exact.s1, marginal.s1]))
-    row = PerturbedCoin(coins.stay_heads[None], coins.stay_tails[None])  # (1, coin): the methods broadcast against it
+def _weight_suites(row: PerturbedCoin) -> tuple[np.ndarray, np.ndarray]:
+    """Per coin of a (1, coin) row: the worst reconstruction deviation over both weight methods, from one
+    reconstruction and one direct mixture of (method, coin) weights (the methods broadcast against the row),
+    and C_q - C_mu at the exact stationary weights."""
+    exact, marginal = (stationary_weights(row, method) for method in WeightMethod)
+    weights = StationaryWeights(np.concatenate([exact.s0, marginal.s0]), np.concatenate([exact.s1, marginal.s1]))
     rebuilt = reconstruct_memory_density(row, weights, RECONSTRUCTION_STEPS)
     direct = memory_density(row, weights)
     reconstruction = np.abs(rebuilt.matrix - direct.matrix).max(axis=(0, -2, -1))
-    complexity = von_neumann_entropy(DensityMatrix2(direct.matrix[0])) - classical_complexity(exact)
+    complexity = von_neumann_entropy(DensityMatrix2(direct.matrix[0])) - classical_complexity(exact)[0]
     return reconstruction, complexity
 
 

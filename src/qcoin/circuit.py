@@ -20,9 +20,9 @@ whose causal states are built and validated once per coin, and `run_circuit` bui
 function takes a grid coin and start-index arrays (leading batch axes), and
 works on real float64 amplitudes, polarization-major (..., 2, bins) so that
 the long bin axis is the inner one; `PhotonState` stores that array as the
-block hands it over.  `block_gate_unitary`, `gate_decomposition_max_deviation`
-and `conditional_polarization` take one coin or one state.  `cli` alone
-writes the states' JSON.
+block hands it over.  `cli` alone writes the states' JSON.  The gate-level
+block model and the conditional polarization of one bin, which the tests
+check the circuit against, live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
-from .encoding import bits_to_index
-from .errors import DimensionMismatch, EmptyBin, InvalidParameter
+from .errors import InvalidParameter
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
-                     require_one_coin, require_steps, start_rows)
-from .quantum import DensityMatrix2, norm_sq, require_one_state, state_amplitudes
+                     require_steps, start_rows)
+from .quantum import DensityMatrix2, norm_sq, state_amplitudes
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,6 @@ def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, 
     return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
-def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:
-    """Polarization state conditioned on the photon arriving in the bin of `bits`.
-
-    Noise-free equivalent of the tomographic reconstruction at one arrival
-    time; always the projector onto the causal state of the final outcome.
-    """
-    require_one_state(state.amplitudes, "conditional_polarization")
-    index = bits_to_index(bits)
-    if len(bits) != state.steps_applied:
-        raise DimensionMismatch(
-            f"outcome string {bits!r} has {len(bits)} outcomes, the state {state.steps_applied} steps")
-    row = state.amplitudes[:, index]
-    p = float((row * row).sum())
-    if p <= TOL.empty_bin:
-        raise EmptyBin(f"bin for {bits!r} carries probability {p!r}")
-    row = row * (1.0 / math.sqrt(p))
-    return DensityMatrix2(np.outer(row, row))
-
-
 def reconstruct_memory_density(
     coin: PerturbedCoin,
     weights: StationaryWeights,
@@ -164,46 +144,3 @@ def reconstruct_memory_density(
     for start, b in np.ndindex(2, probs.shape[-1]):
         total = total + scale[start, ..., b, None, None] * states[start, ..., b, :, :]
     return DensityMatrix2(total)
-
-
-def block_gate_unitary(coin: PerturbedCoin) -> np.ndarray:
-    """Gate-level model of one block on the basis |memory> x |outcome>, as a real float64 (4, 4) matrix.
-
-    Composition: a controlled-X copying the memory onto the fresh outcome
-    qubit, a rotation R on the memory with R|0> = |S0>, and an
-    outcome-controlled V with V R|1> = |S1>.  R and V are only fixed up to
-    signs on the orthogonal subspace; the real-rotation solution is
-    used here.  Basis index is 2*memory + outcome.
-    """
-    require_one_coin(coin, "block_gate_unitary")
-    root_stay = math.sqrt(coin.stay_heads)
-    root_flip = math.sqrt(1.0 - coin.stay_heads)
-    r = np.array([[root_stay, -root_flip], [root_flip, root_stay]])
-    r_one = r @ np.array([0.0, 1.0])
-    s1 = causal_pair(coin)[CausalState.S1.index]
-    delta = math.atan2(s1[1], s1[0]) - math.atan2(r_one[1], r_one[0])
-    v = np.array([[math.cos(delta), -math.sin(delta)], [math.sin(delta), math.cos(delta)]])
-    cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
-    cv = np.eye(4)
-    for mem_out in range(2):
-        for mem_in in range(2):
-            cv[2 * mem_out + 1, 2 * mem_in + 1] = v[mem_out, mem_in]
-    return cv @ np.kron(r, np.eye(2)) @ cx
-
-
-def gate_decomposition_max_deviation(coin: PerturbedCoin) -> float:
-    """Largest amplitude difference between the gate-level block and the
-    optical block map, over both input causal states.
-    """
-    require_one_coin(coin, "gate_decomposition_max_deviation")
-    u = block_gate_unitary(coin)
-    pair = causal_pair(coin)
-    worst = 0.0
-    for mem_in in pair:
-        gate_out = u @ np.kron(mem_in, np.array([1.0, 0.0]))
-        block_out = _block(mem_in[:, None], pair)  # (memory, outcome)
-        for outcome in range(2):
-            for mem in range(2):
-                dev = abs(gate_out[2 * mem + outcome] - block_out[mem, outcome])
-                worst = max(worst, dev)
-    return worst

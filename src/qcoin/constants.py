@@ -40,8 +40,3 @@ ALLOCATION_BUDGET_BYTES = 2**24
 # delay, so every outcome string maps to a unique arrival time (a 3-step
 # run spans 0..14 ns).
 FIRST_DELAY_NS = 2.0
-
-
-def block_delay_ns(step: int) -> float:
-    """Delay added by the long path of block `step` (1-based): 2, 4, 8, ... ns."""
-    return FIRST_DELAY_NS * float(2 ** (step - 1))

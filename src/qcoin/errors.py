@@ -25,10 +25,6 @@ class NonPhysicalState(QCoinError):
     """A density matrix has a significantly negative eigenvalue."""
 
 
-class EmptyBin(QCoinError):
-    """Conditioning on a time bin that carries negligible probability."""
-
-
 class FitDidNotConverge(QCoinError):
     """The dip-curve least-squares fit failed to converge."""
 

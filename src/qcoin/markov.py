@@ -5,8 +5,8 @@ distributions, Monte Carlo sampling, statistical complexity and classical fideli
 
 A future distribution is a float64 array over the time-bin index (first
 outcome = least-significant bit), built by the doubling recurrence
-p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration
-(`trajectory_probability`) is kept as the brute-force oracle of the tests.
+p_{k+1} = [p_k * T[last, 0], p_k * T[last, 1]].  Per-string enumeration, its
+brute-force oracle, lives with the tests in `tests/oracles.py`.
 The functions return arrays; only `cli` writes outcome strings and JSON.
 
 One function per concept serves one coin and a grid: a `PerturbedCoin` may
@@ -14,7 +14,7 @@ hold arrays (leading batch axes), a start is a `CausalState` or an integer
 array of state indices that broadcasts against the coin, and the result
 dataclasses take the same leading axes and validate them in `__post_init__`.
 A float-valued function returns a float for one coin and an ndarray for a
-grid.  `trajectory_probability` and `sample_trajectories` take one coin.
+grid.  `sample_trajectories` takes one coin.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import TOL
-from .encoding import index_to_bits, lexicographic_bins, validate_bits
+from .encoding import index_to_bits, lexicographic_bins
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -110,7 +110,7 @@ class PerturbedCoin:
     def _transition(self) -> np.ndarray:
         heads, tails = self.stay_heads, self.stay_tails
         t = np.array([[heads, 1.0 - heads], [1.0 - tails, tails]])
-        return read_only(t if t.ndim == 2 else t.transpose(*range(2, t.ndim), 0, 1))
+        return read_only(t.transpose(*range(2, t.ndim), 0, 1))
 
     @cached_property
     def _causal_pair(self) -> np.ndarray:
@@ -225,43 +225,21 @@ def stationary_weights(
 
 def classical_complexity(weights: StationaryWeights) -> float:
     """Shannon entropy (bits) of the stationary causal-state weights."""
-    return float_or_array(entropy_bits(weights.s0, 1.0 - weights.s0))
+    return entropy_bits(weights.s0, 1.0 - weights.s0)
 
 
 def entropy_bits(*probs):
-    """Entropy in bits of (probs[0], probs[1], ...), elementwise, zero terms skipped.
+    """Entropy in bits of (probs[0], probs[1], ...), elementwise, zero terms skipped; a float for numbers.
 
     Uses libm's `math.log2`: np.log2 differs from it in the last bit on some inputs.
     """
     h = 0.0
-    for q in probs:
-        if isinstance(q, float):
-            h = h - (q * math.log2(q) if q > 0.0 else 0.0)
-        else:
-            terms, kept = np.zeros(q.shape), q > 0.0
-            positive = q[kept]
-            terms[kept] = positive * np.fromiter(map(math.log2, positive.tolist()), float, positive.size)
-            h = h - terms
-    return h
-
-
-def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -> float:
-    """Probability of emitting `bits` starting from causal state `start`.
-
-    After emitting x the chain sits in causal state S_x, so this is the
-    product of transition-matrix entries along the path.
-    """
-    require_one_coin(coin, "trajectory_probability")
-    validate_bits(bits)
-    t = transition_matrix(coin)
-    rows = (t[0], t[1])
-    state = start.index
-    p = 1.0
-    for c in bits:
-        x = 1 if c == "1" else 0
-        p *= rows[state][x]
-        state = x
-    return float(p)
+    for q in map(np.asarray, probs):
+        terms, kept = np.zeros(q.shape), q > 0.0
+        positive = q[kept]
+        terms[kept] = positive * np.fromiter(map(math.log2, positive.tolist()), float, positive.size)
+        h = h - terms
+    return float_or_array(h)
 
 
 @dataclass(frozen=True)
@@ -308,8 +286,8 @@ def both_starts(coin: PerturbedCoin) -> np.ndarray:
 
 def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> OutcomeDistribution:
     """Exact distribution over all 2**steps outcome strings, by the doubling
-    recurrence.  Factors multiply in the order of `trajectory_probability`,
-    so every bin is bit-identical to it.
+    recurrence.  Factors multiply in the order of the per-string product, so every bin is
+    bit-identical to it (tests/test_markov.py::TestFutureDistribution::test_recurrence_equals_enumeration_exactly).
     """
     require_steps(steps)
     t = transition_matrix(coin)

@@ -97,7 +97,7 @@ def von_neumann_entropy(rho: DensityMatrix2) -> float:
     low, high = _eigenvalues_2x2(rho.matrix)
     if not all_set(low >= TOL.entropy_floor):
         raise NonPhysicalState(f"eigenvalue {np.min(low)!r} is negative beyond tolerance")
-    return float_or_array(entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0)))
+    return entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0))
 
 
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:

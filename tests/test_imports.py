@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used there, no module imports another's private names, and
-only the named tests start an interpreter (no linter needed: the stdlib `ast`)."""
+"""Every name a module of the package imports is used there, no module imports another's private names or
+the tests, the package itself reads every public name, and only the named tests start an interpreter (no linter
+needed: the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,12 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qcoin").glob("*.py"))
 
 
+def exported(tree: ast.Module) -> list[str]:
+    """The names a module's `__all__` lists: the names a package re-exports."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets) for name in ast.literal_eval(node.value)]
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
@@ -16,10 +23,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update((a.asname or a.name, node.lineno) for a in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # the names a package re-exports
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}.union(exported(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -73,10 +77,48 @@ def test_only_cli_writes_the_payload_format(path):
 
 
 def test_a_planted_payload_format_is_found():
-    tree = ast.parse("from .encoding import all_bitstrings, bits_to_index\n\n"
+    tree = ast.parse("from .encoding import all_bitstrings, index_to_bits\n\n"
                      "class DensityMatrix2:\n    def to_json_dict(self):\n        return encoding.all_bitstrings(2)\n")
     assert payload_format_uses(tree) == ["line 1: imports all_bitstrings", "line 4: defines to_json_dict",
                                          "line 5: uses encoding.all_bitstrings"]
+
+
+def suite_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports of the test suite (`tests`, or its `oracles` module): the package must not need it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] in ("tests", "oracles")]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_nothing_of_the_tests(path):
+    assert suite_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_planted_import_of_the_tests_is_found():
+    tree = ast.parse("import numpy, tests.oracles\nfrom oracles import bits_to_index\nfrom . import markov\n")
+    assert suite_imports(tree) == ["line 1: tests.oracles", "line 2: oracles"]
+
+
+def unrun_public_names(names: list[str], trees: list[ast.Module]) -> list[str]:
+    """The names in `names` that no tree reads as a name or an attribute: public API that only tests reach."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return [name for name in names if name not in read]
+
+
+def test_every_public_name_is_read_by_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    public = exported(trees.pop("__init__.py"))
+    assert public and unrun_public_names(public, list(trees.values())) == []
+
+
+def test_a_planted_public_name_no_module_reads_is_found():
+    tree = ast.parse("def oracle():\n    pass\n\ndef run():\n    return markov.future(TOL)\n")
+    assert unrun_public_names(["TOL", "future", "oracle", "run"], [tree]) == ["oracle", "run"]
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import longhand_overlap
 from qcoin import interference
 from qcoin.circuit import PhotonState, run_circuit
 from qcoin.constants import TOL
@@ -20,35 +21,6 @@ from qcoin.markov import CausalState, PerturbedCoin
 from qcoin.quantum import ProcessSpec, ideal_output_state, output_overlap
 
 S0, S1 = CausalState.S0, CausalState.S1
-
-
-def eq7_oracle(la, ma, sa, lb, mb, sb, steps=3):
-    """Closed-form output overlap, written out independently of the library."""
-
-    def t_entry(l, m, state, x):
-        if state == 0:
-            return l if x == "0" else 1.0 - l
-        return 1.0 - m if x == "0" else m
-
-    def prob(l, m, start, bits):
-        p, s = 1.0, start
-        for c in bits:
-            p *= t_entry(l, m, s, c)
-            s = 0 if c == "0" else 1
-        return p
-
-    def state_vec(l, m, which):
-        if which == 0:
-            return (math.sqrt(l), math.sqrt(1 - l))
-        return (math.sqrt(1 - m), math.sqrt(m))
-
-    total = 0.0
-    for bits in ("".join(t) for t in itertools.product("01", repeat=steps)):
-        last = 0 if bits[-1] == "0" else 1
-        va, vb = state_vec(la, ma, last), state_vec(lb, mb, last)
-        inner = va[0] * vb[0] + va[1] * vb[1]
-        total += math.sqrt(prob(la, ma, sa, bits) * prob(lb, mb, sb, bits)) * inner
-    return total
 
 
 class TestOverlapAndCoincidence:
@@ -67,7 +39,7 @@ class TestOverlapAndCoincidence:
     def test_mixed_pair_matches_closed_form(self):
         psi = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
         phi = run_circuit(PerturbedCoin(1.0, 0.5), S0, 3)
-        expected = eq7_oracle(0.5, 0.5, 0, 1.0, 0.5, 0)
+        expected = longhand_overlap(0.5, 0.5, 0, 1.0, 0.5, 0)
         v = visibility(psi, phi)
         assert math.sqrt(v) == pytest.approx(expected, abs=1e-12)
         assert (1.0 - v) / 2.0 == pytest.approx((1.0 - expected**2) / 2.0, abs=1e-12)
@@ -231,7 +203,7 @@ class TestVisibilitySweep:
         l_values = [0.00, 0.10, 0.30, 0.50, 0.70, 0.90, 0.99]
         visibilities = visibility_sweep(*self.fixed_fair(), l_series(l_values, 0.5), S0, 3)
         for l, v in zip(l_values, visibilities):
-            expected = eq7_oracle(0.5, 0.5, 0, l, 0.5, 0) ** 2
+            expected = longhand_overlap(0.5, 0.5, 0, l, 0.5, 0) ** 2
             assert v == pytest.approx(expected, abs=1e-12)
 
     def test_turquoise_series_closed_form_is_l_fourth(self):
@@ -240,7 +212,7 @@ class TestVisibilitySweep:
         visibilities = visibility_sweep(PerturbedCoin(1.0, 1.0), S0, l_series(l_values, 0.5), S0, 3)
         for l, v in zip(l_values, visibilities):
             assert v == pytest.approx(l**4, abs=1e-12)
-            assert v == pytest.approx(eq7_oracle(1.0, 1.0, 0, l, 0.5, 0) ** 2, abs=1e-12)
+            assert v == pytest.approx(longhand_overlap(1.0, 1.0, 0, l, 0.5, 0) ** 2, abs=1e-12)
         assert max(visibilities) == visibilities[-1] == 1.0
 
     def test_swapping_processes_preserves_visibility(self):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import bits_to_index, longhand_probability, trajectory_probability
 from qcoin.checks import probability_grid
 from qcoin.cli import cmd_futures, command_record
 from qcoin.constants import TOL
-from qcoin.encoding import all_bitstrings, bits_to_index, lexicographic_bins
+from qcoin.encoding import all_bitstrings, lexicographic_bins
 from qcoin.errors import DimensionMismatch, InvalidParameter, ReducibleChain, StepCountTooLarge
 from qcoin.markov import (
     CHUNK_DRAWS,
@@ -25,7 +26,6 @@ from qcoin.markov import (
     future_distribution,
     sample_trajectories,
     stationary_weights,
-    trajectory_probability,
     transition_matrix,
 )
 
@@ -67,19 +67,6 @@ def running_sum(terms):
     for r in terms:
         acc += r
     return acc
-
-
-def oracle_trajectory(stay_heads, stay_tails, start, bits):
-    """Test-local product of transition probabilities, written out longhand."""
-    p = 1.0
-    state = 0 if start is S0 else 1
-    for c in bits:
-        if state == 0:
-            p *= stay_heads if c == "0" else 1.0 - stay_heads
-        else:
-            p *= 1.0 - stay_tails if c == "0" else stay_tails
-        state = 0 if c == "0" else 1
-    return p
 
 
 class TestPerturbedCoin:
@@ -146,12 +133,12 @@ class TestStationaryWeights:
     def test_three_step_marginal_matches_oracle(self):
         l, m = 0.4, 0.7
         flip_s0 = sum(
-            oracle_trajectory(l, m, S0, "".join(b))
+            longhand_probability(l, m, 0, "".join(b))
             for b in itertools.product("01", repeat=3)
             if b[2] == "1"
         )
         flip_s1 = sum(
-            oracle_trajectory(l, m, S1, "".join(b))
+            longhand_probability(l, m, 1, "".join(b))
             for b in itertools.product("01", repeat=3)
             if b[2] == "0"
         )
@@ -266,7 +253,7 @@ class TestTrajectoryProbability:
             start = S0 if rng.integers(2) == 0 else S1
             bits = "".join(rng.choice(["0", "1"], size=rng.integers(1, 8)))
             assert trajectory_probability(PerturbedCoin(l, m), start, bits) == pytest.approx(
-                oracle_trajectory(l, m, start, bits), abs=1e-15
+                longhand_probability(l, m, start.index, bits), abs=1e-15
             )
 
     def test_rejects_empty_or_bad_strings(self):

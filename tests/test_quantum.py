@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import bits_to_index, longhand_probability, trajectory_probability
 from qcoin import markov, quantum
 from qcoin.checks import _overlap, probability_grid
 from qcoin.cli import _density_json, _superposition_json
 from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
-from qcoin.encoding import all_bitstrings, bits_to_index
+from qcoin.encoding import all_bitstrings
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
     MAX_ENUMERATION_STEPS,
@@ -20,7 +21,6 @@ from qcoin.markov import (
     classical_complexity,
     future_distribution,
     stationary_weights,
-    trajectory_probability,
     transition_matrix,
 )
 from qcoin.quantum import (
@@ -487,20 +487,7 @@ def test_identity_oracle_closed_form():
     """The overlap identity, written out longhand for one asymmetric pair."""
     la, ma, lb, mb = 0.35, 0.8, 0.6, 0.15
     pa, pb = ProcessSpec(PerturbedCoin(la, ma)), ProcessSpec(PerturbedCoin(lb, mb))
-
-    def t_entry(l, m, state, x):
-        if state == 0:
-            return l if x == "0" else 1.0 - l
-        return 1.0 - m if x == "0" else m
-
-    def prob(l, m, start, bits):
-        p, s = 1.0, start
-        for c in bits:
-            p *= t_entry(l, m, s, c)
-            s = 0 if c == "0" else 1
-        return p
-
     total = 0.0
     for bits in ("".join(t) for t in itertools.product("01", repeat=4)):
-        total += math.sqrt(prob(la, ma, 0, bits) * prob(lb, mb, 1, bits))
+        total += math.sqrt(longhand_probability(la, ma, 0, bits) * longhand_probability(lb, mb, 1, bits))
     assert output_overlap(pa, S0, pb, S1, 3) == pytest.approx(total, abs=1e-12)

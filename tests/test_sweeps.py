@@ -6,9 +6,10 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import bits_to_index
 from qcoin.circuit import run_circuit
 from qcoin.cli import cmd_compare_sweep, cmd_complexity_sweep, cmd_futures, command_record
-from qcoin.encoding import all_bitstrings, bits_to_index
+from qcoin.encoding import all_bitstrings
 from qcoin.errors import ReducibleChain
 from qcoin.interference import visibility
 from qcoin.markov import PerturbedCoin, WeightMethod, classical_complexity, future_distribution, stationary_weights
