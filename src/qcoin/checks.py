@@ -211,5 +211,5 @@ def _overlap(bins_a: np.ndarray, bins_b: np.ndarray, pair_a: np.ndarray, pair_b:
     of `quantum.output_overlap`."""
     roots = np.sqrt(bins_a * bins_b)
     ends = roots.reshape(roots.shape[:-1] + (2, -1)).sum(axis=-1)  # halves ending in outcome 0 and 1
-    finals = np.vecdot(pair_a, pair_b)  # <S_j|T_j> per j
+    finals = pair_a[..., 0] * pair_b[..., 0] + pair_a[..., 1] * pair_b[..., 1]  # <S_j|T_j> per j
     return ends[..., 0] * finals[..., 0] + ends[..., 1] * finals[..., 1]

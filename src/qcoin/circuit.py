@@ -19,8 +19,8 @@ whose causal states are built and validated once per coin, and `run_circuit` bui
 `PhotonState`, which checks the norm, at the end.  As in `markov`, each
 function takes a grid coin and start-index arrays (leading batch axes), and
 works on real float64 amplitudes, polarization-major (..., 2, bins) so that
-the long bin axis is the inner one; `PhotonState` stores that array as the
-block hands it over.  `cli` alone writes the states' JSON.  The gate-level
+the long bin axis is the inner one; `PhotonState` stores a read-only copy of
+the block's array.  `cli` alone writes the states' JSON.  The gate-level
 block model and the conditional polarization of one bin, which the tests
 check the circuit against, live in `tests/oracles.py`.
 """

@@ -35,19 +35,15 @@ def _real_array(value, what: str, shape: tuple) -> np.ndarray:
 
 
 def norm_sq(amps: np.ndarray):
-    """Squared norms over the last two axes: a float from np.vdot for one
-    state, np.vecdot over a batch (the two agree bit for bit).
-    """
-    if amps.ndim == 2:
-        return float(np.vdot(amps, amps))
-    flat = amps.reshape(amps.shape[:-2] + (-1,))
-    return np.vecdot(flat, flat)
+    """Squared norms over the last two axes, by numpy's own sum: a float for one state, an array for a
+    batch, with the same bits per state."""
+    return float_or_array((amps * amps).sum(axis=(-2, -1)))
 
 
 def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
-    """A state's stored amplitudes: the kernels' real (..., 2, 2**steps) array as read-only C-ordered
-    float64, taken over without a copy when it is one.  Complex input is refused; every norm is checked."""
-    amps = read_only(np.ascontiguousarray(_real_array(amplitudes, what, (2, 2**steps)), dtype=float))
+    """A state's stored amplitudes: a read-only C-ordered float64 copy of the real (..., 2, 2**steps) array,
+    so no later write to the caller's array reaches the state.  Complex input is refused; every norm is checked."""
+    amps = read_only(np.array(_real_array(amplitudes, what, (2, 2**steps)), dtype=float, order="C"))
     require_unit(norm_sq(amps), what, TOL.state_norm)
     return amps
 
@@ -156,17 +152,21 @@ def output_overlap(
     """Overlap of the two simulators' output superpositions,
     sum_x sqrt(p_A(x) p_B(x)) <S_xM|T_xM>, for 1 <= steps <= MAX_OVERLAP_STEPS.
 
-    The chain has Markov order one, so this is u^T K^(steps - 1) c with K = sqrt(Ta Tb)
-    elementwise, u = sqrt(Ta[start_a] Tb[start_b]) and c_j = <S_j|T_j>: O(log M) time and O(1)
-    memory.  The contraction is written out so a batch gives one pair's bits.
+    The chain has Markov order one, so this is u^T K^(steps - 1) c with K = sqrt(Ta Tb) elementwise,
+    u = sqrt(Ta[start_a] Tb[start_b]) and c_j = <S_j|T_j>.  Square-and-multiply on the row (powers of one K
+    commute) takes O(log M) time and O(1) memory; each product is written out, so a batch gives one pair's
+    bits and no BLAS kernel chosen at run time sets them.
     `bhattacharyya_futures` and the bin sum in `checks` enumerate 2**M strings and are its oracles.
     """
     require_steps(steps, MAX_OVERLAP_STEPS)
     ta, tb = transition_matrix(proc_a.coin), transition_matrix(proc_b.coin)
-    finals = np.vecdot(causal_pair(proc_a.coin), causal_pair(proc_b.coin))
-    power = np.linalg.matrix_power(np.sqrt(ta * tb), steps - 1)
-    u = np.sqrt(start_rows(ta, start_a) * start_rows(tb, start_b))
-    row = u[..., 0, None] * power[..., 0, :] + u[..., 1, None] * power[..., 1, :]
+    pa, pb = causal_pair(proc_a.coin), causal_pair(proc_b.coin)
+    finals = pa[..., 0] * pb[..., 0] + pa[..., 1] * pb[..., 1]  # <S_j|T_j> per j
+    k, row = np.sqrt(ta * tb), np.sqrt(start_rows(ta, start_a) * start_rows(tb, start_b))
+    for bit in range(int(steps - 1).bit_length()):  # k is K^(2^bit); steps may be a numpy integer
+        if (steps - 1) >> bit & 1:
+            row = row[..., 0, None] * k[..., 0, :] + row[..., 1, None] * k[..., 1, :]
+        k = k[..., :, 0, None] * k[..., 0, None, :] + k[..., :, 1, None] * k[..., 1, None, :]
     return float_or_array(row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1])
 
 

@@ -383,10 +383,16 @@ class TestPhotonStateContracts:
         assert edge.dtype == np.complex128 and edge.flags.c_contiguous
         assert np.array_equal(edge, amps.T)
 
-    def test_kernel_output_is_stored_without_a_copy(self):
-        amps = run_circuit(PerturbedCoin(0.4, 0.7), S1, 5).amplitudes
-        assert PhotonState(5, amps, 0.5**5).amplitudes is amps
-        assert replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 5), amplitudes=amps).amplitudes is amps
+    @pytest.mark.parametrize("make", [
+        lambda amps: PhotonState(5, amps, 0.5**5),
+        lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 5), amplitudes=amps),
+    ], ids=["PhotonState", "IdealOutputState"])
+    def test_a_later_write_to_the_callers_array_does_not_reach_the_state(self, make):
+        amps = np.array(run_circuit(PerturbedCoin(0.4, 0.7), S1, 5).amplitudes)  # C-ordered float64
+        state = make(amps)
+        assert amps.flags.writeable  # the state locks its own copy, not the caller's array
+        amps[0, 0] = 7.0
+        assert state.amplitudes[0, 0] != 7.0
 
 
 def _complex_block(amps, pair):

@@ -281,11 +281,12 @@ class TestCompareSweep:
         assert "series" in capsys.readouterr().err
 
 
-# SHA-256 of the bundled oracle preset's oracle_report.json at two identity seeds, recorded before
-# the suites ran each route once per grid chunk: same deviations, same worst_at, same bytes.
+# SHA-256 of the bundled oracle preset's oracle_report.json at two identity seeds, recorded once the
+# small products were written out in elementwise terms, so that no BLAS kernel chosen at run time sets
+# their bits: the same bytes on every x86-64 CPU (see `test_pinned_outputs_hold_on_a_pre_avx_cpu`).
 PINNED_ORACLE_REPORT_SHA256 = {
-    7: "e489e6f757125d86723efe6780a35dcf019e052f3e7c28fbbd0be1f40e38d308",
-    11: "c9a8ca2c0eb4ae8e49303962da3ae24497d77fa0ad82d4aee50e0c46aea196af",
+    7: "633913be9fdc1e23fda9276fa6708d92c12fa3ed731e292ef9795aca39a25609",
+    11: "bf35e1339b73a7ac20419cde6f94ea1967e33d5c6bbc65c154abb6a3a2f52c72",
 }
 
 
@@ -771,3 +772,37 @@ def test_module_entry_point_smoke(tmp_path):
                           capture_output=True, text=True, timeout=60, env=SRC_ENV)
     assert proc.returncode == EXIT_CONFIG
     assert "config error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+# An x86-64 CPU without AVX: numpy dispatches no SIMD level above its X86_V2 baseline, OpenBLAS runs its
+# Prescott kernels.
+PRE_AVX_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Prescott"}
+# The pinned presets whose payload bits still depend on the CPU, each with the reason.
+CPU_DEPENDENT_PRESETS = {
+    "fig5b": "the hom-dip curve comes from np.exp in interference.dip_model, whose SIMD paths differ from "
+             "libm's exp in the last bit",
+    "fig5c": "the visibility comes from the complex np.vdot in interference.visibility, a BLAS kernel chosen "
+             "at run time",
+}
+
+
+def test_pinned_outputs_hold_on_a_pre_avx_cpu(tmp_path):
+    """Every reference payload digest but those of `CPU_DEPENDENT_PRESETS`, and the pinned oracle reports,
+    from one fresh interpreter under `PRE_AVX_ENV`, set on that process alone.  The variables only disable
+    what the CPU has: on a CPU without these features they disable nothing, and the test checks that the
+    native run is deterministic."""
+    references = json.loads((ROOT / "benchmarks" / "reference_digests.json").read_text(encoding="utf-8"))
+    assert set(CPU_DEPENDENT_PRESETS) < set(references)
+    command_of = {command.preset: name for name, command in COMMANDS.items()}
+    runs = {preset: [command_of[preset]] for preset in references if preset not in CPU_DEPENDENT_PRESETS}
+    runs.update({f"oracle-{seed}": ["oracle-check", "--seed", str(seed)] for seed in PINNED_ORACLE_REPORT_SHA256})
+    probe = "import qcoin.cli\n" + "".join(f"assert qcoin.cli.main({[*args, '--out', str(tmp_path / out)]!r}) == 0\n"
+                                           for out, args in runs.items())
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env={**SRC_ENV, **PRE_AVX_ENV})
+    assert proc.returncode == 0, proc.stderr
+    for preset in runs.keys() & references.keys():
+        for name, digest in references[preset].items():
+            assert payload_digest(tmp_path / preset / name) == digest, f"{preset}: {name}"
+    for seed, digest in PINNED_ORACLE_REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"oracle-{seed}" / "oracle_report.json").read_bytes()).hexdigest() == digest

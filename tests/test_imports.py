@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used there, no module imports another's private names or
-the tests, the package itself reads every public name, and only the named tests start an interpreter (no linter
-needed: the stdlib `ast`)."""
+the tests, the package itself reads every public name, no module computes with arithmetic whose bits depend on
+the CPU beyond the named exceptions, and only the named tests start an interpreter (no linter needed: the stdlib
+`ast`)."""
 
 import ast
 from pathlib import Path
@@ -121,24 +122,79 @@ def test_a_planted_public_name_no_module_reads_is_found():
     assert unrun_public_names(["TOL", "future", "oracle", "run"], [tree]) == ["oracle", "run"]
 
 
+def enclosing_function(tree: ast.Module):
+    """A map from a line to the name of the innermost function around it, or `<module>`."""
+    functions = sorted((node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)),
+                       key=lambda f: -f.lineno)  # innermost first
+    return lambda line: next((f.name for f in functions if f.lineno <= line <= f.end_lineno), "<module>")
+
+
+# numpy functions that run a BLAS kernel or a SIMD path chosen at run time, so their last bits depend on the CPU;
+# with `np.linalg`, every numpy logarithm and the `@` operator.  The package writes its products out in elementwise
+# arithmetic and numpy's own reductions, and takes exp and log from libm.
+CPU_DEPENDENT = {"vdot", "vecdot", "dot", "inner", "matmul", "tensordot", "matrix_power", "exp", "expm1", "linalg"}
+# The uses left, each with the ROADMAP item that removes it.
+CPU_DEPENDENT_EXCEPTIONS = ["interference.py::dip_model: np.exp",  # item 5: exp from libm
+                            "interference.py::visibility: np.vdot"]  # item 1: one real visibility route
+
+
+def is_cpu_dependent(name: str) -> bool:
+    return name in CPU_DEPENDENT or name.startswith("log") and not name.startswith("logical")
+
+
+def cpu_dependent_arithmetic(tree: ast.Module, filename: str) -> list[str]:
+    """`file::function: what` for each `np.` or `numpy.` function in `CPU_DEPENDENT`, each import of one, and
+    each `@`, by line: the innermost function around it, or `<module>`."""
+    where = enclosing_function(tree)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy")
+                and is_cpu_dependent(node.attr)):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module}.{a.name}" for a in node.names if node.module and not node.level])
+            found += [(node.lineno, name) for name in names
+                      if name.split(".")[0] == "numpy" and any(map(is_cpu_dependent, name.split(".")[1:]))]
+    return [f"{filename}::{where(line)}: {what}" for line, what in sorted(found)]
+
+
+def test_the_package_computes_the_same_bits_on_every_cpu():
+    uses = {use for path in SOURCES for use in cpu_dependent_arithmetic(ast.parse(path.read_text(encoding="utf-8")),
+                                                                        path.name)}
+    assert sorted(uses) == CPU_DEPENDENT_EXCEPTIONS
+
+
+def test_planted_cpu_dependent_arithmetic_is_found():
+    tree = ast.parse("import math, numpy.linalg\nimport numpy as np\nfrom numpy import vecdot, sqrt\n\n"
+                     "def power(k, v):\n    w = np.linalg.matrix_power(k, 3) @ v\n    w @= numpy.dot(w, v)\n"
+                     "    return np.log1p(v), np.logaddexp(v, w)\n\n"
+                     "def fine(a, b):\n    return np.logical_and(a, b), math.log2(a), np.sqrt((a * b).sum())\n")
+    assert cpu_dependent_arithmetic(tree, "t.py") == [
+        "t.py::<module>: numpy.linalg", "t.py::<module>: numpy.vecdot", "t.py::power: @", "t.py::power: np.linalg",
+        "t.py::power: @", "t.py::power: np.dot", "t.py::power: np.log1p", "t.py::power: np.logaddexp"]
+
+
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # The only code here that starts an interpreter, each once: a subprocess is the only way to see what a fresh
-# import loads, to run `python -m qcoin` to its real exit, and to run the README example as a user would.
+# import loads, to run `python -m qcoin` to its real exit, to run the pinned outputs under CPU-feature variables
+# that numpy and OpenBLAS read only at import, and to run the README example as a user would.
 INTERPRETER_STARTS = ["test_cli.py::fresh_modules", "test_cli.py::test_module_entry_point_smoke",
+                      "test_cli.py::test_pinned_outputs_hold_on_a_pre_avx_cpu",
                       "test_readme.py::test_library_example_runs"]
 
 
 def subprocess_uses(tree: ast.Module, filename: str) -> list[str]:
     """`file::function` of each call into `subprocess` and each import from it, by line: the innermost
     function around it, or `<module>`."""
-    functions = sorted((node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)),
-                       key=lambda f: -f.lineno)  # innermost first
+    where = enclosing_function(tree)
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.ImportFrom) and node.module == "subprocess" or isinstance(node, ast.Call)
                 and getattr(getattr(node.func, "value", None), "id", None) == "subprocess"):
-            where = next((f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno), "<module>")
-            found.append((node.lineno, f"{filename}::{where}"))
+            found.append((node.lineno, f"{filename}::{where(node.lineno)}"))
     return [use for _, use in sorted(found)]
 
 

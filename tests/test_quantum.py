@@ -241,8 +241,8 @@ class TestVonNeumannEntropy:
 
 
 class TestNormSq:
-    """`norm_sq` reads one state with np.vdot and a batch with np.vecdot; the two agree bit for bit,
-    so a state's norm does not depend on whether it was checked alone or in a batch."""
+    """`norm_sq` is one expression, numpy's sum of the squares over the last two axes; a state's norm has
+    the same bits whether it was checked alone or in a batch."""
 
     @staticmethod
     def _agree(batch):
@@ -417,7 +417,10 @@ class TestTransferMatrixOverlap:
             assert abs(transfer(a, b, 1000) - sequential_product(a, b, 1000)) <= TOL.exact, (a, b)
         assert transfer(*pairs[0], 1000) ** 2 == pytest.approx(0.414708, abs=5e-7)
 
-    @pytest.mark.parametrize("steps", [21, MAX_OVERLAP_STEPS])
+    # 2 to 9 and 4097 to 8192 take each branch of the square-and-multiply: a lone low or high bit, runs of set
+    # bits, and every bit set; a numpy integer counts as a step count
+    @pytest.mark.parametrize("steps", [2, 3, 4, 5, 9, 21, 4097, 8191, MAX_OVERLAP_STEPS,
+                                       pytest.param(np.int64(4097), id="numpy-4097")])
     def test_steps_past_the_enumeration_cap_are_accepted(self, steps):
         a, b = (0.4, 0.7, S0), (0.45, 0.7, S1)
         assert abs(transfer(a, b, steps) - sequential_product(a, b, steps)) <= TOL.exact
