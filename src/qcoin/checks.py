@@ -133,9 +133,8 @@ def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault
         state = apply_block(state, coins)
         dev = np.abs(2.0 * block_norm_accounting(state) - 1.0)  # the two arms' norms have the same bits
         if steps in step_counts:
-            dev = np.maximum(dev, abs(state.success_probability - 0.5**steps))
             ideal = ideal_output_state(coins, starts, steps)
-            arrival = arrival_time_distribution(state)[0].bins
+            arrival = arrival_time_distribution(state).bins
             diff = state.amplitudes - ideal.amplitudes
             if inject_fault and steps == step_counts[0]:  # the first amplitude of the circuit plus 1e-6
                 diff[0, 0, 0, 0] = state.amplitudes[0, 0, 0, 0] + 1e-6 - ideal.amplitudes[0, 0, 0, 0]

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import FIRST_DELAY_NS, MAX_SUPERPOSITION_STEPS, TOL
-from .errors import InvalidParameter
+from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
-                     require_steps, start_rows)
+                     require, require_count, require_steps, start_rows)
 from .quantum import DensityMatrix2, norm_sq, state_amplitudes
 
 
@@ -47,20 +46,20 @@ class PhotonState:
     amplitude with polarization p (0 = H, 1 = V) in time bin b, polarization-major as
     the blocks make it.  Bin b encodes the outcome string via its binary digits,
     first outcome in the least-significant bit.
-    `success_probability` is the probability that all post-selections so far succeeded.
     """
 
     steps_applied: int
     amplitudes: np.ndarray
-    success_probability: float
 
     def __post_init__(self) -> None:
+        require_count(self.steps_applied, "steps_applied", 0)
         object.__setattr__(self, "amplitudes",
                            state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
-        if not 0.0 < self.success_probability <= 1.0:
-            raise InvalidParameter(
-                f"success probability must be in (0, 1], got {self.success_probability!r}"
-            )
+
+    @property
+    def success_probability(self) -> float:
+        """The probability that all post-selections so far succeeded: 1/2 per block, exact in binary."""
+        return 0.5**self.steps_applied
 
 
 def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -72,7 +71,7 @@ def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 def prepare_input(coin: PerturbedCoin, start: CausalState) -> PhotonState:
     """Photon in time bin 0 with its polarization set to the initial causal state."""
-    return PhotonState(0, start_rows(causal_pair(coin), start)[..., None], 1.0)
+    return PhotonState(0, start_rows(causal_pair(coin), start)[..., None])
 
 
 def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
@@ -83,15 +82,14 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     """
     k = state.steps_applied
     require_steps(k + 1, MAX_SUPERPOSITION_STEPS)
-    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)), state.success_probability * 0.5)
+    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)))
 
 
 def block_norm_accounting(state: PhotonState):
     """Squared norm reaching the retained recombiner arm of the block that made `state`, before post-selection:
     the block's output times 1/sqrt(2).  The discarded arm negates the long path's (upper) bins of it, so its
     norm has the same bits, and the arms hold the whole norm iff this is 1/2, whatever the coin and input."""
-    if state.steps_applied < 1:
-        raise InvalidParameter("the photon has not passed any block yet")
+    require(state.steps_applied >= 1, "the photon has not passed any block yet")
     return norm_sq(state.amplitudes * (1.0 / math.sqrt(2.0)))
 
 
@@ -104,18 +102,15 @@ def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonSt
     amps = start_rows(pair, start)[..., None]
     for _ in range(steps):
         amps = _block(amps, pair)
-    return PhotonState(steps, amps, 0.5**steps)  # 0.5 per post-selection, exact in binary
+    return PhotonState(steps, amps)
 
 
-def arrival_time_distribution(state: PhotonState) -> tuple[OutcomeDistribution, np.ndarray]:
-    """Outcome probabilities (both polarizations of a bin) and arrival times in ns, per bin."""
+def arrival_time_distribution(state: PhotonState) -> OutcomeDistribution:
+    """Outcome probabilities per time bin, both polarizations of a bin added."""
     steps = state.steps_applied
-    if steps < 1:
-        raise InvalidParameter("the photon has not passed any block yet")
+    require(steps >= 1, "the photon has not passed any block yet")
     amps = state.amplitudes
-    probs = amps[..., 0, :] ** 2 + amps[..., 1, :] ** 2
-    # block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at FIRST_DELAY_NS * b
-    return OutcomeDistribution(steps, probs), FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
+    return OutcomeDistribution(steps, amps[..., 0, :] ** 2 + amps[..., 1, :] ** 2)
 
 
 def reconstruct_memory_density(
@@ -134,7 +129,7 @@ def reconstruct_memory_density(
     circuit run and give each method its own bits.
     """
     state = run_circuit(coin, both_starts(coin), steps)
-    probs = arrival_time_distribution(state)[0].bins  # (start, ..., bin)
+    probs = arrival_time_distribution(state).bins  # (start, ..., bin)
     used = probs > TOL.empty_bin
     rows = state.amplitudes.mT / np.sqrt(np.where(used, probs, 1.0))[..., None]  # (start, ..., bin, polarization)
     states = rows[..., :, None] * rows[..., None, :]

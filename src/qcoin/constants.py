@@ -1,4 +1,4 @@
-"""Numerical tolerances and timing constants.
+"""Numerical tolerances and size caps.
 
 Every tolerance used by the library, the CLI checks and the test suite
 lives in one frozen record so that all layers agree on what "equal" means.
@@ -35,8 +35,3 @@ MAX_OVERLAP_STEPS = 2**13
 # grid holds 8 bytes a delay, the oracle-check (l, m) grid 16 bytes a point.
 # The config schema checks both before anything is allocated.
 ALLOCATION_BUDGET_BYTES = 2**24
-
-# The long path of block k delays the photon by 2^(k-1) times this base
-# delay, so every outcome string maps to a unique arrival time (a 3-step
-# run spans 0..14 ns).
-FIRST_DELAY_NS = 2.0

@@ -153,5 +153,5 @@ def visibility_sweep(fixed: PerturbedCoin, fixed_start: CausalState, coins: Pert
         raise InvalidParameter("the varying grid must be nonempty")
     psi, batch = run_circuit(fixed, fixed_start, steps), run_circuit(coins, starts, steps)
     rows = batch.amplitudes.reshape(-1, 2, 2**steps)
-    v = np.array([visibility(psi, PhotonState(steps, row, batch.success_probability)) for row in rows])
+    v = np.array([visibility(psi, PhotonState(steps, row)) for row in rows])
     return float_or_array(v.reshape(batch.amplitudes.shape[:-2]))

@@ -95,16 +95,15 @@ class PerturbedCoin:
     stay_tails: float
 
     def __post_init__(self) -> None:
-        shape = getattr(self.stay_heads, "shape", ())  # a float has none: shape ()
-        if getattr(self.stay_tails, "shape", ()) != shape or 0 in shape:
+        heads, tails = owned(self.stay_heads, "stay_heads"), owned(self.stay_tails, "stay_tails")
+        shape = getattr(heads, "shape", ())  # a float has none: shape ()
+        if getattr(tails, "shape", ()) != shape or 0 in shape:
             raise InvalidParameter(f"stay_heads and stay_tails must be of one nonempty shape, got shapes "
-                                   f"{np.shape(self.stay_heads)} and {np.shape(self.stay_tails)}")
-        for name in ("stay_heads", "stay_tails"):
-            p = _read_only_copy(getattr(self, name))
-            object.__setattr__(self, name, p)
-            inside = (p >= 0.0) & (p <= 1.0)
-            if not all_set(inside):
-                raise InvalidParameter(f"{name} must be a probability in [0, 1], got {first_failing(p, inside)}")
+                                   f"{np.shape(heads)} and {np.shape(tails)}")
+        require((heads >= 0.0) & (heads <= 1.0), "stay_heads must be a probability in [0, 1], got {}", heads)
+        require((tails >= 0.0) & (tails <= 1.0), "stay_tails must be a probability in [0, 1], got {}", tails)
+        object.__setattr__(self, "stay_heads", heads)
+        object.__setattr__(self, "stay_tails", tails)
 
     @cached_property
     def _transition(self) -> np.ndarray:
@@ -116,7 +115,8 @@ class PerturbedCoin:
     def _causal_pair(self) -> np.ndarray:
         pair = np.sqrt(transition_matrix(self))
         p0, p1 = pair[..., 0], pair[..., 1]
-        require_unit(p0 * p0 + p1 * p1, "causal-state vector", TOL.exact)
+        squared = p0 * p0 + p1 * p1
+        require(abs(squared - 1.0) <= TOL.exact, "causal-state vector is not normalized: |.|^2 = {!r}", squared)
         return read_only(pair)
 
 
@@ -126,33 +126,39 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _read_only_copy(value):
-    """A read-only float64 copy of an array, so no later write to the caller's array reaches the holder;
-    a number as it is."""
-    return read_only(np.array(value, dtype=float)) if isinstance(value, np.ndarray) else value
+def owned(value, what: str, shape: tuple = ()):
+    """A number as a float; an array or list as a read-only C-ordered float64 copy whose last axes are `shape`,
+    so no later write to the caller's array reaches the holder.  Complex, string, object or ragged input is
+    refused with InvalidParameter naming `what`: real float64 is the package's one number type."""
+    if type(value) is float and not shape:  # one coin's probability: no array to build
+        return value
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise InvalidParameter(f"{what} must be a real number or array: {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{what} must be real, got dtype {array.dtype}")
+    if array.shape[max(array.ndim - len(shape), 0):] != shape:
+        raise InvalidParameter(f"{what} must have shape {shape}, got {array.shape}")
+    if array.ndim == 0 and not isinstance(value, np.ndarray):
+        return float(array)
+    return read_only(np.array(array, dtype=float, order="C"))
 
 
-def all_set(flags) -> bool:
-    """Whether every flag is set; a plain truth test for one value (cheaper than numpy's `.all()`).
-    The validators test the accepting range, so NaN fails them."""
-    return bool(flags.all()) if isinstance(flags, np.ndarray) else bool(flags)
-
-
-def first_failing(values, ok):
-    """The first of `values` (one value or an array) where `ok` is not set, as a Python number."""
-    return np.asarray(values)[np.logical_not(ok)].flat[0].item()
+def require(ok, message: str, values=None, error=InvalidParameter) -> None:
+    """Raise `error` unless every flag of `ok` (one flag or an array) is set; with `values`, `message` is
+    formatted with the first of them where `ok` is not set, as a Python number.  The checks test the
+    accepting range, so NaN fails them.  A plain truth test for one flag is cheaper than numpy's `.all()`."""
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    if values is not None:
+        message = message.format(np.asarray(values)[np.logical_not(ok)].flat[0].item())
+    raise error(message)
 
 
 def float_or_array(value):
     """A float for one coin, the array for a grid: the one return type of a float-valued function."""
     return float(value) if np.ndim(value) == 0 else value
-
-
-def require_unit(squared, what: str, tol: float) -> None:
-    """Every squared norm in `squared` within `tol` of 1."""
-    near = abs(squared - 1.0) <= tol
-    if not all_set(near):
-        raise InvalidParameter(f"{what} is not normalized: |.|^2 = {first_failing(squared, near)!r}")
 
 
 def require_one_coin(coin: PerturbedCoin, what: str) -> None:
@@ -184,14 +190,11 @@ class StationaryWeights:
     s1: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s0", _read_only_copy(self.s0))
-        object.__setattr__(self, "s1", _read_only_copy(self.s1))
-        if not all_set((self.s0 >= 0.0) & (self.s1 >= 0.0)):
-            raise InvalidParameter("stationary weights must be nonnegative")
+        object.__setattr__(self, "s0", owned(self.s0, "s0"))
+        object.__setattr__(self, "s1", owned(self.s1, "s1"))
+        require((self.s0 >= 0.0) & (self.s1 >= 0.0), "stationary weights must be nonnegative")
         total = self.s0 + self.s1
-        near = abs(total - 1.0) <= TOL.exact
-        if not all_set(near):
-            raise InvalidParameter(f"stationary weights must sum to 1, got {first_failing(total, near)!r}")
+        require(abs(total - 1.0) <= TOL.exact, "stationary weights must sum to 1, got {!r}", total)
 
 
 def stationary_weights(
@@ -218,8 +221,7 @@ def stationary_weights(
         leave_heads = sum(bins[0, ..., b] for b in in_order[1::2])
         leave_tails = sum(bins[1, ..., b] for b in in_order[0::2])
     denom = leave_heads + leave_tails
-    if not all_set(denom != 0.0):
-        raise ReducibleChain(REDUCIBLE_CHAIN)
+    require(denom != 0.0, REDUCIBLE_CHAIN, error=ReducibleChain)
     return StationaryWeights(float_or_array(leave_tails / denom), float_or_array(leave_heads / denom))
 
 
@@ -254,18 +256,13 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         require_steps(self.steps)
-        size = 2**self.steps
-        p = read_only(np.array(self.bins, dtype=np.float64, order="C"))
-        if p.shape[-1:] != (size,):
-            raise InvalidParameter(f"expected {size} bins for {self.steps} steps, got shape {p.shape}")
+        p = owned(self.bins, "bins", (2**self.steps,))
         object.__setattr__(self, "bins", p)
         if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
             b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
             raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
         total = np.einsum("...i->...", p)  # a check, so its rounding is free
-        near = abs(total - 1.0) <= TOL.prob_sum
-        if not all_set(near):
-            raise InvalidParameter(f"probabilities sum to {first_failing(total, near)!r}, not 1")
+        require(abs(total - 1.0) <= TOL.prob_sum, "probabilities sum to {!r}, not 1", total)
 
 
 def start_rows(matrix: np.ndarray, start) -> np.ndarray:

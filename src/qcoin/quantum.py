@@ -18,33 +18,22 @@ import numpy as np
 
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter, NonPhysicalState
-from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, all_set, causal_pair,
-                     entropy_bits, first_failing, float_or_array, future_distribution, read_only, require_steps,
-                     require_unit, start_rows, transition_matrix)
-
-
-def _real_array(value, what: str, shape: tuple) -> np.ndarray:
-    """`value` as a numpy array whose last axes are `shape`; a complex dtype is refused, whatever its
-    imaginary parts."""
-    arr = np.asarray(value)
-    if np.iscomplexobj(arr):
-        raise InvalidParameter(f"{what} must be real, got dtype {arr.dtype}")
-    if arr.shape[max(arr.ndim - len(shape), 0):] != shape:
-        raise InvalidParameter(f"{what} must have shape {shape}, got {arr.shape}")
-    return arr
+from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, causal_pair, entropy_bits,
+                     float_or_array, future_distribution, owned, require, require_steps, start_rows,
+                     transition_matrix)
 
 
 def norm_sq(amps: np.ndarray):
     """Squared norms over the last two axes, by numpy's own sum: a float for one state, an array for a
     batch, with the same bits per state."""
-    return float_or_array((amps * amps).sum(axis=(-2, -1)))
+    return float_or_array(np.square(amps).sum(axis=(-2, -1)))
 
 
 def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
-    """A state's stored amplitudes: a read-only C-ordered float64 copy of the real (..., 2, 2**steps) array,
-    so no later write to the caller's array reaches the state.  Complex input is refused; every norm is checked."""
-    amps = read_only(np.array(_real_array(amplitudes, what, (2, 2**steps)), dtype=float, order="C"))
-    require_unit(norm_sq(amps), what, TOL.state_norm)
+    """A state's stored amplitudes: the `owned` copy of the real (..., 2, 2**steps) array, every norm checked."""
+    amps = owned(amplitudes, what, (2, 2**steps))
+    squared = norm_sq(amps)
+    require(abs(squared - 1.0) <= TOL.state_norm, f"{what} is not normalized: |.|^2 = {{!r}}", squared)
     return amps
 
 
@@ -62,16 +51,12 @@ class DensityMatrix2:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = read_only(np.array(_real_array(self.matrix, "density matrix", (2, 2)), dtype=float))
+        m = owned(self.matrix, "density matrix", (2, 2))
         object.__setattr__(self, "matrix", m)
-        if not all_set(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact):
-            raise InvalidParameter("matrix is not symmetric")
+        require(abs(m[..., 0, 1] - m[..., 1, 0]) <= TOL.exact, "matrix is not symmetric")
         trace = m[..., 0, 0] + m[..., 1, 1]
-        near = abs(trace - 1.0) <= TOL.exact
-        if not all_set(near):
-            raise InvalidParameter(f"trace must be 1, got {first_failing(trace, near)!r}")
-        if not all_set(_eigenvalues_2x2(m)[0] >= TOL.psd_floor):
-            raise InvalidParameter("matrix is not positive semidefinite")
+        require(abs(trace - 1.0) <= TOL.exact, "trace must be 1, got {!r}", trace)
+        require(_eigenvalues_2x2(m)[0] >= TOL.psd_floor, "matrix is not positive semidefinite")
 
 
 def _eigenvalues_2x2(m: np.ndarray) -> tuple:
@@ -91,8 +76,7 @@ def von_neumann_entropy(rho: DensityMatrix2) -> float:
     negative (TOL.entropy_floor).
     """
     low, high = _eigenvalues_2x2(rho.matrix)
-    if not all_set(low >= TOL.entropy_floor):
-        raise NonPhysicalState(f"eigenvalue {np.min(low)!r} is negative beyond tolerance")
+    require(low >= TOL.entropy_floor, "eigenvalue {!r} is negative beyond tolerance", low, NonPhysicalState)
     return entropy_bits(np.minimum(np.maximum(low, 0.0), 1.0), np.minimum(np.maximum(high, 0.0), 1.0))
 
 
@@ -119,15 +103,20 @@ class IdealOutputState:
     `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps)) is the amplitude
     on memory basis index p and time bin b, polarization-major like `PhotonState`; the amplitude
     on a string factorizes as sqrt(p(string)) times the causal-state component of the final
-    outcome.  `distribution` is the future distribution whose square roots the amplitudes carry.
+    outcome.  `distribution` is the future distribution whose square roots the amplitudes carry, and its
+    step count is the state's.
     """
 
-    steps: int
     amplitudes: np.ndarray
     distribution: OutcomeDistribution
 
     def __post_init__(self) -> None:
+        require(isinstance(self.distribution, OutcomeDistribution), "distribution must be an OutcomeDistribution")
         object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state"))
+
+    @property
+    def steps(self) -> int:
+        return self.distribution.steps
 
 
 def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> IdealOutputState:
@@ -139,7 +128,7 @@ def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> I
     distribution = future_distribution(coin, start, steps)
     roots = np.sqrt(distribution.bins).reshape(distribution.bins.shape[:-1] + (2, -1))
     amps = np.multiply(causal_pair(coin).mT[..., None], roots[..., None, :, :], order="C")
-    return IdealOutputState(steps, amps.reshape(amps.shape[:-3] + (2, -1)), distribution)
+    return IdealOutputState(amps.reshape(amps.shape[:-3] + (2, -1)), distribution)
 
 
 def output_overlap(

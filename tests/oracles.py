@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qcoin.circuit import PhotonState, run_circuit
-from qcoin.constants import FIRST_DELAY_NS, TOL
+from qcoin.constants import TOL
 from qcoin.errors import DimensionMismatch, InvalidParameter, QCoinError
 from qcoin.markov import CausalState, PerturbedCoin, causal_pair, require_one_coin, transition_matrix
 from qcoin.quantum import DensityMatrix2, require_one_state
@@ -17,6 +17,12 @@ from qcoin.quantum import DensityMatrix2, require_one_state
 
 class EmptyBin(QCoinError):
     """Conditioning on a time bin that carries negligible probability."""
+
+
+# The long path of block k delays the photon by 2^(k-1) times this base
+# delay, so every outcome string maps to a unique arrival time (a 3-step
+# run spans 0..14 ns).
+FIRST_DELAY_NS = 2.0
 
 
 def block_delay_ns(step: int) -> float:
@@ -40,6 +46,12 @@ def arrival_time_ns(bits: str) -> float:
     """Physical arrival time of an outcome string: sum of the long-path delays taken."""
     validate_bits(bits)
     return sum(block_delay_ns(k + 1) for k, c in enumerate(bits) if c == "1")
+
+
+def arrival_times_ns(steps: int) -> np.ndarray:
+    """Arrival time of every time bin: block k's long path adds FIRST_DELAY_NS * 2^(k-1), so bin b arrives at
+    FIRST_DELAY_NS * b."""
+    return FIRST_DELAY_NS * np.arange(2**steps, dtype=float)
 
 
 def trajectory_probability(coin: PerturbedCoin, start: CausalState, bits: str) -> float:

@@ -75,7 +75,7 @@ def test_criterion_1_circuit_theory_equivalence():
                 state = run_circuit(coin, start, steps)
                 ideal = ideal_output_state(coin, start, steps)
                 worst_amp = max(worst_amp, float(np.abs(state.amplitudes - ideal.amplitudes).max()))
-                dist, _ = arrival_time_distribution(state)
+                dist = arrival_time_distribution(state)
                 enum = future_distribution(coin, start, steps)
                 worst_prob = max(worst_prob, float(np.abs(dist.bins - enum.bins).max()))
     elapsed = time.perf_counter() - start_time

@@ -57,7 +57,7 @@ def same_bits(got, expected):
     lambda coin, start: ideal_output_state(coin, start, 3).amplitudes,
     lambda coin, start: prepare_input(coin, start).amplitudes,
     lambda coin, start: run_circuit(coin, start, 4).amplitudes,
-    lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2))[0].bins,
+    lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2)).bins,
     lambda coin, start: block_norm_accounting(run_circuit(coin, start, 2)),
     lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),

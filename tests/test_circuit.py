@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (EmptyBin, arrival_time_ns, bits_to_index, block_delay_ns, block_gate_unitary,
+from oracles import (EmptyBin, arrival_time_ns, arrival_times_ns, bits_to_index, block_delay_ns, block_gate_unitary,
                      conditional_polarization, gate_decomposition_max_deviation)
 from qcoin.constants import TOL
 from qcoin.encoding import index_to_bits
@@ -176,7 +176,7 @@ class TestRunCircuit:
         state = run_circuit(coin, start, steps)
         ideal = ideal_output_state(coin, start, steps)
         assert np.abs(state.amplitudes - ideal.amplitudes).max() <= TOL.exact
-        dist, _ = arrival_time_distribution(state)
+        dist = arrival_time_distribution(state)
         assert np.abs(dist.bins - future_distribution(coin, start, steps).bins).max() <= TOL.exact
 
     def test_step_bounds(self):
@@ -192,7 +192,7 @@ class TestRunCircuit:
 class TestArrivalTimes:
     def test_fair_coin_uniform_and_time_grid(self):
         state = run_circuit(PerturbedCoin(0.5, 0.5), S0, 3)
-        dist, times = arrival_time_distribution(state)
+        dist, times = arrival_time_distribution(state), arrival_times_ns(3)
         for p in dist.bins:
             assert p == pytest.approx(0.125, abs=1e-12)
         assert sorted(times.tolist()) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
@@ -200,26 +200,26 @@ class TestArrivalTimes:
 
     def test_deterministic_chain_all_mass_at_zero_ns(self):
         state = run_circuit(PerturbedCoin(1.0, 1.0), S0, 3)
-        dist, times = arrival_time_distribution(state)
+        dist, times = arrival_time_distribution(state), arrival_times_ns(3)
         assert dist.bins[bits_to_index("000")] == 1.0
         assert times[bits_to_index("000")] == 0.0
 
     def test_times_are_indexed_by_bin(self):
         for steps in range(1, 7):
-            _, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S0, steps))
+            times = arrival_times_ns(steps)
             assert times.tolist() == [arrival_time_ns(index_to_bits(b, steps)) for b in range(2**steps)]
 
     def test_matches_markov_enumeration_over_grid(self):
         for l, m in probability_grid(0.2).tolist():
             coin = PerturbedCoin(l, m)
             for start in (S0, S1):
-                dist, _ = arrival_time_distribution(run_circuit(coin, start, 3))
+                dist = arrival_time_distribution(run_circuit(coin, start, 3))
                 enum = future_distribution(coin, start, 3)
                 for b in range(8):
                     assert abs(dist.bins[b] - enum.bins[b]) <= 1e-12
 
     def test_csv_rows_shape(self):
-        dist, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S1, 3))
+        dist, times = arrival_time_distribution(run_circuit(PerturbedCoin(0.4, 0.7), S1, 3)), arrival_times_ns(3)
         assert len(times) == 8
         assert dist.bins.shape == (8,)
         assert index_to_bits(0, 3) == "000"
@@ -281,10 +281,10 @@ class TestReconstructMemoryDensity:
 
         def reversed_s0_bins(state):
             # still a distribution, but S0's bin 0 now claims 0.65 where its amplitudes carry 0.1225
-            dist, times = arrival(state)
+            dist = arrival(state)
             bins = dist.bins.copy()
             bins[S0.index] = bins[S0.index, ::-1]
-            return OutcomeDistribution(dist.steps, bins), times
+            return OutcomeDistribution(dist.steps, bins)
 
         monkeypatch.setattr(circuit, "arrival_time_distribution", reversed_s0_bins)
         with pytest.raises(InvalidParameter, match=r"trace must be 1, got 0\.18846"):
@@ -349,15 +349,7 @@ class TestPhotonStateContracts:
         amps = np.zeros((2, 2))
         amps[0, 0] = 0.5
         with pytest.raises(InvalidParameter, match="photon state is not normalized"):
-            PhotonState(1, amps, 0.5)
-
-    def test_rejects_bad_success_probability(self):
-        amps = np.zeros((2, 1))
-        amps[0, 0] = 1.0
-        with pytest.raises(InvalidParameter, match="success probability"):
-            PhotonState(0, amps, 0.0)
-        with pytest.raises(InvalidParameter, match="success probability"):
-            PhotonState(0, amps, 1.5)
+            PhotonState(1, amps)
 
     def test_amplitudes_are_immutable(self):
         state = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2)
@@ -384,7 +376,7 @@ class TestPhotonStateContracts:
         assert np.array_equal(edge, amps.T)
 
     @pytest.mark.parametrize("make", [
-        lambda amps: PhotonState(5, amps, 0.5**5),
+        lambda amps: PhotonState(5, amps),
         lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 5), amplitudes=amps),
     ], ids=["PhotonState", "IdealOutputState"])
     def test_a_later_write_to_the_callers_array_does_not_reach_the_state(self, make):
@@ -409,7 +401,7 @@ def _with_imaginary(make, imag):
     return make(amps)
 
 
-STATE_BUILDERS = [lambda amps: PhotonState(2, amps, 0.25),
+STATE_BUILDERS = [lambda amps: PhotonState(2, amps),
                   lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S0, 2), amplitudes=amps)]
 
 
@@ -435,7 +427,7 @@ class TestRealPhoton:
             with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
                 _with_imaginary(make, 0.0)
         with pytest.raises(InvalidParameter, match="must be real, got dtype complex64"):
-            PhotonState(2, run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(np.complex64), 0.25)
+            PhotonState(2, run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(np.complex64))
 
     def test_blocks_equal_the_complex_kernel_over_grid(self):
         for l, m in probability_grid(0.1).tolist():
@@ -447,4 +439,4 @@ class TestRealPhoton:
                     state = apply_block(state, coin)
                     assert np.array_equal(state.amplitudes, expected.T)
                     probs = (expected.real**2 + expected.imag**2).sum(axis=-1)
-                    assert np.array_equal(arrival_time_distribution(state)[0].bins, probs)
+                    assert np.array_equal(arrival_time_distribution(state).bins, probs)

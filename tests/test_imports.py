@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used there, no module imports another's private names or
 the tests, the package itself reads every public name, no module computes with arithmetic whose bits depend on
-the CPU beyond the named exceptions, and only the named tests start an interpreter (no linter needed: the stdlib
-`ast`)."""
+the CPU beyond the named exceptions, no holder copies an input past `owned`, and only the named tests start an
+interpreter (no linter needed: the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -175,6 +175,39 @@ def test_planted_cpu_dependent_arithmetic_is_found():
     assert cpu_dependent_arithmetic(tree, "t.py") == [
         "t.py::<module>: numpy.linalg", "t.py::<module>: numpy.vecdot", "t.py::power: @", "t.py::power: np.linalg",
         "t.py::power: @", "t.py::power: np.dot", "t.py::power: np.log1p", "t.py::power: np.logaddexp"]
+
+
+# What a holder may not call in `__post_init__`: each number or array it takes goes through `markov.owned`.
+OWNED_BYPASSES = {"array", "asarray", "read_only"}
+
+
+def copies_past_owned(tree: ast.Module) -> list[str]:
+    """`line N: name` for each call of `np.array`, `np.asarray` or `read_only` inside a `__post_init__`."""
+    found = []
+    for init in ast.walk(tree):
+        if isinstance(init, ast.FunctionDef) and init.name == "__post_init__":
+            for node in ast.walk(init):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    np_call = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("np", "numpy")
+                    if name == "read_only" or np_call and name in OWNED_BYPASSES:
+                        found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_holders_take_their_inputs_only_through_owned(path):
+    assert copies_past_owned(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_planted_copy_past_owned_is_found():
+    tree = ast.parse("class Holder:\n    def __post_init__(self):\n        a = owned(self.a, 'a')\n"
+                     "        b = read_only(np.array(self.b))\n        c = numpy.asarray(markov.read_only(self.c))\n"
+                     "        d = np.sqrt(self.d)\n\n"
+                     "def build(x):\n    return read_only(np.asarray(x))\n")
+    assert sorted(copies_past_owned(tree)) == ["line 4: array", "line 4: read_only", "line 5: asarray",
+                                               "line 5: read_only"]
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))

@@ -85,7 +85,7 @@ class TestOverlapAndCoincidence:
     def test_zero_norm_state_is_rejected(self):
         # visibility takes state objects, and a zero-norm state cannot be built
         with pytest.raises(InvalidParameter, match="photon state is not normalized"):
-            PhotonState(1, np.zeros((2, 2)), 0.5)
+            PhotonState(1, np.zeros((2, 2)))
         with pytest.raises(InvalidParameter, match="output state is not normalized"):
             dataclasses.replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S0, 1), amplitudes=np.zeros((2, 2)))
 
