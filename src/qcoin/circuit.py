@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
+from .errors import StepCountTooLarge
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
                      require, require_count, require_steps, start_rows)
 from .quantum import DensityMatrix2, norm_sq, state_amplitudes
@@ -53,6 +54,8 @@ class PhotonState:
 
     def __post_init__(self) -> None:
         require_count(self.steps_applied, "steps_applied", 0)
+        if self.steps_applied > MAX_SUPERPOSITION_STEPS:  # before 2**steps_applied sizes the expected shape
+            raise StepCountTooLarge(f"steps_applied must be in 0..{MAX_SUPERPOSITION_STEPS}, got {self.steps_applied}")
         object.__setattr__(self, "amplitudes",
                            state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
 

@@ -86,7 +86,7 @@ class PerturbedCoin:
 
     `stay_heads` is the probability that a coin showing heads (outcome 0)
     still shows heads after the perturbation; `stay_tails` likewise for
-    tails (outcome 1).  Both may be arrays of one nonempty shape: a grid of coins.
+    tails (outcome 1).  Both may be arrays of one shape: a grid of coins.
     The coin holds read-only float64 copies of array inputs, and builds its
     transition matrix and causal pair once, at their first use.
     """
@@ -95,11 +95,8 @@ class PerturbedCoin:
     stay_tails: float
 
     def __post_init__(self) -> None:
-        heads, tails = owned(self.stay_heads, "stay_heads"), owned(self.stay_tails, "stay_tails")
-        shape = getattr(heads, "shape", ())  # a float has none: shape ()
-        if getattr(tails, "shape", ()) != shape or 0 in shape:
-            raise InvalidParameter(f"stay_heads and stay_tails must be of one nonempty shape, got shapes "
-                                   f"{np.shape(heads)} and {np.shape(tails)}")
+        heads = owned(self.stay_heads, "stay_heads")
+        tails = owned(self.stay_tails, "stay_tails", (), getattr(heads, "shape", ()))  # a float has shape ()
         require((heads >= 0.0) & (heads <= 1.0), "stay_heads must be a probability in [0, 1], got {}", heads)
         require((tails >= 0.0) & (tails <= 1.0), "stay_tails must be a probability in [0, 1], got {}", tails)
         object.__setattr__(self, "stay_heads", heads)
@@ -126,11 +123,11 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def owned(value, what: str, shape: tuple = ()):
-    """A number as a float; an array or list as a read-only C-ordered float64 copy whose last axes are `shape`,
-    so no later write to the caller's array reaches the holder.  Complex, string, object or ragged input is
-    refused with InvalidParameter naming `what`: real float64 is the package's one number type."""
-    if type(value) is float and not shape:  # one coin's probability: no array to build
+def owned(value, what: str, shape: tuple = (), batch=None):
+    """A number as a float; an array or list as a read-only C-ordered float64 copy with no empty axis, whose last axes
+    are `shape` and leading axes `batch` if given, so no later write to the caller's array reaches the holder.
+    Complex, string, object or ragged input is refused with InvalidParameter naming `what`: real float64 only."""
+    if type(value) is float and not shape and not batch:  # one coin's probability: no array to build
         return value
     try:
         array = np.asarray(value)
@@ -138,8 +135,9 @@ def owned(value, what: str, shape: tuple = ()):
         raise InvalidParameter(f"{what} must be a real number or array: {exc}") from None
     if array.dtype.kind not in "biuf":
         raise InvalidParameter(f"{what} must be real, got dtype {array.dtype}")
-    if array.shape[max(array.ndim - len(shape), 0):] != shape:
-        raise InvalidParameter(f"{what} must have shape {shape}, got {array.shape}")
+    lead = tuple(filter(None, array.shape[:array.ndim - len(shape)])) if batch is None else batch  # a 0 axis mismatches
+    if array.shape != lead + shape:
+        raise InvalidParameter(f"{what} must have shape {lead + shape}, got {array.shape}; no axis may be empty")
     if array.ndim == 0 and not isinstance(value, np.ndarray):
         return float(array)
     return read_only(np.array(array, dtype=float, order="C"))
@@ -149,7 +147,7 @@ def require(ok, message: str, values=None, error=InvalidParameter) -> None:
     """Raise `error` unless every flag of `ok` (one flag or an array) is set; with `values`, `message` is
     formatted with the first of them where `ok` is not set, as a Python number.  The checks test the
     accepting range, so NaN fails them.  A plain truth test for one flag is cheaper than numpy's `.all()`."""
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
+    if ok is True or (ok.all() if isinstance(ok, np.ndarray) else ok):  # a Python bool skips the isinstance
         return
     if values is not None:
         message = message.format(np.asarray(values)[np.logical_not(ok)].flat[0].item())
@@ -190,10 +188,10 @@ class StationaryWeights:
     s1: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s0", owned(self.s0, "s0"))
-        object.__setattr__(self, "s1", owned(self.s1, "s1"))
-        require((self.s0 >= 0.0) & (self.s1 >= 0.0), "stationary weights must be nonnegative")
-        total = self.s0 + self.s1
+        object.__setattr__(self, "s0", s0 := owned(self.s0, "s0"))
+        object.__setattr__(self, "s1", s1 := owned(self.s1, "s1", (), getattr(s0, "shape", ())))  # a float has ()
+        require((s0 >= 0.0) & (s1 >= 0.0), "stationary weights must be nonnegative")
+        total = s0 + s1
         require(abs(total - 1.0) <= TOL.exact, "stationary weights must sum to 1, got {!r}", total)
 
 
@@ -343,11 +341,10 @@ def sample_trajectories(
 
 
 def counts_to_distribution(counts: np.ndarray, steps: int) -> OutcomeDistribution:
-    """Empirical distribution from bin-indexed counts."""
-    total = int(counts.sum())
-    if total < 1:
-        raise InvalidParameter("counts must contain at least one draw")
-    return OutcomeDistribution(steps, counts / total)
+    """Empirical distribution from bin-indexed counts: nonnegative integers, at least one draw."""
+    if counts.dtype.kind not in "iu" or (counts < 0).any() or counts.sum() < 1:
+        raise InvalidParameter(f"counts must be nonnegative integers with at least one draw, got {counts!r}")
+    return OutcomeDistribution(steps, counts / counts.sum())
 
 
 def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
@@ -359,4 +356,4 @@ def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise DimensionMismatch(f"step counts differ: {p.steps} vs {q.steps}")
     roots = np.sqrt(np.maximum(p.bins * q.bins, 0.0))
     # a running sum: builtin sum over floats is compensated from Python 3.12 on, so its last bits vary
-    return float(np.cumsum(roots[lexicographic_bins(p.steps)])[-1])
+    return float_or_array(np.cumsum(roots[..., lexicographic_bins(p.steps)], axis=-1)[..., -1])

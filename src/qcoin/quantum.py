@@ -29,9 +29,9 @@ def norm_sq(amps: np.ndarray):
     return float_or_array(np.square(amps).sum(axis=(-2, -1)))
 
 
-def state_amplitudes(amplitudes, steps: int, what: str) -> np.ndarray:
-    """A state's stored amplitudes: the `owned` copy of the real (..., 2, 2**steps) array, every norm checked."""
-    amps = owned(amplitudes, what, (2, 2**steps))
+def state_amplitudes(amplitudes, steps: int, what: str, batch=None) -> np.ndarray:
+    """A state's stored amplitudes: the `owned` copy of the real (*batch, 2, 2**steps) array, every norm checked."""
+    amps = owned(amplitudes, what, (2, 2**steps), batch)
     squared = norm_sq(amps)
     require(abs(squared - 1.0) <= TOL.state_norm, f"{what} is not normalized: |.|^2 = {{!r}}", squared)
     return amps
@@ -112,7 +112,8 @@ class IdealOutputState:
 
     def __post_init__(self) -> None:
         require(isinstance(self.distribution, OutcomeDistribution), "distribution must be an OutcomeDistribution")
-        object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state"))
+        batch = self.distribution.bins.shape[:-1]
+        object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state", batch))
 
     @property
     def steps(self) -> int:

@@ -1,6 +1,7 @@
 """One function per concept: a grid coin and an array of start indices give, in each batch element, the bits
 of the one-coin call; a float-valued function returns a float for one coin and an ndarray for a grid; the
-functions that take one coin or one state refuse a batch with InvalidParameter."""
+functions that take one coin or one state refuse a batch with InvalidParameter; and every holder refuses an
+empty batch, and a field whose batch is not its sibling field's, with InvalidParameter naming the field."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oracles import (block_gate_unitary, conditional_polarization, gate_decomposition_max_deviation,
                      trajectory_probability)
 from qcoin.circuit import (
+    PhotonState,
     arrival_time_distribution,
     block_norm_accounting,
     prepare_input,
@@ -18,15 +20,19 @@ from qcoin.errors import InvalidParameter
 from qcoin.interference import visibility
 from qcoin.markov import (
     CausalState,
+    OutcomeDistribution,
     PerturbedCoin,
     StationaryWeights,
     WeightMethod,
     classical_complexity,
+    classical_fidelity,
     future_distribution,
     sample_trajectories,
     stationary_weights,
 )
 from qcoin.quantum import (
+    DensityMatrix2,
+    IdealOutputState,
     ProcessSpec,
     bhattacharyya_futures,
     ideal_output_state,
@@ -61,8 +67,10 @@ def same_bits(got, expected):
     lambda coin, start: block_norm_accounting(run_circuit(coin, start, 2)),
     lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
+    lambda coin, start: classical_fidelity(future_distribution(coin, start, 4), future_distribution(OTHER, 1, 4)),
 ], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
-        "arrival_time_distribution", "block_norm_accounting", "output_overlap", "bhattacharyya_futures"])
+        "arrival_time_distribution", "block_norm_accounting", "output_overlap", "bhattacharyya_futures",
+        "classical_fidelity"])
 def test_each_batch_element_has_the_bits_of_its_one_coin_call(call):
     batch = call(GRID, STARTS)
     for index, coin, start in elements():
@@ -104,8 +112,9 @@ def test_a_method_by_coin_weight_batch_gives_each_method_its_own_bits(call):
     lambda coin: output_overlap(ProcessSpec(coin), CausalState.S0, ProcessSpec(OTHER), CausalState.S0, 3),
     lambda coin: bhattacharyya_futures(ProcessSpec(coin), CausalState.S0, ProcessSpec(OTHER), CausalState.S0, 3),
     lambda coin: stationary_weights(coin, WeightMethod.THREE_STEP_MARGINAL).s0,
+    lambda coin: classical_fidelity(future_distribution(coin, 0, 3), future_distribution(OTHER, 1, 3)),
 ], ids=["classical_complexity", "von_neumann_entropy", "output_overlap", "bhattacharyya_futures",
-        "stationary_weights"])
+        "stationary_weights", "classical_fidelity"])
 def test_a_float_for_one_coin_an_array_for_a_grid(call):
     assert type(call(OTHER)) is float
     assert isinstance(call(GRID), np.ndarray) and call(GRID).shape == HEADS.shape
@@ -137,3 +146,31 @@ def test_one_state_functions_refuse_a_batch():
 def test_a_start_array_holds_state_indices(start):
     with pytest.raises(InvalidParameter, match="a start must be a CausalState or state indices 0 and 1"):
         future_distribution(OTHER, start, 2)
+
+
+ONE_COIN_STATE = ideal_output_state(OTHER, CausalState.S0, 2)  # amplitudes (2, 4), distribution (4,)
+GRID_STATE = ideal_output_state(GRID, STARTS, 2)  # amplitudes (2, 3, 2, 4), distribution (2, 3, 4)
+
+
+# (holder call, the field's name and the shape it must have): a state's amplitudes and the density matrix go by
+# what they hold; the second field of a holder takes the batch of its first, and a state's its distribution's
+@pytest.mark.parametrize("build, message", [
+    (lambda: PerturbedCoin(np.array([]), np.array([])), r"stay_heads must have shape \(\), got \(0,\)"),
+    (lambda: PerturbedCoin(HEADS, TAILS[0]), r"stay_tails must have shape \(2, 3\), got \(3,\)"),
+    (lambda: StationaryWeights(np.empty((2, 0)), np.empty((2, 0))), r"s0 must have shape \(2,\), got \(2, 0\)"),
+    (lambda: StationaryWeights(np.array([0.5, 0.5]), 0.5), r"s1 must have shape \(2,\), got \(\)"),
+    (lambda: OutcomeDistribution(1, np.empty((0, 2))), r"bins must have shape \(2,\), got \(0, 2\)"),
+    (lambda: DensityMatrix2(np.empty((0, 2, 2))), r"density matrix must have shape \(2, 2\), got \(0, 2, 2\)"),
+    (lambda: PhotonState(1, np.empty((0, 2, 2))), r"photon state must have shape \(2, 2\), got \(0, 2, 2\)"),
+    (lambda: IdealOutputState(np.empty((0, 2, 4)), ONE_COIN_STATE.distribution),
+     r"output state must have shape \(2, 4\), got \(0, 2, 4\)"),
+    (lambda: IdealOutputState(GRID_STATE.amplitudes, ONE_COIN_STATE.distribution),
+     r"output state must have shape \(2, 4\), got \(2, 3, 2, 4\)"),
+    (lambda: IdealOutputState(ONE_COIN_STATE.amplitudes, GRID_STATE.distribution),
+     r"output state must have shape \(2, 3, 2, 4\), got \(2, 4\)"),
+], ids=["PerturbedCoin-empty", "PerturbedCoin-mismatch", "StationaryWeights-empty", "StationaryWeights-mismatch",
+        "OutcomeDistribution-empty", "DensityMatrix2-empty", "PhotonState-empty", "IdealOutputState-empty",
+        "IdealOutputState-grid-amplitudes", "IdealOutputState-grid-distribution"])
+def test_every_holder_refuses_an_empty_or_mismatched_batch(build, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build()

@@ -351,6 +351,14 @@ class TestPhotonStateContracts:
         with pytest.raises(InvalidParameter, match="photon state is not normalized"):
             PhotonState(1, amps)
 
+    @pytest.mark.parametrize("steps_applied, bins", [(10**6, 2), (13, 2**13)], ids=["million", "cap-plus-one"])
+    def test_rejects_steps_applied_past_the_cap(self, steps_applied, bins):
+        # bounded before 2**steps_applied sizes the expected shape: 2**(10**6) has too many digits to print
+        amps = np.zeros((2, bins))
+        amps[0, 0] = 1.0
+        with pytest.raises(StepCountTooLarge, match=f"steps_applied must be in 0..12, got {steps_applied}"):
+            PhotonState(steps_applied, amps)
+
     def test_amplitudes_are_immutable(self):
         state = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used there, no module imports another's private names or
 the tests, the package itself reads every public name, no module computes with arithmetic whose bits depend on
-the CPU beyond the named exceptions, no holder copies an input past `owned`, and only the named tests start an
-interpreter (no linter needed: the stdlib `ast`)."""
+the CPU beyond the named exceptions, no holder copies an input past `owned` or checks a shape of its own, and only
+the named tests start an interpreter (no linter needed: the stdlib `ast`)."""
 
 import ast
 from pathlib import Path
@@ -208,6 +208,37 @@ def test_a_planted_copy_past_owned_is_found():
                      "def build(x):\n    return read_only(np.asarray(x))\n")
     assert sorted(copies_past_owned(tree)) == ["line 4: array", "line 4: read_only", "line 5: asarray",
                                                "line 5: read_only"]
+
+
+# What a holder may not compare in `__post_init__`: `markov.owned` decides each field's shape and batch.
+SHAPE_READS = {"shape", "ndim"}
+
+
+def hand_written_shape_checks(tree: ast.Module) -> list[str]:
+    """`line N` for each comparison inside a `__post_init__` that reads a shape: `x.shape`, `x.ndim`, `np.shape`,
+    `np.ndim` or `getattr(x, "shape", ...)`."""
+    found = []
+    for init in ast.walk(tree):
+        if isinstance(init, ast.FunctionDef) and init.name == "__post_init__":
+            for node in ast.walk(init):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(n, ast.Attribute) and n.attr in SHAPE_READS
+                        or isinstance(n, ast.Constant) and n.value in SHAPE_READS for n in ast.walk(node)):
+                    found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_holders_leave_their_shapes_to_owned(path):
+    assert hand_written_shape_checks(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_planted_shape_check_is_found():
+    tree = ast.parse("class Holder:\n    def __post_init__(self):\n        a = owned(self.a, 'a', (), np.shape(b))\n"
+                     "        if getattr(a, 'shape', ()) != b.shape or 0 in a.shape:\n            raise E()\n"
+                     "        ok = np.ndim(a) == 1 and self.c.ndim > 0\n        n = len(a.shape)\n\n"
+                     "def build(a):\n    return a.shape == (2,)\n")
+    assert hand_written_shape_checks(tree) == ["line 4", "line 4", "line 6", "line 6"]
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))

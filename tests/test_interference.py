@@ -224,7 +224,7 @@ class TestVisibilitySweep:
 
     def test_rejects_empty_varying_list(self):
         # an empty coin grid is refused as it is built
-        with pytest.raises(InvalidParameter, match=r"must be of one nonempty shape, got shapes \(0,\) and \(0,\)"):
+        with pytest.raises(InvalidParameter, match=r"stay_heads must have shape \(\), got \(0,\)"):
             visibility_sweep(*self.fixed_fair(), l_series([], 0.5), S0, 3)
         with pytest.raises(InvalidParameter, match="the varying grid must be nonempty"):
             visibility_sweep(*self.fixed_fair(), l_series([0.5], 0.5), np.array([], dtype=int), 3)

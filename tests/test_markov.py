@@ -77,12 +77,12 @@ class TestPerturbedCoin:
             with pytest.raises(InvalidParameter):
                 PerturbedCoin(0.5, bad)
 
-    @pytest.mark.parametrize("heads, tails, shapes", [
-        (np.array([]), np.array([]), r"\(0,\) and \(0,\)"),
-        (np.zeros((2, 1)), np.zeros((1, 3)), r"\(2, 1\) and \(1, 3\)"),
+    @pytest.mark.parametrize("heads, tails, message", [
+        (np.array([]), np.array([]), r"stay_heads must have shape \(\), got \(0,\); no axis may be empty"),
+        (np.zeros((2, 1)), np.zeros((1, 3)), r"stay_tails must have shape \(2, 1\), got \(1, 3\)"),
     ], ids=["empty", "broadcastable"])
-    def test_rejects_a_grid_without_one_nonempty_shape(self, heads, tails, shapes):
-        with pytest.raises(InvalidParameter, match=rf"must be of one nonempty shape, got shapes {shapes}"):
+    def test_rejects_a_grid_without_one_nonempty_shape(self, heads, tails, message):
+        with pytest.raises(InvalidParameter, match=message):
             PerturbedCoin(heads, tails)
 
     def test_a_later_write_to_the_input_leaves_the_coin_as_it_was(self):
@@ -424,8 +424,8 @@ class TestSampleTrajectories:
     # an array and a float are two shapes, refused as the coin is built
     @pytest.mark.parametrize("heads, tails, message", [
         (np.array([0.2, 0.3]), np.array([0.5, 0.6]), "sample_trajectories takes one coin, got a grid: PerturbedCoin"),
-        (np.array([0.2, 0.3]), 0.5, r"one nonempty shape, got shapes \(2,\) and \(\)"),
-        (0.2, np.array([[0.5]]), r"one nonempty shape, got shapes \(\) and \(1, 1\)"),
+        (np.array([0.2, 0.3]), 0.5, r"stay_tails must have shape \(2,\), got \(\)"),
+        (0.2, np.array([[0.5]]), r"stay_tails must have shape \(\), got \(1, 1\)"),
     ], ids=["grid", "grid-heads", "one-element-grid-tails"])
     def test_a_grid_coin_is_refused(self, heads, tails, message):
         with pytest.raises(InvalidParameter, match=message):
@@ -566,3 +566,10 @@ def test_counts_to_distribution_matches_frequencies():
         counts[bits_to_index(bits)] = c
     dist = counts_to_distribution(counts, 2)
     assert string_map(dist) == {"00": 0.125, "01": 0.375, "10": 0.0, "11": 0.5}
+
+
+@pytest.mark.parametrize("counts", [np.array([0.5, 0.5]), np.array([3, -1]), np.array([0, 0]), np.array([True, False])],
+                         ids=["fractional", "negative", "no-draw", "bool"])
+def test_counts_to_distribution_takes_nonnegative_integer_counts(counts):
+    with pytest.raises(InvalidParameter, match="counts must be nonnegative integers with at least one draw, got"):
+        counts_to_distribution(counts, 1)
