@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
-from .errors import StepCountTooLarge
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
-                     require, require_count, require_steps, start_rows)
+                     require, require_broadcast, require_steps, start_rows)
 from .quantum import DensityMatrix2, norm_sq, state_amplitudes
 
 
@@ -53,11 +52,9 @@ class PhotonState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        require_count(self.steps_applied, "steps_applied", 0)
-        if self.steps_applied > MAX_SUPERPOSITION_STEPS:  # before 2**steps_applied sizes the expected shape
-            raise StepCountTooLarge(f"steps_applied must be in 0..{MAX_SUPERPOSITION_STEPS}, got {self.steps_applied}")
-        object.__setattr__(self, "amplitudes",
-                           state_amplitudes(self.amplitudes, self.steps_applied, "photon state"))
+        steps = require_steps(self.steps_applied, MAX_SUPERPOSITION_STEPS, 0, "steps_applied")  # before 2**steps
+        object.__setattr__(self, "steps_applied", steps)
+        object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, steps, "photon state"))
 
     @property
     def success_probability(self) -> float:
@@ -81,11 +78,9 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     """One block: H keeps its bin and becomes |S0>, V moves up by 2^k bins
     and becomes |S1>; the post-selection halves the success probability (see
     the module docstring for why no renormalization is needed).  Validates
-    the new `PhotonState` on every call.
+    the new `PhotonState` on every call, which bounds the block count.
     """
-    k = state.steps_applied
-    require_steps(k + 1, MAX_SUPERPOSITION_STEPS)
-    return PhotonState(k + 1, _block(state.amplitudes, causal_pair(coin)))
+    return PhotonState(state.steps_applied + 1, _block(state.amplitudes, causal_pair(coin)))
 
 
 def block_norm_accounting(state: PhotonState):
@@ -131,14 +126,15 @@ def reconstruct_memory_density(
     bin.  (method, coin) weights against a (1, coin) grid coin share one
     circuit run and give each method its own bits.
     """
+    require_broadcast(np.shape(coin.stay_heads), np.shape(weights.s0), "reconstruct_memory_density: coin, weights")
     state = run_circuit(coin, both_starts(coin), steps)
     probs = arrival_time_distribution(state).bins  # (start, ..., bin)
     used = probs > TOL.empty_bin
     rows = state.amplitudes.mT / np.sqrt(np.where(used, probs, 1.0))[..., None]  # (start, ..., bin, polarization)
     states = rows[..., :, None] * rows[..., None, :]
     DensityMatrix2(states[used])
-    scale = np.where(used, np.stack([weights.s0, weights.s1])[..., None] * probs, 0.0)  # (start, ..., bin)
+    scale = [np.where(u, np.asarray(w)[..., None] * p, 0.0) for u, w, p in zip(used, (weights.s0, weights.s1), probs)]
     total = 0  # a +-0 term (an unused bin's) leaves the running sum's bits as they are
     for start, b in np.ndindex(2, probs.shape[-1]):
-        total = total + scale[start, ..., b, None, None] * states[start, ..., b, :, :]
+        total = total + scale[start][..., b, None, None] * states[start, ..., b, :, :]
     return DensityMatrix2(total)

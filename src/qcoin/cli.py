@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_oracle_checks
-from .constants import ALLOCATION_BUDGET_BYTES, MAX_SUPERPOSITION_STEPS, TOL
+from .constants import ALLOCATION_BUDGET_BYTES, MAX_ENUMERATION_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .circuit import PhotonState, run_circuit
 from .encoding import all_bitstrings, index_to_bits, lexicographic_bins
 from .errors import (
@@ -54,7 +54,7 @@ from .interference import (
     visibility,
     visibility_sweep,
 )
-from .markov import (MAX_ENUMERATION_STEPS, REDUCIBLE_CHAIN, CausalState, PerturbedCoin, WeightMethod,
+from .markov import (REDUCIBLE_CHAIN, CausalState, PerturbedCoin, WeightMethod,
                      classical_complexity, classical_fidelity, counts_to_distribution, future_distribution,
                      sample_trajectories, stationary_weights)
 from .quantum import IdealOutputState, ideal_output_state, memory_density, von_neumann_entropy

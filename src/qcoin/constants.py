@@ -21,6 +21,9 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Cap on the step count M of the full enumeration of 2**M outcome strings.
+MAX_ENUMERATION_STEPS = 20
+
 # Cap on the step count M of the circuit and of the output superposition,
 # whose states hold 2**(M+1) amplitudes.
 MAX_SUPERPOSITION_STEPS = 12

@@ -22,7 +22,7 @@ from .errors import (
     InternalError,
     InvalidParameter,
 )
-from .markov import CausalState, PerturbedCoin, float_or_array
+from .markov import CausalState, PerturbedCoin, float_or_array, require
 from .quantum import IdealOutputState, require_one_state
 
 FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
@@ -109,6 +109,7 @@ def fit_visibility(delays, counts) -> VisibilityFit:
     delays, counts = np.asarray(delays, dtype=float), np.asarray(counts, dtype=float)
     if delays.ndim != 1 or delays.shape != counts.shape or delays.size < 5:
         raise InvalidParameter(f"need 5+ delays and a count at each, got shapes {delays.shape} and {counts.shape}")
+    require(np.isfinite(delays).all() and np.isfinite(counts).all(), "delays and counts must be finite")
     top = float(counts.max())
     if top <= 0.0:
         raise InvalidParameter("counts must contain positive values")
@@ -149,8 +150,6 @@ def visibility_sweep(fixed: PerturbedCoin, fixed_start: CausalState, coins: Pert
     statistical futures.  The grid runs through the circuit kernels as one
     batch, and each entry has the bits of its own pair's `visibility`.
     """
-    if not np.size(starts):
-        raise InvalidParameter("the varying grid must be nonempty")
     psi, batch = run_circuit(fixed, fixed_start, steps), run_circuit(coins, starts, steps)
     rows = batch.amplitudes.reshape(-1, 2, 2**steps)
     v = np.array([visibility(psi, PhotonState(steps, row)) for row in rows])

@@ -14,7 +14,7 @@ hold arrays (leading batch axes), a start is a `CausalState` or an integer
 array of state indices that broadcasts against the coin, and the result
 dataclasses take the same leading axes and validate them in `__post_init__`.
 A float-valued function returns a float for one coin and an ndarray for a
-grid.  `sample_trajectories` takes one coin.
+grid.  `sample_trajectories` takes one coin and one start.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import TOL
+from .constants import MAX_ENUMERATION_STEPS, TOL
 from .encoding import index_to_bits, lexicographic_bins
 from .errors import (
     DimensionMismatch,
@@ -36,8 +36,6 @@ from .errors import (
     StepCountTooLarge,
 )
 
-# Full enumeration of 2**steps outcome strings caps the step count.
-MAX_ENUMERATION_STEPS = 20
 # ReducibleChain's message; complexity-sweep writes it as the error row of l = m = 1.
 REDUCIBLE_CHAIN = "both stay probabilities are 1; supply weights explicitly"
 CHUNK_DRAWS = 2**14  # draws per pass; a chunk holds their uniforms, 2 bool masks, 2 bin codes, bincount's intp copy
@@ -50,10 +48,11 @@ def _integer(value, name: str) -> int:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
 
 
-def require_steps(steps: int, cap: int = MAX_ENUMERATION_STEPS) -> None:
-    """The one step-count bound: 1 <= steps <= cap, else StepCountTooLarge; a non-integer is InvalidParameter."""
-    if not 1 <= _integer(steps, "steps") <= cap:
-        raise StepCountTooLarge(f"steps must be in 1..{cap}, got {steps}")
+def require_steps(steps: int, cap: int = MAX_ENUMERATION_STEPS, low: int = 1, name: str = "steps") -> int:
+    """The one step bound: `steps` as an int in low..cap, else StepCountTooLarge; a non-integer is InvalidParameter."""
+    if low <= (count := _integer(steps, name)) <= cap:
+        return count
+    raise StepCountTooLarge(f"{name} must be in {low}..{cap}, got {steps}")
 
 
 def require_count(value: int, name: str, low: int) -> None:
@@ -159,6 +158,15 @@ def float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def require_broadcast(a: tuple, b: tuple, what: str) -> None:
+    """Refuse with DimensionMismatch two batch shapes that do not broadcast; equal shapes return at once."""
+    if a != b:
+        try:
+            np.broadcast_shapes(a, b)
+        except ValueError:
+            raise DimensionMismatch(f"{what}: shapes {a} and {b} do not broadcast") from None
+
+
 def require_one_coin(coin: PerturbedCoin, what: str) -> None:
     """Refuse a grid coin where a function takes one coin."""
     if np.ndim(coin.stay_heads):  # both stay probabilities have one shape
@@ -210,6 +218,8 @@ def stationary_weights(
     Raises ReducibleChain when the denominator of the chosen method
     vanishes, which happens exactly when both stay probabilities are 1.
     """
+    if not isinstance(method, WeightMethod):
+        raise InvalidParameter(f"method must be a WeightMethod, got {method!r}")
     if method is WeightMethod.EXACT_STATIONARY:
         leave_heads, leave_tails = 1.0 - coin.stay_heads, 1.0 - coin.stay_tails
     else:
@@ -253,9 +263,8 @@ class OutcomeDistribution:
     bins: np.ndarray
 
     def __post_init__(self) -> None:
-        require_steps(self.steps)
-        p = owned(self.bins, "bins", (2**self.steps,))
-        object.__setattr__(self, "bins", p)
+        object.__setattr__(self, "steps", require_steps(self.steps))
+        object.__setattr__(self, "bins", p := owned(self.bins, "bins", (2**self.steps,)))
         if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
             b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
             raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
@@ -264,14 +273,17 @@ class OutcomeDistribution:
 
 
 def start_rows(matrix: np.ndarray, start) -> np.ndarray:
-    """The rows matrix[..., start, :] of (..., 2, 2) matrices: `start` is a CausalState, or an integer
-    array of state indices (0 or 1) that broadcasts against the matrices' leading axes."""
+    """The rows matrix[..., start, :] of (..., 2, 2) matrices: `start` is a CausalState, or a nonempty integer
+    array of state indices (0 or 1) that broadcasts against the matrices' leading axes.  The one reader of a start."""
     if isinstance(start, CausalState):
         return matrix[..., start.index, :]
     index = np.asarray(start)
-    if index.dtype.kind not in "iu" or (index >> 1).any():  # an index other than 0 and 1 has a higher bit
-        raise InvalidParameter(f"a start must be a CausalState or state indices 0 and 1, got {start!r}")
-    return np.where(index[..., None] == 1, matrix[..., 1, :], matrix[..., 0, :])
+    if index.dtype.kind not in "iu" or not index.size or (index >> 1).any():  # a higher bit: not 0 or 1
+        raise InvalidParameter(f"a start must be a CausalState or state indices 0 and 1, at least one, got {start!r}")
+    try:
+        return np.where(index[..., None] == 1, matrix[..., 1, :], matrix[..., 0, :])
+    except ValueError:  # caught, not checked first, so a start that broadcasts costs nothing extra
+        raise DimensionMismatch(f"starts {index.shape} do not broadcast against coins {matrix.shape[:-2]}") from None
 
 
 def both_starts(coin: PerturbedCoin) -> np.ndarray:
@@ -284,7 +296,7 @@ def future_distribution(coin: PerturbedCoin, start: CausalState, steps: int) -> 
     recurrence.  Factors multiply in the order of the per-string product, so every bin is
     bit-identical to it (tests/test_markov.py::TestFutureDistribution::test_recurrence_equals_enumeration_exactly).
     """
-    require_steps(steps)
+    steps = require_steps(steps)
     t = transition_matrix(coin)
     p = start_rows(t, start)
     lead = p.shape[:-1]
@@ -316,9 +328,11 @@ def sample_trajectories(
     selects low) for low, high = sorted(emit_zero): exact at ties, with no gather.
     """
     require_count(draws, "draws", 1)
-    require_steps(steps)
+    steps = require_steps(steps)
     require_count(seed, "seed", 0)
     require_one_coin(coin, "sample_trajectories")
+    first = start_rows(transition_matrix(coin), start)
+    require(first.ndim == 1, "sample_trajectories takes one start, not an array of starts")
     emit_zero = transition_matrix(coin)[:, 0]
     low, high = sorted(emit_zero.tolist())
     select = np.logical_and if emit_zero[1] < emit_zero[0] else np.greater  # a & e, or a & ~e as bool a > e
@@ -330,7 +344,7 @@ def sample_trajectories(
     for lo in range(0, draws, CHUNK_DRAWS):
         u, e, a, code, bit = (b[:draws - lo] for b in buffers)
         streams[0].random(out=u)
-        np.copyto(code, np.greater_equal(u, emit_zero[start.index], out=e))
+        np.copyto(code, np.greater_equal(u, first[0], out=e))
         for k in range(1, steps):
             streams[k].random(out=u)
             select(np.greater_equal(u, low, out=a), e, out=e)
@@ -342,18 +356,18 @@ def sample_trajectories(
 
 def counts_to_distribution(counts: np.ndarray, steps: int) -> OutcomeDistribution:
     """Empirical distribution from bin-indexed counts: nonnegative integers, at least one draw."""
+    counts = np.asarray(counts)
     if counts.dtype.kind not in "iu" or (counts < 0).any() or counts.sum() < 1:
         raise InvalidParameter(f"counts must be nonnegative integers with at least one draw, got {counts!r}")
     return OutcomeDistribution(steps, counts / counts.sum())
 
 
 def classical_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
-    """Bhattacharyya coefficient sum_x sqrt(p_x q_x); 1 iff the distributions agree.
+    """Bhattacharyya coefficient sum_x sqrt(p_x q_x) of two distributions of one step count; 1 iff they agree.
 
     Products rounded below 0 count as 0; terms are added one by one in string order.
     """
-    if p.steps != q.steps:
-        raise DimensionMismatch(f"step counts differ: {p.steps} vs {q.steps}")
+    require_broadcast(p.bins.shape, q.bins.shape, "classical_fidelity: bins of p, q")
     roots = np.sqrt(np.maximum(p.bins * q.bins, 0.0))
     # a running sum: builtin sum over floats is compensated from Python 3.12 on, so its last bits vary
     return float_or_array(np.cumsum(roots[..., lexicographic_bins(p.steps)], axis=-1)[..., -1])

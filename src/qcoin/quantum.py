@@ -19,8 +19,8 @@ import numpy as np
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, causal_pair, entropy_bits,
-                     float_or_array, future_distribution, owned, require, require_steps, start_rows,
-                     transition_matrix)
+                     float_or_array, future_distribution, owned, require, require_broadcast, require_steps,
+                     start_rows, transition_matrix)
 
 
 def norm_sq(amps: np.ndarray):
@@ -83,6 +83,7 @@ def von_neumann_entropy(rho: DensityMatrix2) -> float:
 def memory_density(coin: PerturbedCoin, weights: StationaryWeights) -> DensityMatrix2:
     """Stationary memory state: the mixture s0 |S0><S0| + s1 |S1><S1| of the causal-state projectors."""
     pair = causal_pair(coin)
+    require_broadcast(np.shape(coin.stay_heads), np.shape(weights.s0), "memory_density: coin, weights")
     projectors = pair[..., :, :, None] * pair[..., :, None, :]
     return DensityMatrix2(np.asarray(weights.s0)[..., None, None] * projectors[..., 0, :, :]
                           + np.asarray(weights.s1)[..., None, None] * projectors[..., 1, :, :])
@@ -148,12 +149,14 @@ def output_overlap(
     bits and no BLAS kernel chosen at run time sets them.
     `bhattacharyya_futures` and the bin sum in `checks` enumerate 2**M strings and are its oracles.
     """
-    require_steps(steps, MAX_OVERLAP_STEPS)
+    steps = require_steps(steps, MAX_OVERLAP_STEPS)
     ta, tb = transition_matrix(proc_a.coin), transition_matrix(proc_b.coin)
     pa, pb = causal_pair(proc_a.coin), causal_pair(proc_b.coin)
+    ua, ub = start_rows(ta, start_a), start_rows(tb, start_b)
+    require_broadcast(ua.shape, ub.shape, "output_overlap: side a, side b")  # then the coins broadcast too
     finals = pa[..., 0] * pb[..., 0] + pa[..., 1] * pb[..., 1]  # <S_j|T_j> per j
-    k, row = np.sqrt(ta * tb), np.sqrt(start_rows(ta, start_a) * start_rows(tb, start_b))
-    for bit in range(int(steps - 1).bit_length()):  # k is K^(2^bit); steps may be a numpy integer
+    k, row = np.sqrt(ta * tb), np.sqrt(ua * ub)
+    for bit in range((steps - 1).bit_length()):  # k is K^(2^bit)
         if (steps - 1) >> bit & 1:
             row = row[..., 0, None] * k[..., 0, :] + row[..., 1, None] * k[..., 1, :]
         k = k[..., :, 0, None] * k[..., 0, None, :] + k[..., :, 1, None] * k[..., 1, None, :]
@@ -176,4 +179,5 @@ def bhattacharyya_futures(
     """
     bins_a = future_distribution(proc_a.coin, start_a, steps).bins
     bins_b = future_distribution(proc_b.coin, start_b, steps).bins
+    require_broadcast(bins_a.shape, bins_b.shape, "bhattacharyya_futures: side a, side b")
     return float_or_array(np.sqrt(bins_a * bins_b).sum(axis=-1))

@@ -1,7 +1,11 @@
 """One function per concept: a grid coin and an array of start indices give, in each batch element, the bits
 of the one-coin call; a float-valued function returns a float for one coin and an ndarray for a grid; the
-functions that take one coin or one state refuse a batch with InvalidParameter; and every holder refuses an
-empty batch, and a field whose batch is not its sibling field's, with InvalidParameter naming the field."""
+functions that take one coin or one state refuse a batch with InvalidParameter; every holder refuses an
+empty batch, and a field whose batch is not its sibling field's, with InvalidParameter naming the field; and
+a start, a step count or two batches that a function cannot use end in a named QCoinError, never in a bare
+numpy or Python error."""
+
+import json
 
 import numpy as np
 import pytest
@@ -16,8 +20,9 @@ from qcoin.circuit import (
     reconstruct_memory_density,
     run_circuit,
 )
-from qcoin.errors import InvalidParameter
-from qcoin.interference import visibility
+from qcoin.cli import _photon_json
+from qcoin.errors import DimensionMismatch, InvalidParameter
+from qcoin.interference import fit_visibility, visibility, visibility_sweep
 from qcoin.markov import (
     CausalState,
     OutcomeDistribution,
@@ -26,6 +31,7 @@ from qcoin.markov import (
     WeightMethod,
     classical_complexity,
     classical_fidelity,
+    counts_to_distribution,
     future_distribution,
     sample_trajectories,
     stationary_weights,
@@ -174,3 +180,73 @@ GRID_STATE = ideal_output_state(GRID, STARTS, 2)  # amplitudes (2, 3, 2, 4), dis
 def test_every_holder_refuses_an_empty_or_mismatched_batch(build, message):
     with pytest.raises(InvalidParameter, match=message):
         build()
+
+
+EMPTY = np.array([], dtype=int)
+PAIR = PerturbedCoin(np.array([0.2, 0.7]), np.array([0.4, 0.9]))  # a (2,) grid
+TRIPLE = PerturbedCoin(np.array([0.2, 0.7, 0.5]), np.array([0.4, 0.9, 0.5]))  # a (3,) grid, which (2,) does not meet
+THREE_WEIGHTS = StationaryWeights(np.array([0.2, 0.5, 0.9]), np.array([0.8, 0.5, 0.1]))
+
+
+# (call, the error it must end in): each ended in a bare AttributeError or ValueError, or for the weight method
+# returned the three-step weights, before one reader took every start and one check every pair of batches
+@pytest.mark.parametrize("call, error", [
+    (lambda: sample_trajectories(OTHER, 2, 3, 10, 1), InvalidParameter),
+    (lambda: sample_trajectories(OTHER, np.array([0, 1]), 3, 10, 1), InvalidParameter),
+    (lambda: future_distribution(OTHER, EMPTY, 3), InvalidParameter),
+    (lambda: ideal_output_state(OTHER, EMPTY, 3), InvalidParameter),
+    (lambda: run_circuit(OTHER, EMPTY, 3), InvalidParameter),
+    (lambda: future_distribution(PAIR, np.array([0, 1, 0]), 3), DimensionMismatch),
+    (lambda: visibility_sweep(OTHER, CausalState.S0, PAIR, np.array([0, 1, 0]), 3), DimensionMismatch),
+    (lambda: output_overlap(ProcessSpec(PAIR), 0, ProcessSpec(TRIPLE), 0, 3), DimensionMismatch),
+    (lambda: bhattacharyya_futures(ProcessSpec(PAIR), 0, ProcessSpec(TRIPLE), 0, 3), DimensionMismatch),
+    (lambda: classical_fidelity(future_distribution(PAIR, 0, 3), future_distribution(TRIPLE, 0, 3)),
+     DimensionMismatch),
+    (lambda: memory_density(PAIR, THREE_WEIGHTS), DimensionMismatch),
+    (lambda: reconstruct_memory_density(PAIR, THREE_WEIGHTS, 2), DimensionMismatch),
+    (lambda: counts_to_distribution([1.5, 2.5], 1), InvalidParameter),
+    (lambda: fit_visibility([0, 1, 2, 3, 4.0], [1, np.nan, 1, 1, 1]), InvalidParameter),
+    (lambda: stationary_weights(PerturbedCoin(0.3, 0.6), "exact"), InvalidParameter),
+], ids=["sample_trajectories-int-start", "sample_trajectories-start-array", "future_distribution-empty-start",
+        "ideal_output_state-empty-start", "run_circuit-empty-start", "future_distribution-start-against-coin",
+        "visibility_sweep-start-against-coin", "output_overlap-a-against-b", "bhattacharyya_futures-a-against-b",
+        "classical_fidelity-a-against-b", "memory_density-weights-against-coin",
+        "reconstruct_memory_density-weights-against-coin", "counts_to_distribution-list", "fit_visibility-nan",
+        "stationary_weights-string-method"])
+def test_an_unusable_input_ends_in_its_named_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_an_infinite_delay_is_refused_before_the_fit():
+    with pytest.raises(InvalidParameter, match="delays and counts must be finite"):
+        fit_visibility([0, 1, 2, 3, np.inf], [5, 1, 5, 5, 5])
+
+
+def test_counts_may_be_a_list():
+    assert counts_to_distribution([1, 2], 1).bins.tolist() == [1 / 3, 2 / 3]
+
+
+@pytest.mark.parametrize("s0", [np.array([[0.2, 0.5], [0.7, 0.1]]), np.array(0.3)], ids=["more-axes", "fewer-axes"])
+def test_reconstruct_memory_density_meets_weights_with_more_or_fewer_axes_than_the_coin(s0):
+    # against a (2,) coin: no weight axis may meet the circuit's start axis, which runs in front of the coin's
+    batch = reconstruct_memory_density(PAIR, StationaryWeights(s0, 1.0 - s0), 3).matrix
+    grid = np.broadcast_shapes(s0.shape, (2,))
+    assert batch.shape == grid + (2, 2)
+    for index in np.ndindex(grid):
+        coin = PerturbedCoin(float(PAIR.stay_heads[index[-1]]), float(PAIR.stay_tails[index[-1]]))
+        w = float(np.broadcast_to(s0, grid)[index])
+        assert same_bits(batch[index], reconstruct_memory_density(coin, StationaryWeights(w, 1.0 - w), 3).matrix)
+
+
+@pytest.mark.parametrize("start", [1, np.int64(0)], ids=["int", "numpy-int"])
+def test_sample_trajectories_reads_an_index_start_as_its_causal_state(start):
+    counts = sample_trajectories(OTHER, start, 4, 1000, 3)
+    assert counts.tobytes() == sample_trajectories(OTHER, CausalState(int(start)), 4, 1000, 3).tobytes()
+
+
+def test_step_counts_are_held_as_python_ints():
+    state = run_circuit(OTHER, CausalState.S0, np.int64(2))
+    assert type(state.steps_applied) is int and json.loads(json.dumps(_photon_json(state)))["steps"] == 2
+    assert type(PhotonState(np.int64(3), run_circuit(OTHER, CausalState.S1, 3).amplitudes).steps_applied) is int
+    assert type(future_distribution(OTHER, CausalState.S0, np.int64(3)).steps) is int

@@ -272,3 +272,41 @@ def test_a_planted_subprocess_call_is_found():
     tree = ast.parse("import subprocess\nfrom subprocess import run\n\ndef test_a():\n    def inner():\n"
                      "        subprocess.run(['x'])\n    return subprocess.check_output(['y'])\n")
     assert subprocess_uses(tree, "t.py") == ["t.py::<module>", "t.py::inner", "t.py::test_a"]
+
+
+# The one step bound and the one start reader: the functions that alone raise `StepCountTooLarge` and read
+# `start.index`, so no function bounds a step count or reads a start by hand.
+ONE_PLACE = {"StepCountTooLarge": "require_steps", "start.index": "start_rows"}
+
+
+def bounds_and_starts_outside_their_place(tree: ast.Module) -> list[str]:
+    """`line N: what in function` for each `raise StepCountTooLarge` outside `require_steps` and each read of
+    `start.index` outside `start_rows`."""
+    where = enclosing_function(tree)
+    found = []
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = getattr(node.exc, "func", node.exc)  # `raise E(...)` or `raise E`
+            if getattr(raised, "id", getattr(raised, "attr", None)) == "StepCountTooLarge":
+                what = "StepCountTooLarge"
+        elif isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", None) == "start":
+            what = "start.index"
+        if what and where(node.lineno) != ONE_PLACE[what]:
+            found.append(f"line {node.lineno}: {what} in {where(node.lineno)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_step_bound_and_one_start_reader(path):
+    assert bounds_and_starts_outside_their_place(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_planted_bound_and_start_read_are_found():
+    tree = ast.parse("def require_steps(n):\n    raise StepCountTooLarge(n)\n\ndef start_rows(m, start):\n"
+                     "    return m[start.index]\n\ndef sample(start, n):\n    if n > 12:\n"
+                     "        raise errors.StepCountTooLarge('too many')\n    return start.index\n\n"
+                     "class PhotonState:\n    def __post_init__(self):\n        raise StepCountTooLarge\n")
+    assert bounds_and_starts_outside_their_place(tree) == ["line 9: StepCountTooLarge in sample",
+                                                           "line 10: start.index in sample",
+                                                           "line 14: StepCountTooLarge in __post_init__"]

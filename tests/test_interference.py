@@ -226,7 +226,8 @@ class TestVisibilitySweep:
         # an empty coin grid is refused as it is built
         with pytest.raises(InvalidParameter, match=r"stay_heads must have shape \(\), got \(0,\)"):
             visibility_sweep(*self.fixed_fair(), l_series([], 0.5), S0, 3)
-        with pytest.raises(InvalidParameter, match="the varying grid must be nonempty"):
+        # an empty start array is refused where the circuit reads it, as by every other function
+        with pytest.raises(InvalidParameter, match="state indices 0 and 1, at least one, got array"):
             visibility_sweep(*self.fixed_fair(), l_series([0.5], 0.5), np.array([], dtype=int), 3)
 
     def test_each_entry_has_the_bits_of_its_pair_and_the_grid_shape(self):

@@ -10,11 +10,10 @@ from oracles import bits_to_index, longhand_probability, trajectory_probability
 from qcoin import markov, quantum
 from qcoin.checks import _overlap, probability_grid
 from qcoin.cli import _density_json, _superposition_json
-from qcoin.constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
+from qcoin.constants import MAX_ENUMERATION_STEPS, MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
 from qcoin.encoding import all_bitstrings
 from qcoin.errors import InvalidParameter, NonPhysicalState, StepCountTooLarge
 from qcoin.markov import (
-    MAX_ENUMERATION_STEPS,
     CausalState,
     PerturbedCoin,
     StationaryWeights,
