@@ -62,10 +62,10 @@ class PhotonState:
         return 0.5**self.steps_applied
 
 
-def _block(amps: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """One block on real (..., 2, n) amplitudes, polarization-major; the rows of `pair` (..., 2, 2)
-    are |S0> and |S1>.  H times |S0> fills the lower n bins, V times |S1> the upper n."""
-    out = np.multiply(pair.mT[..., None], amps[..., None, :, :], order="C")  # so the reshape copies nothing
+def _block(amps: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """One block on real (..., 2, n) amplitudes, polarization-major; `gate` is `pair.mT[..., None]` of the
+    causal pair, whose rows are |S0> and |S1>.  H times |S0> fills the lower n bins, V times |S1> the upper n."""
+    out = np.multiply(gate, amps[..., None, :, :], order="C")  # so the reshape copies nothing
     return out.reshape(out.shape[:-3] + (2, -1))
 
 
@@ -80,7 +80,7 @@ def apply_block(state: PhotonState, coin: PerturbedCoin) -> PhotonState:
     the module docstring for why no renormalization is needed).  Validates
     the new `PhotonState` on every call, which bounds the block count.
     """
-    return PhotonState(state.steps_applied + 1, _block(state.amplitudes, causal_pair(coin)))
+    return PhotonState(state.steps_applied + 1, _block(state.amplitudes, causal_pair(coin).mT[..., None]))
 
 
 def block_norm_accounting(state: PhotonState):
@@ -97,9 +97,9 @@ def run_circuit(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonSt
     """
     require_steps(steps, MAX_SUPERPOSITION_STEPS)
     pair = causal_pair(coin)
-    amps = start_rows(pair, start)[..., None]
+    amps, gate = start_rows(pair, start)[..., None], pair.mT[..., None]
     for _ in range(steps):
-        amps = _block(amps, pair)
+        amps = _block(amps, gate)
     return PhotonState(steps, amps)
 
 

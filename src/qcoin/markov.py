@@ -110,9 +110,9 @@ class PerturbedCoin:
     @cached_property
     def _causal_pair(self) -> np.ndarray:
         pair = np.sqrt(transition_matrix(self))
-        p0, p1 = pair[..., 0], pair[..., 1]
-        squared = p0 * p0 + p1 * p1
-        require(abs(squared - 1.0) <= TOL.exact, "causal-state vector is not normalized: |.|^2 = {!r}", squared)
+        for a, b in ((pair[..., 0, 0], pair[..., 0, 1]), (pair[..., 1, 0], pair[..., 1, 1])):  # one coin: scalars
+            squared = a * a + b * b
+            require(abs(squared - 1.0) <= TOL.exact, "causal-state vector is not normalized: |.|^2 = {!r}", squared)
         return read_only(pair)
 
 
@@ -122,16 +122,21 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def as_array(value, what: str) -> np.ndarray:
+    """`np.asarray(value)`; a ragged list, a bare ValueError in numpy, is InvalidParameter naming `what`."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise InvalidParameter(f"{what} must be a real number or array: {exc}") from None
+
+
 def owned(value, what: str, shape: tuple = (), batch=None):
     """A number as a float; an array or list as a read-only C-ordered float64 copy with no empty axis, whose last axes
     are `shape` and leading axes `batch` if given, so no later write to the caller's array reaches the holder.
     Complex, string, object or ragged input is refused with InvalidParameter naming `what`: real float64 only."""
     if type(value) is float and not shape and not batch:  # one coin's probability: no array to build
         return value
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:  # a ragged list
-        raise InvalidParameter(f"{what} must be a real number or array: {exc}") from None
+    array = as_array(value, what)
     if array.dtype.kind not in "biuf":
         raise InvalidParameter(f"{what} must be real, got dtype {array.dtype}")
     lead = tuple(filter(None, array.shape[:array.ndim - len(shape)])) if batch is None else batch  # a 0 axis mismatches
@@ -155,7 +160,7 @@ def require(ok, message: str, values=None, error=InvalidParameter) -> None:
 
 def float_or_array(value):
     """A float for one coin, the array for a grid: the one return type of a float-valued function."""
-    return float(value) if np.ndim(value) == 0 else value
+    return float(value) if getattr(value, "ndim", 0) == 0 else value  # a float has no ndim; np.ndim dispatches
 
 
 def require_broadcast(a: tuple, b: tuple, what: str) -> None:
@@ -268,7 +273,7 @@ class OutcomeDistribution:
         if not (p.min() >= -TOL.exact and p.max() <= 1.0 + TOL.exact):
             b = np.unravel_index(np.argmin((p >= -TOL.exact) & (p <= 1.0 + TOL.exact)), p.shape)
             raise InvalidParameter(f"probability of {index_to_bits(int(b[-1]), self.steps)!r} out of [0, 1]: {p[b]!r}")
-        total = np.einsum("...i->...", p)  # a check, so its rounding is free
+        total = float_or_array(np.einsum("...i->...", p))  # a check, so its rounding is free
         require(abs(total - 1.0) <= TOL.prob_sum, "probabilities sum to {!r}, not 1", total)
 
 
@@ -277,7 +282,7 @@ def start_rows(matrix: np.ndarray, start) -> np.ndarray:
     array of state indices (0 or 1) that broadcasts against the matrices' leading axes.  The one reader of a start."""
     if isinstance(start, CausalState):
         return matrix[..., start.index, :]
-    index = np.asarray(start)
+    index = as_array(start, "start")
     if index.dtype.kind not in "iu" or not index.size or (index >> 1).any():  # a higher bit: not 0 or 1
         raise InvalidParameter(f"a start must be a CausalState or state indices 0 and 1, at least one, got {start!r}")
     try:
@@ -356,7 +361,7 @@ def sample_trajectories(
 
 def counts_to_distribution(counts: np.ndarray, steps: int) -> OutcomeDistribution:
     """Empirical distribution from bin-indexed counts: nonnegative integers, at least one draw."""
-    counts = np.asarray(counts)
+    counts = as_array(counts, "counts")
     if counts.dtype.kind not in "iu" or (counts < 0).any() or counts.sum() < 1:
         raise InvalidParameter(f"counts must be nonnegative integers with at least one draw, got {counts!r}")
     return OutcomeDistribution(steps, counts / counts.sum())

@@ -145,8 +145,10 @@ def output_overlap(
 
     The chain has Markov order one, so this is u^T K^(steps - 1) c with K = sqrt(Ta Tb) elementwise,
     u = sqrt(Ta[start_a] Tb[start_b]) and c_j = <S_j|T_j>.  Square-and-multiply on the row (powers of one K
-    commute) takes O(log M) time and O(1) memory; each product is written out, so a batch gives one pair's
-    bits and no BLAS kernel chosen at run time sets them.
+    commute) takes O(log M) time and O(1) memory.  It runs entry by entry on k00..k11 and r0, r1: for one coin
+    these are numpy float64 scalars, so no product dispatches on a (2, 2) array, and a grid runs the same lines
+    on arrays.  Each product is written out, so a batch gives one pair's bits and no BLAS kernel chosen at run
+    time sets them.
     `bhattacharyya_futures` and the bin sum in `checks` enumerate 2**M strings and are its oracles.
     """
     steps = require_steps(steps, MAX_OVERLAP_STEPS)
@@ -156,11 +158,13 @@ def output_overlap(
     require_broadcast(ua.shape, ub.shape, "output_overlap: side a, side b")  # then the coins broadcast too
     finals = pa[..., 0] * pb[..., 0] + pa[..., 1] * pb[..., 1]  # <S_j|T_j> per j
     k, row = np.sqrt(ta * tb), np.sqrt(ua * ub)
-    for bit in range((steps - 1).bit_length()):  # k is K^(2^bit)
+    k00, k01, k10, k11 = k[..., 0, 0], k[..., 0, 1], k[..., 1, 0], k[..., 1, 1]
+    r0, r1 = row[..., 0], row[..., 1]
+    for bit in range((steps - 1).bit_length()):  # the k entries are those of K^(2^bit)
         if (steps - 1) >> bit & 1:
-            row = row[..., 0, None] * k[..., 0, :] + row[..., 1, None] * k[..., 1, :]
-        k = k[..., :, 0, None] * k[..., 0, None, :] + k[..., :, 1, None] * k[..., 1, None, :]
-    return float_or_array(row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1])
+            r0, r1 = r0 * k00 + r1 * k10, r0 * k01 + r1 * k11
+        k00, k01, k10, k11 = k00 * k00 + k01 * k10, k00 * k01 + k01 * k11, k10 * k00 + k11 * k10, k10 * k01 + k11 * k11
+    return float_or_array(r0 * finals[..., 0] + r1 * finals[..., 1])
 
 
 def bhattacharyya_futures(

@@ -1,17 +1,21 @@
 """The tests' independent routes, which no command runs: per-string enumeration, the conditional polarization
-of one bin, the gate-level block model, per-string arrival times, and the longhand products and overlap that
-read only the stay probabilities.  An outcome string "x1x2...xM" puts its first outcome in the least-significant
-bit of its time-bin index."""
+of one bin, the gate-level block model, per-string arrival times, the longhand products and overlap that
+read only the stay probabilities, and two references of the transfer-matrix overlap: its matrix form, whose
+bits the entrywise form must give, and a 60-digit decimal truth.  An outcome string "x1x2...xM" puts its
+first outcome in the least-significant bit of its time-bin index."""
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 
 from qcoin.circuit import PhotonState, run_circuit
-from qcoin.constants import TOL
+from qcoin.constants import MAX_OVERLAP_STEPS, TOL
 from qcoin.errors import DimensionMismatch, InvalidParameter, QCoinError
-from qcoin.markov import CausalState, PerturbedCoin, causal_pair, require_one_coin, transition_matrix
+from qcoin.markov import (CausalState, PerturbedCoin, causal_pair, float_or_array, require_broadcast, require_one_coin,
+                          require_steps, start_rows, transition_matrix)
 from qcoin.quantum import DensityMatrix2, require_one_state
 
 
@@ -99,6 +103,43 @@ def longhand_overlap(la: float, ma: float, sa: int, lb: float, mb: float, sb: in
         inner = va[0] * vb[0] + va[1] * vb[1]
         total += math.sqrt(longhand_probability(la, ma, sa, bits) * longhand_probability(lb, mb, sb, bits)) * inner
     return total
+
+
+def matrix_form_overlap(proc_a, start_a, proc_b, start_b, steps: int):
+    """`quantum.output_overlap` as it was written on whole (..., 2, 2) arrays, one ufunc per product of rows
+    and columns: the reference whose bits the entrywise square-and-multiply must give, one coin or a grid."""
+    steps = require_steps(steps, MAX_OVERLAP_STEPS)
+    ta, tb = transition_matrix(proc_a.coin), transition_matrix(proc_b.coin)
+    pa, pb = causal_pair(proc_a.coin), causal_pair(proc_b.coin)
+    ua, ub = start_rows(ta, start_a), start_rows(tb, start_b)
+    require_broadcast(ua.shape, ub.shape, "output_overlap: side a, side b")  # then the coins broadcast too
+    finals = pa[..., 0] * pb[..., 0] + pa[..., 1] * pb[..., 1]  # <S_j|T_j> per j
+    k, row = np.sqrt(ta * tb), np.sqrt(ua * ub)
+    for bit in range((steps - 1).bit_length()):  # k is K^(2^bit)
+        if (steps - 1) >> bit & 1:
+            row = row[..., 0, None] * k[..., 0, :] + row[..., 1, None] * k[..., 1, :]
+        k = k[..., :, 0, None] * k[..., 0, None, :] + k[..., :, 1, None] * k[..., 1, None, :]
+    return float_or_array(row[..., 0] * finals[..., 0] + row[..., 1] * finals[..., 1])
+
+
+def decimal_overlap(la: float, ma: float, sa: int, lb: float, mb: float, sb: int, steps: int,
+                    digits: int = 60) -> Decimal:
+    """The output overlap u^T K^(steps - 1) c of one pair in `digits`-digit decimal arithmetic, each stay
+    probability taken exactly: the truth that the transfer route's rounding is measured against.  Here
+    c_j = <S_j|T_j> = K_j0 + K_j1, since the causal-state entries are the square roots of T's."""
+    with decimal.localcontext() as context:
+        context.prec = digits
+        ta, tb = ([[Decimal(l), 1 - Decimal(l)], [1 - Decimal(m), Decimal(m)]] for l, m in ((la, ma), (lb, mb)))
+        k = [[(ta[i][j] * tb[i][j]).sqrt() for j in range(2)] for i in range(2)]
+        finals = [k[0][0] + k[0][1], k[1][0] + k[1][1]]
+        row = [(ta[sa][j] * tb[sb][j]).sqrt() for j in range(2)]
+        power = steps - 1
+        while power:
+            if power & 1:
+                row = [row[0] * k[0][j] + row[1] * k[1][j] for j in range(2)]
+            k = [[k[i][0] * k[0][j] + k[i][1] * k[1][j] for j in range(2)] for i in range(2)]
+            power >>= 1
+        return row[0] * finals[0] + row[1] * finals[1]
 
 
 def conditional_polarization(state: PhotonState, bits: str) -> DensityMatrix2:

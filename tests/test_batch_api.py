@@ -21,6 +21,7 @@ from qcoin.circuit import (
     run_circuit,
 )
 from qcoin.cli import _photon_json
+from qcoin.constants import MAX_OVERLAP_STEPS
 from qcoin.errors import DimensionMismatch, InvalidParameter
 from qcoin.interference import fit_visibility, visibility, visibility_sweep
 from qcoin.markov import (
@@ -29,6 +30,7 @@ from qcoin.markov import (
     PerturbedCoin,
     StationaryWeights,
     WeightMethod,
+    causal_pair,
     classical_complexity,
     classical_fidelity,
     counts_to_distribution,
@@ -71,16 +73,23 @@ def same_bits(got, expected):
     lambda coin, start: run_circuit(coin, start, 4).amplitudes,
     lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2)).bins,
     lambda coin, start: block_norm_accounting(run_circuit(coin, start, 2)),
-    lambda coin, start: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1, 5),
+    *(lambda coin, start, steps=steps: output_overlap(ProcessSpec(coin), start, ProcessSpec(OTHER), CausalState.S1,
+                                                      steps) for steps in (1, 3, 5, 12, MAX_OVERLAP_STEPS)),
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
     lambda coin, start: classical_fidelity(future_distribution(coin, start, 4), future_distribution(OTHER, 1, 4)),
+    lambda coin, start: causal_pair(coin),
 ], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
-        "arrival_time_distribution", "block_norm_accounting", "output_overlap", "bhattacharyya_futures",
-        "classical_fidelity"])
+        "arrival_time_distribution", "block_norm_accounting", "output_overlap-1", "output_overlap-3", "output_overlap",
+        "output_overlap-12", "output_overlap-8192", "bhattacharyya_futures", "classical_fidelity", "causal_pair"])
 def test_each_batch_element_has_the_bits_of_its_one_coin_call(call):
+    """Each element of a (2, 3) grid, and each coin as a 1-element grid, against the one-coin call, whose
+    numbers are numpy scalars where a grid's are arrays."""
     batch = call(GRID, STARTS)
     for index, coin, start in elements():
-        assert same_bits(batch[index], call(coin, start))
+        one = call(coin, start)
+        assert same_bits(batch[index], one)
+        single = PerturbedCoin(np.array([coin.stay_heads]), np.array([coin.stay_tails]))
+        assert same_bits(call(single, np.array([start.index]))[0], one)
 
 
 @pytest.mark.parametrize("call", [
@@ -207,12 +216,14 @@ THREE_WEIGHTS = StationaryWeights(np.array([0.2, 0.5, 0.9]), np.array([0.8, 0.5,
     (lambda: counts_to_distribution([1.5, 2.5], 1), InvalidParameter),
     (lambda: fit_visibility([0, 1, 2, 3, 4.0], [1, np.nan, 1, 1, 1]), InvalidParameter),
     (lambda: stationary_weights(PerturbedCoin(0.3, 0.6), "exact"), InvalidParameter),
+    (lambda: future_distribution(PerturbedCoin(0.3, 0.6), [[0], [0, 1]], 3), InvalidParameter),
+    (lambda: counts_to_distribution([[1], [1, 2]], 1), InvalidParameter),
 ], ids=["sample_trajectories-int-start", "sample_trajectories-start-array", "future_distribution-empty-start",
         "ideal_output_state-empty-start", "run_circuit-empty-start", "future_distribution-start-against-coin",
         "visibility_sweep-start-against-coin", "output_overlap-a-against-b", "bhattacharyya_futures-a-against-b",
         "classical_fidelity-a-against-b", "memory_density-weights-against-coin",
         "reconstruct_memory_density-weights-against-coin", "counts_to_distribution-list", "fit_visibility-nan",
-        "stationary_weights-string-method"])
+        "stationary_weights-string-method", "future_distribution-ragged-start", "counts_to_distribution-ragged"])
 def test_an_unusable_input_ends_in_its_named_error(call, error):
     with pytest.raises(error):
         call()

@@ -785,12 +785,24 @@ CPU_DEPENDENT_PRESETS = {
              "at run time",
 }
 
+# One coin, whose transfer power runs on numpy scalars, and a 3-coin grid through `output_overlap` at M = 12 and
+# 8192, as float.hex strings: run here and in the pre-AVX probe, which must give the same strings.
+OVERLAP_PROBE = """import numpy as np
+from qcoin.markov import CausalState, PerturbedCoin
+from qcoin.quantum import ProcessSpec, output_overlap
+one = ProcessSpec(PerturbedCoin(0.3, 0.6)), CausalState.S0, ProcessSpec(PerturbedCoin(0.35, 0.55)), CausalState.S1
+grid = (ProcessSpec(PerturbedCoin(np.array([0.0, 0.3, 0.9]), np.array([1.0, 0.6, 0.45]))), np.array([0, 1, 0]),
+        ProcessSpec(PerturbedCoin(np.array([0.2, 0.3, 0.901]), np.array([1.0, 0.65, 0.45]))), np.array([1, 1, 0]))
+overlaps = [[x.hex() for x in np.atleast_1d(output_overlap(*call, steps)).tolist()]
+            for call in (one, grid) for steps in (12, 8192)]
+"""
+
 
 def test_pinned_outputs_hold_on_a_pre_avx_cpu(tmp_path):
     """Every reference payload digest but those of `CPU_DEPENDENT_PRESETS`, and the pinned oracle reports,
     from one fresh interpreter under `PRE_AVX_ENV`, set on that process alone.  The variables only disable
     what the CPU has: on a CPU without these features they disable nothing, and the test checks that the
-    native run is deterministic."""
+    native run is deterministic.  The probe also runs `OVERLAP_PROBE` and hands its overlaps back."""
     references = json.loads((ROOT / "benchmarks" / "reference_digests.json").read_text(encoding="utf-8"))
     assert set(CPU_DEPENDENT_PRESETS) < set(references)
     command_of = {command.preset: name for name, command in COMMANDS.items()}
@@ -798,9 +810,13 @@ def test_pinned_outputs_hold_on_a_pre_avx_cpu(tmp_path):
     runs.update({f"oracle-{seed}": ["oracle-check", "--seed", str(seed)] for seed in PINNED_ORACLE_REPORT_SHA256})
     probe = "import qcoin.cli\n" + "".join(f"assert qcoin.cli.main({[*args, '--out', str(tmp_path / out)]!r}) == 0\n"
                                            for out, args in runs.items())
+    probe += OVERLAP_PROBE + "import json\nprint(json.dumps(overlaps))\n"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
                           env={**SRC_ENV, **PRE_AVX_ENV})
     assert proc.returncode == 0, proc.stderr
+    native = {}
+    exec(OVERLAP_PROBE, native)
+    assert json.loads(proc.stdout.splitlines()[-1]) == native["overlaps"]
     for preset in runs.keys() & references.keys():
         for name, digest in references[preset].items():
             assert payload_digest(tmp_path / preset / name) == digest, f"{preset}: {name}"

@@ -1,12 +1,13 @@
 import itertools
 import math
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import bits_to_index, longhand_probability, trajectory_probability
+from oracles import bits_to_index, decimal_overlap, longhand_probability, matrix_form_overlap, trajectory_probability
 from qcoin import markov, quantum
 from qcoin.checks import _overlap, probability_grid
 from qcoin.cli import _density_json, _superposition_json
@@ -437,6 +438,79 @@ class TestTransferMatrixOverlap:
         monkeypatch.setattr(markov, "transition_matrix", lambda coin: np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(InvalidParameter, match="causal-state vector is not normalized"):
             transfer((0.4, 0.7, S0), (0.45, 0.7, S0), 3)
+
+
+def guard_pairs():
+    """A fixed draw of one-coin pairs ((l, m, start) per side): 40 random pairs, every pair of `EDGE_PROCESSES`
+    (l or m in {0, 1}, the identical pairs among them), and 20 near-identical pairs, l_b = l_a + 1e-3 or 1e-9."""
+    rng = np.random.default_rng(33)
+    def start():
+        return (S0, S1)[rng.integers(2)]
+    pairs = [((*rng.random(2), start()), (*rng.random(2), start())) for _ in range(40)]
+    pairs += list(itertools.combinations_with_replacement(EDGE_PROCESSES, 2))
+    for offset in (1e-3, 1e-9) * 10:
+        l, m = rng.random(2) * 0.99
+        pairs.append(((l, m, start()), (l + offset, m, start())))
+    return pairs
+
+
+def as_grid(pairs):
+    """The pairs as one grid: a grid process and an array of start indices per side."""
+    sides = []
+    for side in zip(*pairs):
+        l, m, start = zip(*side)
+        sides += [ProcessSpec(PerturbedCoin(np.array(l), np.array(m))), np.array([s.index for s in start])]
+    return sides
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def truth_error(a, b, steps):
+    """|output_overlap - the 60-digit decimal overlap| of one pair, exactly."""
+    (la, ma, sa), (lb, mb, sb) = a, b
+    return abs(Decimal(transfer(a, b, steps)) - decimal_overlap(la, ma, sa.index, lb, mb, sb.index, steps))
+
+
+class TestEntrywisePower:
+    # M - 1 is the power: 1 runs no step, 2 one multiply, 4097 a lone low and a lone high bit, 8192 every bit set
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8, 12, 4097, MAX_OVERLAP_STEPS])
+    def test_it_has_the_bits_of_the_matrix_form(self, steps):
+        pairs = guard_pairs()
+        for a, b in pairs:
+            got = transfer(a, b, steps)
+            (la, ma, sa), (lb, mb, sb) = a, b
+            expected = matrix_form_overlap(ProcessSpec(PerturbedCoin(la, ma)), sa,
+                                           ProcessSpec(PerturbedCoin(lb, mb)), sb, steps)
+            assert type(got) is float and bits(got) == bits(expected), (a, b)
+        grid = as_grid(pairs)
+        assert bits(output_overlap(*grid, steps)) == bits(matrix_form_overlap(*grid, steps))
+
+    # These draws give largest errors of 3.4e-16 at M = 3, 6.2e-16 at M = 8 and 6.5e-16 at M = 12; each bound is
+    # that error times about 1.25, over 1000 times below TOL.exact.  (Over 100 other draws of 150 the largest were
+    # 4.8e-16, 8.9e-16 and 1.4e-15.)  The route's sqrt, products and sums are correctly rounded IEEE operations,
+    # so the errors are the same on every CPU.
+    @pytest.mark.parametrize("steps, bound", [(3, 4.5e-16), (8, 8e-16), (12, 8e-16)])
+    def test_random_pairs_against_a_60_digit_truth(self, steps, bound):
+        rng = np.random.default_rng(steps)
+        pairs = [((*rng.random(2), (S0, S1)[rng.integers(2)]), (*rng.random(2), (S0, S1)[rng.integers(2)]))
+                 for _ in range(150)]
+        assert max(truth_error(a, b, steps) for a, b in pairs) <= bound
+
+    # `MAX_OVERLAP_STEPS` rests on a relative error near M * 2**-53 = 2**-40 = 9.09e-13 at M = 8192.  Over 100
+    # draws of 150 near-identical pairs (l_b = l_a + 0, 1e-3 or 1e-2, the same m and start) the largest error was
+    # 1.005e-12 = 1.11 * 2**-40, on the pair appended here; this draw alone gives 8.6e-13.  The bound is that
+    # largest error times about 1.25.
+    def test_near_identical_pairs_at_the_cap_against_a_60_digit_truth(self):
+        rng = np.random.default_rng(8192)
+        pairs = []
+        for offset in (0.0, 1e-3, 1e-2) * 50:
+            l, m = rng.random(2) * 0.99
+            start = (S0, S1)[rng.integers(2)]
+            pairs.append(((l, m, start), (l + offset, m, start)))
+        pairs.append(((0.934476467764495, 0.20209290264851554, S1), (0.935476467764495, 0.20209290264851554, S1)))
+        assert max(truth_error(a, b, MAX_OVERLAP_STEPS) for a, b in pairs) <= 1.25e-12
 
 
 class TestBhattacharyyaFutures:
