@@ -31,7 +31,7 @@ MAX_SUPERPOSITION_STEPS = 12
 # Cap on the step count M of `quantum.output_overlap`, a power of a 2x2
 # transfer matrix whose cost is O(log M).  The products round each entry
 # with a relative error near M * 2**-53, and 2**13 is the largest power of two
-# that keeps this bound (2**-40) below TOL.exact.  It is an estimate, not a
+# that keeps this estimate (2**-40) below TOL.exact.  The estimate is not a
 # bound: against a 60-digit decimal truth, the largest error over 15000
 # near-identical pairs at 2**13 steps was 1.005e-12 = 1.11 * 2**-40, just
 # past TOL.exact (tests/test_quantum.py::TestEntrywisePower).
