@@ -38,16 +38,16 @@ from .markov import (
 )
 from .quantum import (
     DensityMatrix2,
-    IdealOutputState,
+    PhotonState,
     ProcessSpec,
     bhattacharyya_futures,
     ideal_output_state,
     memory_density,
     output_overlap,
+    superposition,
     von_neumann_entropy,
 )
 from .circuit import (
-    PhotonState,
     apply_block,
     arrival_time_distribution,
     block_norm_accounting,
@@ -90,15 +90,15 @@ __all__ = [
     "stationary_weights",
     "transition_matrix",
     "DensityMatrix2",
-    "IdealOutputState",
+    "PhotonState",
     "ProcessSpec",
     "bhattacharyya_futures",
     "causal_pair",
     "ideal_output_state",
     "memory_density",
     "output_overlap",
+    "superposition",
     "von_neumann_entropy",
-    "PhotonState",
     "apply_block",
     "arrival_time_distribution",
     "block_norm_accounting",

@@ -28,8 +28,8 @@ from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .errors import InvalidParameter
 from .markov import (PerturbedCoin, StationaryWeights, WeightMethod, causal_pair, classical_complexity,
                      future_distribution, require_count, require_steps, stationary_weights)
-from .quantum import (DensityMatrix2, ProcessSpec, bhattacharyya_futures, ideal_output_state, memory_density,
-                      output_overlap, von_neumann_entropy)
+from .quantum import (DensityMatrix2, ProcessSpec, bhattacharyya_futures, memory_density, output_overlap,
+                      superposition, von_neumann_entropy)
 
 # Largest number of amplitudes one chunk holds: a grid coin takes 2 starts x
 # 2^M bins x 2 polarizations, an identity draw two 16-bin distributions.
@@ -133,13 +133,14 @@ def _circuit_suites(grid: np.ndarray, step_counts: tuple[int, ...], inject_fault
         state = apply_block(state, coins)
         dev = np.abs(2.0 * block_norm_accounting(state) - 1.0)  # the two arms' norms have the same bits
         if steps in step_counts:
-            ideal = ideal_output_state(coins, starts, steps)
+            distribution = future_distribution(coins, starts, steps)
+            ideal = superposition(coins, distribution).amplitudes
             arrival = arrival_time_distribution(state).bins
-            diff = state.amplitudes - ideal.amplitudes
+            diff = state.amplitudes - ideal
             if inject_fault and steps == step_counts[0]:  # the first amplitude of the circuit plus 1e-6
-                diff[0, 0, 0, 0] = state.amplitudes[0, 0, 0, 0] + 1e-6 - ideal.amplitudes[0, 0, 0, 0]
+                diff[0, 0, 0, 0] = state.amplitudes[0, 0, 0, 0] + 1e-6 - ideal[0, 0, 0, 0]
             matched[steps] = np.maximum(np.abs(diff, out=diff).max(axis=(-2, -1)),
-                                        np.abs(arrival - ideal.distribution.bins).max(axis=-1))
+                                        np.abs(arrival - distribution.bins).max(axis=-1))
         accounting.append(dev)
     return np.stack([matched[k] for k in step_counts], axis=-1), np.stack(accounting, axis=-1)
 

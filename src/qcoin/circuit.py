@@ -16,7 +16,7 @@ the input; the 1/sqrt(2) post-selection factor and the renormalization of
 the kept state cancel.  `block_norm_accounting` measures the retained arm
 of a block's output to verify that bookkeeping.  All blocks of a run share one coin,
 whose causal states are built and validated once per coin, and `run_circuit` builds one
-`PhotonState`, which checks the norm, at the end.  As in `markov`, each
+`quantum.PhotonState`, which checks the norm, at the end.  As in `markov`, each
 function takes a grid coin and start-index arrays (leading batch axes), and
 works on real float64 amplitudes, polarization-major (..., 2, bins) so that
 the long bin axis is the inner one; `PhotonState` stores a read-only copy of
@@ -28,38 +28,13 @@ check the circuit against, live in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import MAX_SUPERPOSITION_STEPS, TOL
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, both_starts, causal_pair,
                      require, require_broadcast, require_steps, start_rows)
-from .quantum import DensityMatrix2, norm_sq, state_amplitudes
-
-
-@dataclass(frozen=True)
-class PhotonState:
-    """Post-selected photon state after `steps_applied` blocks.
-
-    `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps_applied)) is the
-    amplitude with polarization p (0 = H, 1 = V) in time bin b, polarization-major as
-    the blocks make it.  Bin b encodes the outcome string via its binary digits,
-    first outcome in the least-significant bit.
-    """
-
-    steps_applied: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        steps = require_steps(self.steps_applied, MAX_SUPERPOSITION_STEPS, 0, "steps_applied")  # before 2**steps
-        object.__setattr__(self, "steps_applied", steps)
-        object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, steps, "photon state"))
-
-    @property
-    def success_probability(self) -> float:
-        """The probability that all post-selections so far succeeded: 1/2 per block, exact in binary."""
-        return 0.5**self.steps_applied
+from .quantum import DensityMatrix2, PhotonState, norm_sq
 
 
 def _block(amps: np.ndarray, gate: np.ndarray) -> np.ndarray:

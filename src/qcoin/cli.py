@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .checks import run_oracle_checks
 from .constants import ALLOCATION_BUDGET_BYTES, MAX_ENUMERATION_STEPS, MAX_SUPERPOSITION_STEPS, TOL
-from .circuit import PhotonState, run_circuit
+from .circuit import run_circuit
 from .encoding import all_bitstrings, index_to_bits, lexicographic_bins
 from .errors import (
     ConfigError,
@@ -57,7 +57,7 @@ from .interference import (
 from .markov import (REDUCIBLE_CHAIN, CausalState, PerturbedCoin, WeightMethod,
                      classical_complexity, classical_fidelity, counts_to_distribution, future_distribution,
                      sample_trajectories, stationary_weights)
-from .quantum import IdealOutputState, ideal_output_state, memory_density, von_neumann_entropy
+from .quantum import PhotonState, ideal_output_state, memory_density, von_neumann_entropy
 from .svgplot import line_plot
 
 SCHEMA_VERSION = 1
@@ -289,11 +289,11 @@ def _photon_json(state: PhotonState) -> dict:
     return {"steps": state.steps_applied, "success_probability": state.success_probability, "bins": bins}
 
 
-def _superposition_json(state: IdealOutputState) -> dict:
+def _superposition_json(state: PhotonState) -> dict:
     """One output superposition: by outcome string, in bin order, its two memory amplitudes as (re, im) pairs."""
-    amps = {index_to_bits(b, state.steps): [[h, 0.0], [v, 0.0]]
+    amps = {index_to_bits(b, state.steps_applied): [[h, 0.0], [v, 0.0]]
             for b, (h, v) in enumerate(zip(*state.amplitudes.tolist()))}
-    return {"steps": state.steps, "amplitudes": amps}
+    return {"steps": state.steps_applied, "amplitudes": amps}
 
 
 def write_csv(path: Path, command: str, digest: str, columns: list[str], rows: list) -> None:

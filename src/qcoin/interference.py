@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import PhotonState, run_circuit
+from .circuit import run_circuit
 from .constants import TOL
 from .errors import (
     DimensionMismatch,
@@ -23,12 +23,12 @@ from .errors import (
     InvalidParameter,
 )
 from .markov import CausalState, PerturbedCoin, float_or_array, require
-from .quantum import IdealOutputState, require_one_state
+from .quantum import PhotonState, require_one_state
 
 FIT_MAX_EVALS = 10000  # model evaluations before a fit counts as not converged
 
 
-def _amplitudes(state: PhotonState | IdealOutputState) -> np.ndarray:
+def _amplitudes(state: PhotonState) -> np.ndarray:
     # The package's one complex amplitude array, kept on purpose: np.vdot's summation order
     # fixes the last bits of the visibility, and any other dot (a real vdot in either layout,
     # or a complex one over the polarization-major array) changes them for most pairs, and
@@ -36,7 +36,7 @@ def _amplitudes(state: PhotonState | IdealOutputState) -> np.ndarray:
     return np.array(state.amplitudes.T, dtype=complex, order="C")
 
 
-def visibility(psi: PhotonState | IdealOutputState, phi: PhotonState | IdealOutputState) -> float:
+def visibility(psi: PhotonState, phi: PhotonState) -> float:
     """HOM dip visibility: |<phi|psi>|^2 normalized by the actual state norms.
 
     Numerator and denominator are the same floating-point sums when the two

@@ -43,9 +43,11 @@ CHUNK_DRAWS = 2**14  # draws per pass; a chunk holds their uniforms, 2 bool mask
 
 def _integer(value, name: str) -> int:
     try:
-        return operator.index(value)
+        if type(value) is not bool:  # operator.index reads a Python bool as 0 or 1; numpy's bool it refuses
+            return operator.index(value)
     except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
 def require_steps(steps: int, cap: int = MAX_ENUMERATION_STEPS, low: int = 1, name: str = "steps") -> int:

@@ -1,12 +1,14 @@
 """Quantum model of the perturbed-coin simulator.
 
 The memory density matrix over the causal states (`causal_pair`, which each
-coin builds once in `markov`) and its von Neumann entropy, the ideal output
-superposition, and overlaps between the statistical futures of two processes.
+coin builds once in `markov`) and its von Neumann entropy, the output state
+(`PhotonState`: the circuit's post-selected photon, and the closed-form
+`superposition` of a future distribution, which is the same state), and
+overlaps between the statistical futures of two processes.
 `output_overlap` is a transfer-matrix power; `bhattacharyya_futures` enumerates
 all 2**M futures and is its oracle, as is the bin sum in `checks`.  As in `markov`,
 each function takes a grid coin and start-index arrays (leading batch axes),
-and `DensityMatrix2` and `IdealOutputState` hold the batch and validate it
+and `DensityMatrix2` and `PhotonState` hold the batch and validate it
 in `__post_init__`.  They hold arrays only; `cli` writes their JSON.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_OVERLAP_STEPS, MAX_SUPERPOSITION_STEPS, TOL
-from .errors import InvalidParameter, NonPhysicalState
+from .errors import DimensionMismatch, InvalidParameter, NonPhysicalState
 from .markov import (CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, causal_pair, entropy_bits,
                      float_or_array, future_distribution, owned, require, require_broadcast, require_steps,
                      start_rows, transition_matrix)
@@ -27,14 +29,6 @@ def norm_sq(amps: np.ndarray):
     """Squared norms over the last two axes, by numpy's own sum: a float for one state, an array for a
     batch, with the same bits per state."""
     return float_or_array(np.square(amps).sum(axis=(-2, -1)))
-
-
-def state_amplitudes(amplitudes, steps: int, what: str, batch=None) -> np.ndarray:
-    """A state's stored amplitudes: the `owned` copy of the real (*batch, 2, 2**steps) array, every norm checked."""
-    amps = owned(amplitudes, what, (2, 2**steps), batch)
-    squared = norm_sq(amps)
-    require(abs(squared - 1.0) <= TOL.state_norm, f"{what} is not normalized: |.|^2 = {{!r}}", squared)
-    return amps
 
 
 def require_one_state(amplitudes: np.ndarray, what: str) -> None:
@@ -98,39 +92,54 @@ class ProcessSpec:
 
 
 @dataclass(frozen=True)
-class IdealOutputState:
-    """The multi-step output superposition of the simulator.
+class PhotonState:
+    """Output state after `steps_applied` steps: the post-selected photon of the circuit, or the closed-form
+    superposition, which is the same state.
 
-    `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps)) is the amplitude
-    on memory basis index p and time bin b, polarization-major like `PhotonState`; the amplitude
-    on a string factorizes as sqrt(p(string)) times the causal-state component of the final
-    outcome.  `distribution` is the future distribution whose square roots the amplitudes carry, and its
-    step count is the state's.
+    `amplitudes[..., p, b]` (read-only float64, C-ordered (..., 2, 2**steps_applied)) is the
+    amplitude with polarization p (0 = H, 1 = V), the memory basis index, in time bin b, polarization-major
+    as the blocks make it.  Bin b encodes the outcome string via its binary digits,
+    first outcome in the least-significant bit.  Every norm is checked.
     """
 
+    steps_applied: int
     amplitudes: np.ndarray
-    distribution: OutcomeDistribution
 
     def __post_init__(self) -> None:
-        require(isinstance(self.distribution, OutcomeDistribution), "distribution must be an OutcomeDistribution")
-        batch = self.distribution.bins.shape[:-1]
-        object.__setattr__(self, "amplitudes", state_amplitudes(self.amplitudes, self.steps, "output state", batch))
+        steps = require_steps(self.steps_applied, MAX_SUPERPOSITION_STEPS, 0, "steps_applied")  # before 2**steps
+        amps = owned(self.amplitudes, "photon state", (2, 2**steps))
+        squared = norm_sq(amps)
+        require(abs(squared - 1.0) <= TOL.state_norm, "photon state is not normalized: |.|^2 = {!r}", squared)
+        object.__setattr__(self, "steps_applied", steps)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def steps(self) -> int:
-        return self.distribution.steps
+    def success_probability(self) -> float:
+        """The probability that all post-selections so far succeeded: 1/2 per block, exact in binary."""
+        return 0.5**self.steps_applied
 
 
-def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> IdealOutputState:
-    """Superposition sum_x sqrt(p(x)) |x1..xM>|S_xM> over all outcome strings.
+def superposition(coin: PerturbedCoin, distribution: OutcomeDistribution) -> PhotonState:
+    """Superposition sum_x sqrt(p(x)) |x1..xM>|S_xM> over the outcome strings of `distribution`.
 
-    The lower half of the bins ends in outcome 0 (memory S0), the upper in 1.
+    The lower half of the bins ends in outcome 0 (memory S0), the upper in 1.  A coin and a distribution
+    whose batches do not broadcast are a DimensionMismatch.
     """
+    bins = distribution.bins
+    roots = np.sqrt(bins).reshape(bins.shape[:-1] + (2, -1))
+    pair = causal_pair(coin)
+    try:
+        amps = np.multiply(pair.mT[..., None], roots[..., None, :, :], order="C")
+    except ValueError:  # caught, not checked first, so a batch that broadcasts costs nothing extra
+        raise DimensionMismatch(f"distributions {bins.shape[:-1]} do not broadcast against coins "
+                                f"{pair.shape[:-2]}") from None
+    return PhotonState(distribution.steps, amps.reshape(amps.shape[:-3] + (2, -1)))
+
+
+def ideal_output_state(coin: PerturbedCoin, start: CausalState, steps: int) -> PhotonState:
+    """The `superposition` of the future distribution of `steps` outcomes from `start`."""
     require_steps(steps, MAX_SUPERPOSITION_STEPS)
-    distribution = future_distribution(coin, start, steps)
-    roots = np.sqrt(distribution.bins).reshape(distribution.bins.shape[:-1] + (2, -1))
-    amps = np.multiply(causal_pair(coin).mT[..., None], roots[..., None, :, :], order="C")
-    return IdealOutputState(amps.reshape(amps.shape[:-3] + (2, -1)), distribution)
+    return superposition(coin, future_distribution(coin, start, steps))
 
 
 def output_overlap(

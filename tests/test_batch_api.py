@@ -40,12 +40,12 @@ from qcoin.markov import (
 )
 from qcoin.quantum import (
     DensityMatrix2,
-    IdealOutputState,
     ProcessSpec,
     bhattacharyya_futures,
     ideal_output_state,
     memory_density,
     output_overlap,
+    superposition,
     von_neumann_entropy,
 )
 
@@ -69,6 +69,7 @@ def same_bits(got, expected):
 @pytest.mark.parametrize("call", [
     lambda coin, start: future_distribution(coin, start, 5).bins,
     lambda coin, start: ideal_output_state(coin, start, 3).amplitudes,
+    lambda coin, start: superposition(coin, future_distribution(OTHER, CausalState.S1, 3)).amplitudes,
     lambda coin, start: prepare_input(coin, start).amplitudes,
     lambda coin, start: run_circuit(coin, start, 4).amplitudes,
     lambda coin, start: arrival_time_distribution(run_circuit(coin, start, 2)).bins,
@@ -78,7 +79,7 @@ def same_bits(got, expected):
     lambda coin, start: bhattacharyya_futures(ProcessSpec(OTHER), CausalState.S0, ProcessSpec(coin), start, 4),
     lambda coin, start: classical_fidelity(future_distribution(coin, start, 4), future_distribution(OTHER, 1, 4)),
     lambda coin, start: causal_pair(coin),
-], ids=["future_distribution", "ideal_output_state", "prepare_input", "run_circuit",
+], ids=["future_distribution", "ideal_output_state", "superposition", "prepare_input", "run_circuit",
         "arrival_time_distribution", "block_norm_accounting", "output_overlap-1", "output_overlap-3", "output_overlap",
         "output_overlap-12", "output_overlap-8192", "bhattacharyya_futures", "classical_fidelity", "causal_pair"])
 def test_each_batch_element_has_the_bits_of_its_one_coin_call(call):
@@ -163,12 +164,8 @@ def test_a_start_array_holds_state_indices(start):
         future_distribution(OTHER, start, 2)
 
 
-ONE_COIN_STATE = ideal_output_state(OTHER, CausalState.S0, 2)  # amplitudes (2, 4), distribution (4,)
-GRID_STATE = ideal_output_state(GRID, STARTS, 2)  # amplitudes (2, 3, 2, 4), distribution (2, 3, 4)
-
-
 # (holder call, the field's name and the shape it must have): a state's amplitudes and the density matrix go by
-# what they hold; the second field of a holder takes the batch of its first, and a state's its distribution's
+# what they hold; the second field of a holder takes the batch of its first
 @pytest.mark.parametrize("build, message", [
     (lambda: PerturbedCoin(np.array([]), np.array([])), r"stay_heads must have shape \(\), got \(0,\)"),
     (lambda: PerturbedCoin(HEADS, TAILS[0]), r"stay_tails must have shape \(2, 3\), got \(3,\)"),
@@ -177,15 +174,8 @@ GRID_STATE = ideal_output_state(GRID, STARTS, 2)  # amplitudes (2, 3, 2, 4), dis
     (lambda: OutcomeDistribution(1, np.empty((0, 2))), r"bins must have shape \(2,\), got \(0, 2\)"),
     (lambda: DensityMatrix2(np.empty((0, 2, 2))), r"density matrix must have shape \(2, 2\), got \(0, 2, 2\)"),
     (lambda: PhotonState(1, np.empty((0, 2, 2))), r"photon state must have shape \(2, 2\), got \(0, 2, 2\)"),
-    (lambda: IdealOutputState(np.empty((0, 2, 4)), ONE_COIN_STATE.distribution),
-     r"output state must have shape \(2, 4\), got \(0, 2, 4\)"),
-    (lambda: IdealOutputState(GRID_STATE.amplitudes, ONE_COIN_STATE.distribution),
-     r"output state must have shape \(2, 4\), got \(2, 3, 2, 4\)"),
-    (lambda: IdealOutputState(ONE_COIN_STATE.amplitudes, GRID_STATE.distribution),
-     r"output state must have shape \(2, 3, 2, 4\), got \(2, 4\)"),
 ], ids=["PerturbedCoin-empty", "PerturbedCoin-mismatch", "StationaryWeights-empty", "StationaryWeights-mismatch",
-        "OutcomeDistribution-empty", "DensityMatrix2-empty", "PhotonState-empty", "IdealOutputState-empty",
-        "IdealOutputState-grid-amplitudes", "IdealOutputState-grid-distribution"])
+        "OutcomeDistribution-empty", "DensityMatrix2-empty", "PhotonState-empty"])
 def test_every_holder_refuses_an_empty_or_mismatched_batch(build, message):
     with pytest.raises(InvalidParameter, match=message):
         build()
@@ -211,6 +201,7 @@ THREE_WEIGHTS = StationaryWeights(np.array([0.2, 0.5, 0.9]), np.array([0.8, 0.5,
     (lambda: bhattacharyya_futures(ProcessSpec(PAIR), 0, ProcessSpec(TRIPLE), 0, 3), DimensionMismatch),
     (lambda: classical_fidelity(future_distribution(PAIR, 0, 3), future_distribution(TRIPLE, 0, 3)),
      DimensionMismatch),
+    (lambda: superposition(PAIR, future_distribution(TRIPLE, 0, 3)), DimensionMismatch),
     (lambda: memory_density(PAIR, THREE_WEIGHTS), DimensionMismatch),
     (lambda: reconstruct_memory_density(PAIR, THREE_WEIGHTS, 2), DimensionMismatch),
     (lambda: counts_to_distribution([1.5, 2.5], 1), InvalidParameter),
@@ -221,9 +212,10 @@ THREE_WEIGHTS = StationaryWeights(np.array([0.2, 0.5, 0.9]), np.array([0.8, 0.5,
 ], ids=["sample_trajectories-int-start", "sample_trajectories-start-array", "future_distribution-empty-start",
         "ideal_output_state-empty-start", "run_circuit-empty-start", "future_distribution-start-against-coin",
         "visibility_sweep-start-against-coin", "output_overlap-a-against-b", "bhattacharyya_futures-a-against-b",
-        "classical_fidelity-a-against-b", "memory_density-weights-against-coin",
-        "reconstruct_memory_density-weights-against-coin", "counts_to_distribution-list", "fit_visibility-nan",
-        "stationary_weights-string-method", "future_distribution-ragged-start", "counts_to_distribution-ragged"])
+        "classical_fidelity-a-against-b", "superposition-distribution-against-coin",
+        "memory_density-weights-against-coin", "reconstruct_memory_density-weights-against-coin",
+        "counts_to_distribution-list", "fit_visibility-nan", "stationary_weights-string-method",
+        "future_distribution-ragged-start", "counts_to_distribution-ragged"])
 def test_an_unusable_input_ends_in_its_named_error(call, error):
     with pytest.raises(error):
         call()

@@ -210,20 +210,22 @@ def _count_calls(monkeypatch, module, names, calls):
 
 def test_one_chunk_runs_each_route_once(monkeypatch):
     calls = {name: [] for name in ("reconstruct_memory_density", "memory_density", "stationary_weights",
-                                   "apply_block", "block_norm_accounting", "ideal_output_state",
+                                   "apply_block", "block_norm_accounting", "future_distribution", "superposition",
                                    "arrival_time_distribution")}
     _count_calls(monkeypatch, checks, calls, calls)
-    run_oracle_checks(grid_step=0.25, step_counts=(3, 1), identity_draws=3)
+    run_oracle_checks(grid_step=0.25, step_counts=(3, 1), identity_draws=1)
     assert {name: len(made) for name, made in calls.items()} == {
         "reconstruct_memory_density": 1, "memory_density": 1, "stationary_weights": 2,  # one per weight method
-        "apply_block": 3, "block_norm_accounting": 3, "ideal_output_state": 2, "arrival_time_distribution": 2}
-    assert calls["ideal_output_state"] == [1, 3]
+        "apply_block": 3, "block_norm_accounting": 3, "future_distribution": 4, "superposition": 2,
+        "arrival_time_distribution": 2}
+    # one recurrence per step count, then the two sides of the identity draw, whose M is 1 at seed 7
+    assert calls["future_distribution"] == [1, 3, 1, 1]
 
 
 def test_the_circuit_suite_makes_one_product_per_block_and_one_recurrence_per_step_count(monkeypatch):
     calls = {"_block": [], "future_distribution": []}
     _count_calls(monkeypatch, circuit, ["_block"], calls)
-    # ideal_output_state's recurrence, and any the suite would run itself
+    # the suite's own recurrence, and any that the superposition would run
     _count_calls(monkeypatch, quantum, ["future_distribution"], calls)
     _count_calls(monkeypatch, checks, ["future_distribution"], calls)
     checks._circuit_suites(probability_grid(0.25), (4, 2), inject_fault=False)
@@ -336,9 +338,7 @@ def test_batch_validators_check_every_element(check, batch, error):
     lambda: StationaryWeights(math.nan, math.nan),
     lambda: DensityMatrix2(np.full((2, 2), math.nan)),
     lambda: PhotonState(1, np.full((2, 2), math.nan)),
-    lambda: replace(ideal_output_state(PerturbedCoin(0.5, 0.5), CausalState.S0, 1),
-                    amplitudes=np.full((2, 2), math.nan)),
-], ids=["StationaryWeights", "DensityMatrix2", "PhotonState", "IdealOutputState"])
+], ids=["StationaryWeights", "DensityMatrix2", "PhotonState"])
 def test_validators_refuse_nan(make):
     # each check accepts its range, so NaN fails it
     with pytest.raises(InvalidParameter):
@@ -358,7 +358,7 @@ def _spoil_last(result, change):
     (circuit, "_block", lambda block: lambda *args: _spoil_last(block(*args), lambda x: x + 1e-3),
      "photon state is not normalized"),
     (quantum, "causal_pair", lambda pair: lambda *args: _spoil_last(pair(*args), lambda x: x + 1e-3),
-     "output state is not normalized"),
+     "photon state is not normalized"),
     (circuit, "OutcomeDistribution", lambda cls: lambda steps, bins: cls(steps, _spoil_last(bins, lambda x: x * 0.999)),
      "probabilities sum to"),
     (markov, "StationaryWeights", lambda cls: lambda s0, s1: cls(s0, _spoil_last(s1, lambda x: x + 0.01)),
@@ -380,9 +380,9 @@ def _planted(out):
 
 
 @pytest.mark.parametrize("name, plant", [
-    ("ideal_output_state", lambda state: replace(state, amplitudes=_planted(state.amplitudes))),
+    ("superposition", lambda state: replace(state, amplitudes=_planted(state.amplitudes))),
     ("arrival_time_distribution", lambda out: OutcomeDistribution(out.steps, _planted(out.bins))),
-], ids=["ideal_output_state", "arrival_time_distribution"])
+], ids=["superposition", "arrival_time_distribution"])
 def test_deviation_in_the_last_bin_of_the_last_coin_is_found(monkeypatch, name, plant):
     # small enough for the norm and probability-sum checks to let it through
     public = getattr(checks, name)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,13 +382,9 @@ class TestPhotonStateContracts:
         assert edge.dtype == np.complex128 and edge.flags.c_contiguous
         assert np.array_equal(edge, amps.T)
 
-    @pytest.mark.parametrize("make", [
-        lambda amps: PhotonState(5, amps),
-        lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S1, 5), amplitudes=amps),
-    ], ids=["PhotonState", "IdealOutputState"])
-    def test_a_later_write_to_the_callers_array_does_not_reach_the_state(self, make):
+    def test_a_later_write_to_the_callers_array_does_not_reach_the_state(self):
         amps = np.array(run_circuit(PerturbedCoin(0.4, 0.7), S1, 5).amplitudes)  # C-ordered float64
-        state = make(amps)
+        state = PhotonState(5, amps)
         assert amps.flags.writeable  # the state locks its own copy, not the caller's array
         amps[0, 0] = 7.0
         assert state.amplitudes[0, 0] != 7.0
@@ -401,16 +396,12 @@ def _complex_block(amps, pair):
     return out.reshape(out.shape[:-3] + (-1, 2))
 
 
-def _with_imaginary(make, imag):
-    """A state built by `make` from a complex copy of the real (0.4, 0.7) amplitudes at M = 2,
+def _with_imaginary(imag):
+    """A state built from a complex copy of the real (0.4, 0.7) amplitudes at M = 2,
     with `imag` added to the imaginary part of one amplitude."""
     amps = run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(complex)
     amps[1, 1] += 1j * imag
-    return make(amps)
-
-
-STATE_BUILDERS = [lambda amps: PhotonState(2, amps),
-                  lambda amps: replace(ideal_output_state(PerturbedCoin(0.4, 0.7), S0, 2), amplitudes=amps)]
+    return PhotonState(2, amps)
 
 
 class TestRealPhoton:
@@ -423,17 +414,15 @@ class TestRealPhoton:
     def test_imaginary_part_raises(self, call):
         # the entry points take a PhotonState, whose constructor refuses complex amplitudes
         with pytest.raises(InvalidParameter, match="photon state must be real, got dtype complex128"):
-            call(_with_imaginary(STATE_BUILDERS[0], 1e-6), PerturbedCoin(0.4, 0.7))
+            call(_with_imaginary(1e-6), PerturbedCoin(0.4, 0.7))
 
     def test_imaginary_part_raises_in_constructors(self):
-        for make in STATE_BUILDERS:
-            with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
-                _with_imaginary(make, 1e-6)
+        with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
+            _with_imaginary(1e-6)
 
     def test_zero_imaginary_parts_are_refused(self):
-        for make in STATE_BUILDERS:
-            with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
-                _with_imaginary(make, 0.0)
+        with pytest.raises(InvalidParameter, match="must be real, got dtype complex128"):
+            _with_imaginary(0.0)
         with pytest.raises(InvalidParameter, match="must be real, got dtype complex64"):
             PhotonState(2, run_circuit(PerturbedCoin(0.4, 0.7), S0, 2).amplitudes.astype(np.complex64))
 

@@ -343,6 +343,9 @@ class TestFutureDistribution:
             future_distribution(coin, S0, 21)
         with pytest.raises(InvalidParameter, match="steps must be an integer, got 3.0"):
             future_distribution(coin, S0, 3.0)
+        # operator.index reads a Python bool as 0 or 1: True gave a 1-step distribution
+        with pytest.raises(InvalidParameter, match="steps must be an integer, got True"):
+            future_distribution(coin, S0, True)
 
 
 class TestSampleTrajectories:
@@ -435,7 +438,9 @@ class TestSampleTrajectories:
         (10, -1, "seed must be >= 0, got -1"),
         (10, 1.5, "seed must be an integer, got 1.5"),
         (2.5, 1, "draws must be an integer, got 2.5"),
-    ], ids=["negative-seed", "fractional-seed", "fractional-draws"])
+        (True, False, "draws must be an integer, got True"),  # it ended in np.empty's bare TypeError
+        (10, False, "seed must be an integer, got False"),
+    ], ids=["negative-seed", "fractional-seed", "fractional-draws", "bool-draws", "bool-seed"])
     def test_seed_and_draws_must_be_integers_in_range(self, draws, seed, message):
         with pytest.raises(InvalidParameter, match=message):
             sample_trajectories(PerturbedCoin(0.3, 0.8), S0, 3, draws, seed)

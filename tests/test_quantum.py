@@ -19,6 +19,7 @@ from qcoin.markov import (
     PerturbedCoin,
     StationaryWeights,
     classical_complexity,
+    counts_to_distribution,
     future_distribution,
     stationary_weights,
     transition_matrix,
@@ -31,6 +32,7 @@ from qcoin.quantum import (
     ideal_output_state,
     memory_density,
     output_overlap,
+    superposition,
     von_neumann_entropy,
 )
 
@@ -323,6 +325,21 @@ class TestIdealOutputState:
         assert set(payload["amplitudes"]) == {"00", "01", "10", "11"}
         re, im = payload["amplitudes"]["11"][1]
         assert complex(re, im) == out.amplitudes[1, bits_to_index("11")]
+
+
+class TestSuperposition:
+    def test_any_distribution_carries_its_roots_and_the_final_causal_state(self):
+        coin = PerturbedCoin(0.4, 0.7)
+        dist = counts_to_distribution(np.array([3, 0, 1, 4, 0, 2, 5, 1]), 3)
+        state = superposition(coin, dist)
+        assert state.steps_applied == 3
+        for b in range(8):
+            for p in range(2):
+                assert state.amplitudes[p, b] == causal_pair(coin)[b >> 2, p] * math.sqrt(dist.bins[b])
+
+    def test_a_distribution_past_the_circuit_cap_is_refused(self):
+        with pytest.raises(StepCountTooLarge, match="steps_applied must be in 0..12, got 13"):
+            superposition(PerturbedCoin(0.4, 0.7), future_distribution(PerturbedCoin(0.4, 0.7), S0, 13))
 
 
 class TestOutputOverlap:

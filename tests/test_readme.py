@@ -1,6 +1,7 @@
-"""The README's library example runs against the installed public API, whose names all resolve, and its
-config table and usage block match the CLI."""
+"""The README's library example runs against the installed public API, whose names all resolve, its
+holder list names the package's holders, and its config table and usage block match the CLI."""
 
+import ast
 import itertools
 import os
 import re
@@ -32,6 +33,26 @@ def test_every_public_name_resolves_once():
     assert len(set(qcoin.__all__)) == len(qcoin.__all__)
     missing = [name for name in qcoin.__all__ if not hasattr(qcoin, name)]
     assert missing == []
+
+
+def package_holders() -> set[str]:
+    """Every dataclass of the package whose `__post_init__` calls `owned`."""
+    holders = set()
+    for path in (ROOT / "src" / "qcoin").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(d).startswith("dataclass")
+                                                      for d in node.decorator_list):
+                inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+                calls = [c.func for init in inits for c in ast.walk(init) if isinstance(c, ast.Call)]
+                if any(getattr(func, "id", getattr(func, "attr", None)) == "owned" for func in calls):
+                    holders.add(node.name)
+    return holders
+
+
+def test_the_holder_list_names_the_packages_holders():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Every holder \(([^)]*)\)", readme).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == package_holders()
 
 
 def test_config_table_lists_every_key_of_each_record():

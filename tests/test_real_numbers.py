@@ -15,7 +15,7 @@ import pytest
 from qcoin.circuit import PhotonState, run_circuit
 from qcoin.errors import InvalidParameter
 from qcoin.markov import CausalState, OutcomeDistribution, PerturbedCoin, StationaryWeights, future_distribution
-from qcoin.quantum import DensityMatrix2, IdealOutputState, ideal_output_state
+from qcoin.quantum import DensityMatrix2
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qcoin").glob("*.py"))
 EXEMPT = {"interference.py": {"_amplitudes", "visibility"}}  # top-level functions allowed complex numbers
@@ -62,8 +62,7 @@ def test_a_planted_complex_use_is_found():
 def _holders():
     coin = PerturbedCoin(0.4, 0.7)
     return [coin, StationaryWeights(0.5, 0.5), OutcomeDistribution(1, [0.5, 0.5]),
-            DensityMatrix2(np.eye(2) / 2), run_circuit(coin, CausalState.S0, 1),
-            ideal_output_state(coin, CausalState.S0, 1)]
+            DensityMatrix2(np.eye(2) / 2), run_circuit(coin, CausalState.S0, 1)]
 
 
 # (holder, field, the name its refusal gives): a state's amplitudes and the density matrix go by what they hold
@@ -71,8 +70,7 @@ FIELDS = [(PerturbedCoin, "stay_heads", "stay_heads"), (PerturbedCoin, "stay_tai
           (StationaryWeights, "s0", "s0"), (StationaryWeights, "s1", "s1"),
           (OutcomeDistribution, "steps", "steps"), (OutcomeDistribution, "bins", "bins"),
           (DensityMatrix2, "matrix", "density matrix"),
-          (PhotonState, "steps_applied", "steps_applied"), (PhotonState, "amplitudes", "photon state"),
-          (IdealOutputState, "amplitudes", "output state"), (IdealOutputState, "distribution", "distribution")]
+          (PhotonState, "steps_applied", "steps_applied"), (PhotonState, "amplitudes", "photon state")]
 # each takes the valid value, whose shape the complex array keeps
 NOT_REAL = {"complex array": lambda value: np.full(np.shape(value), 0.5 + 1e-3j), "complex": lambda value: 0.4 + 0.1j,
             "str": lambda value: "0.4", "None": lambda value: None, "ragged": lambda value: [[0.5], [0.5, 0.5]]}
